@@ -596,14 +596,14 @@ impl<P: RoutePolicy> Router<P> {
 
     /// Vertex-hash placement over the eligible subset: with nothing
     /// drained this reproduces [`WalkService::submit`]'s shard choice
-    /// query for query.
+    /// query for query. The whole call goes to the driver at once, with
+    /// each query's home.
     fn submit_hashed(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
         let targets: Vec<usize> = (0..self.eligible.len())
             .filter(|&s| self.eligible[s])
             .collect();
         let all = targets.len() == self.eligible.len();
-        // Destinations decided up front (borrow-free loop below). With
-        // nothing drained this is exactly `WalkService::shard_of`.
+        // With nothing drained this is exactly `WalkService::shard_of`.
         let homes: Vec<usize> = queries
             .iter()
             .map(|q| {
@@ -614,24 +614,9 @@ impl<P: RoutePolicy> Router<P> {
                 }
             })
             .collect();
-        let mut accepted = 0;
-        let mut start = 0;
-        while start < queries.len() {
-            // Contiguous run with one destination -> one routed submit.
-            let shard = homes[start];
-            let mut end = start + 1;
-            while end < queries.len() && homes[end] == shard {
-                end += 1;
-            }
-            let taken = self
-                .driver
-                .submit_routed(tenant, &queries[start..end], shard);
-            accepted += taken;
-            self.routed_per_shard[shard] += taken as u64;
-            if taken < end - start {
-                break; // backpressure: preserve prefix-acceptance semantics
-            }
-            start = end;
+        let accepted = self.driver.submit_placed(tenant, queries, &homes);
+        for &shard in &homes[..accepted] {
+            self.routed_per_shard[shard] += 1;
         }
         accepted
     }

@@ -67,10 +67,9 @@ impl<B: WalkBackend + Send + 'static> Driver<B> {
     /// Shrinks the live fleet by one shard (the highest-index one),
     /// draining it in place so walk conservation holds — see
     /// [`WalkService::retire_shard`] / [`ThreadedDriver::retire_shard`].
-    /// The deterministic regime returns exactly the retiring shard's
-    /// remaining walks; the threaded regime returns everything harvested
-    /// at the retirement barrier (asynchronous completions from other
-    /// shards included).
+    /// Both regimes return only the retiring shard's walks not yet handed
+    /// out: its drain output, plus — in the threaded regime, one tick
+    /// behind — its last tick's completions.
     ///
     /// # Panics
     ///
@@ -133,9 +132,9 @@ impl<B: WalkBackend> Driver<B> {
         }
     }
 
-    /// Offers queries on behalf of `tenant`; accepts a prefix and
-    /// returns its length (identical backpressure semantics in both
-    /// regimes).
+    /// Offers queries on behalf of `tenant`, each to its vertex-hash
+    /// home; accepts a prefix and returns its length (identical
+    /// backpressure semantics in both regimes).
     pub fn submit(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
         match self {
             Driver::Deterministic(svc) => svc.submit(tenant, queries),
@@ -143,8 +142,8 @@ impl<B: WalkBackend> Driver<B> {
         }
     }
 
-    /// [`submit`](Self::submit) with the placement decided by the caller
-    /// (the `grw_route` hook).
+    /// [`submit`](Self::submit) with every query placed on `shard` by the
+    /// caller.
     ///
     /// # Panics
     ///
@@ -161,11 +160,33 @@ impl<B: WalkBackend> Driver<B> {
         }
     }
 
+    /// [`submit`](Self::submit) with query `i` placed on shard `homes[i]`
+    /// by the caller — the one entry both `submit` forms reduce to, and
+    /// the hook `grw_route` drives with a whole call at once. See
+    /// [`WalkService::submit_placed`] / [`ThreadedDriver::submit_placed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `homes` and `queries` differ in length or a home is out
+    /// of range.
+    pub fn submit_placed(
+        &mut self,
+        tenant: TenantId,
+        queries: &[WalkQuery],
+        homes: &[usize],
+    ) -> usize {
+        match self {
+            Driver::Deterministic(svc) => svc.submit_placed(tenant, queries, homes),
+            Driver::Threaded(thr) => thr.submit_placed(tenant, queries, homes),
+        }
+    }
+
     /// Advances the logical clock one tick on every shard. The
-    /// deterministic regime returns exactly this tick's completions; the
-    /// threaded regime returns whatever its workers have emitted so far
-    /// (completions are asynchronous — the multiset over a whole run is
-    /// the invariant, see [`ThreadedDriver::tick`]).
+    /// deterministic regime returns this tick's completions; the threaded
+    /// regime, whose ticks are pipelined one deep, returns the previous
+    /// tick's — exactly what deterministic `tick()` *k−1* returned — and
+    /// hands the last tick's out at [`drain`](Self::drain) /
+    /// [`finish`](Self::finish) (see [`ThreadedDriver::tick`]).
     pub fn tick(&mut self) -> Vec<CompletedWalk> {
         match self {
             Driver::Deterministic(svc) => svc.tick(),

@@ -491,22 +491,22 @@ impl<B: WalkBackend> WalkService<B> {
         shard_of(start, self.cfg.shards)
     }
 
-    /// Offers queries on behalf of `tenant`; accepts a prefix and returns
-    /// its length (service-level backpressure: a full shard buffer stops
-    /// acceptance).
+    /// Offers queries on behalf of `tenant`, each to its vertex-hash home;
+    /// accepts a prefix and returns its length (service-level
+    /// backpressure: a full shard buffer stops acceptance).
     ///
     /// Query ids are tenant-local and must fit [`MAX_LOCAL_ID`]; the
     /// completed paths come back keyed by the same local ids.
     pub fn submit(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
-        self.submit_inner(tenant, queries, None)
+        let homes: Vec<usize> = queries.iter().map(|q| self.shard_of(q.start)).collect();
+        self.submit_placed(tenant, queries, &homes)
     }
 
     /// [`submit`](Self::submit) with the placement decided by the caller:
     /// every accepted query parks in shard `shard`'s coalescing buffer
-    /// instead of its vertex-hash home. This is the routing hook a
-    /// placement tier (the `grw_route` crate) drives — the service itself
-    /// never migrates queries, so a query accepted here executes and
-    /// completes on `shard` exactly as if the hash had chosen it.
+    /// instead of its vertex-hash home. The service itself never migrates
+    /// queries, so a query accepted here executes and completes on
+    /// `shard` exactly as if the hash had chosen it.
     ///
     /// # Panics
     ///
@@ -518,22 +518,30 @@ impl<B: WalkBackend> WalkService<B> {
         shard: usize,
     ) -> usize {
         assert!(shard < self.runners.len(), "shard {shard} out of range");
-        self.submit_inner(tenant, queries, Some(shard))
+        self.submit_placed(tenant, queries, &vec![shard; queries.len()])
     }
 
-    /// Shared acceptance loop behind [`submit`](Self::submit) (vertex-hash
-    /// placement) and [`submit_routed`](Self::submit_routed) (explicit
-    /// placement).
-    fn submit_inner(
+    /// The one acceptance loop: offers `queries[i]` to shard `homes[i]`,
+    /// in order, and stops at the first refusal (prefix semantics).
+    /// This is the routing hook a placement tier (the `grw_route` crate)
+    /// drives, handing over a whole call with per-query homes at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `homes` and `queries` differ in length or a home is out
+    /// of range.
+    pub fn submit_placed(
         &mut self,
         tenant: TenantId,
         queries: &[WalkQuery],
-        fixed_shard: Option<usize>,
+        homes: &[usize],
     ) -> usize {
+        assert_eq!(queries.len(), homes.len(), "one home shard per query");
+        let shards = self.runners.len();
+        assert!(homes.iter().all(|&s| s < shards), "home shard out of range");
         let mut accepted = 0;
-        for q in queries {
+        for (q, &shard) in queries.iter().zip(homes) {
             let internal = tenant.namespace_query(q);
-            let shard = fixed_shard.unwrap_or_else(|| self.shard_of(q.start));
             if !self.runners[shard].accept(internal, self.tick, &mut self.collector) {
                 break;
             }

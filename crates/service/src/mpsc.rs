@@ -3,29 +3,28 @@
 //!
 //! Two primitives, both `Mutex` + `Condvar` (std only):
 //!
-//! * [`SyncQueue`] — a close-able FIFO. Bounded instances carry the
-//!   driver→worker command streams (the coordinator blocks when a worker
-//!   falls behind: backpressure, not unbounded queueing). The unbounded
-//!   instance carries worker→driver completions — workers must *never*
-//!   block on emit, or a coordinator blocked pushing commands into a
-//!   full queue could deadlock against a worker blocked pushing
-//!   completions.
-//! * [`Reply`] — a one-shot rendezvous slot for synchronous round-trips
-//!   (submit acceptance counts, drain barriers, stats snapshots).
+//! * [`SyncQueue`] — a close-able bounded FIFO carrying the driver→worker
+//!   command streams (the coordinator blocks when a worker falls behind:
+//!   backpressure, not unbounded queueing).
+//! * [`Reply`] — a one-shot rendezvous slot: the only way a worker talks
+//!   back. Workers fill slots without ever blocking, which is what keeps
+//!   the coordinator's blocking command pushes deadlock-free.
 //!
-//! These are coordination-path structures: commands move whole `Vec`s of
-//! queries, so queue traffic is per-batch, not per-walk, and a plain
-//! mutex is nowhere near the bottleneck the walk kernels are.
+//! What crosses per call: a submit is one command per shard it touches
+//! (the whole bucket of that shard's queries, usually with no reply); a
+//! tick is one command and one reply per shard, the reply carrying that
+//! tick's completed walks. Only a submit near buffer saturation pays a
+//! round-trip per same-shard run. A plain mutex is nowhere near the
+//! bottleneck the walk kernels are at that rate.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// How long a blocking [`Reply::recv`] waits between liveness checks
-/// before concluding the responding thread died. Generous — a loaded CI
-/// worker polling a big accelerator batch can be slow — but finite, so a
-/// worker panic surfaces as a clear panic here instead of a hung test.
-const REPLY_PATIENCE: Duration = Duration::from_secs(300);
+/// How often a blocked [`Reply::recv_while`] re-checks that the
+/// responding thread is still alive: a dead worker surfaces within one
+/// slice, and a live one costs a wake-up per slice at most.
+const LIVENESS_SLICE: Duration = Duration::from_millis(50);
 
 struct QueueState<T> {
     buf: VecDeque<T>,
@@ -63,11 +62,6 @@ impl<T> SyncQueue<T> {
         }
     }
 
-    /// A queue whose pushes never block (the completion-return channel).
-    pub(crate) fn unbounded() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
     /// Enqueues `v`, blocking while the queue is at capacity. Returns
     /// `Err(v)` if the queue was closed (the item is handed back).
     pub(crate) fn push(&self, v: T) -> Result<(), T> {
@@ -101,17 +95,6 @@ impl<T> SyncQueue<T> {
         }
     }
 
-    /// Non-blocking dequeue: `None` when currently empty (closed or not).
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        let mut s = self.state.lock().expect("queue lock poisoned");
-        let v = s.buf.pop_front();
-        drop(s);
-        if v.is_some() {
-            self.not_full.notify_one();
-        }
-        v
-    }
-
     /// Closes the queue: subsequent pushes fail, poppers drain what is
     /// left and then see `None`. Idempotent.
     pub(crate) fn close(&self) {
@@ -127,7 +110,8 @@ impl<T> SyncQueue<T> {
 }
 
 /// A one-shot rendezvous: one side [`send`](Reply::send)s exactly once,
-/// the other [`recv`](Reply::recv)s, blocking until the value arrives.
+/// the other [`recv_while`](Reply::recv_while)s, blocking until the value
+/// arrives or the sending side is known dead.
 pub(crate) struct Reply<T> {
     slot: Mutex<Option<T>>,
     ready: Condvar,
@@ -154,28 +138,25 @@ impl<T> Reply<T> {
         self.ready.notify_all();
     }
 
-    /// Blocks until the reply arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no reply arrives within the liveness window — which
-    /// means the responding worker thread died (e.g. panicked); a loud
-    /// failure here beats a silently hung caller.
-    pub(crate) fn recv(&self) -> T {
+    /// Blocks until the reply arrives and returns it, or returns `None`
+    /// once `alive` reports the responding thread gone with no reply
+    /// sent. `alive` is re-checked every [`LIVENESS_SLICE`], under the
+    /// slot lock, so a reply sent just before the responder exited is
+    /// never mistaken for a death.
+    pub(crate) fn recv_while(&self, alive: impl Fn() -> bool) -> Option<T> {
         let mut slot = self.slot.lock().expect("reply lock poisoned");
         loop {
             if let Some(v) = slot.take() {
-                return v;
+                return Some(v);
             }
-            let (s, timed_out) = self
+            if !alive() {
+                return None;
+            }
+            slot = self
                 .ready
-                .wait_timeout(slot, REPLY_PATIENCE)
-                .expect("reply lock poisoned");
-            slot = s;
-            assert!(
-                !timed_out.timed_out() || slot.is_some(),
-                "no reply within {REPLY_PATIENCE:?}: worker thread died"
-            );
+                .wait_timeout(slot, LIVENESS_SLICE)
+                .expect("reply lock poisoned")
+                .0;
         }
     }
 }
@@ -224,13 +205,12 @@ mod tests {
 
     #[test]
     fn closed_queue_drains_then_ends() {
-        let q: SyncQueue<u32> = SyncQueue::unbounded();
+        let q: SyncQueue<u32> = SyncQueue::bounded(4);
         q.push(7).unwrap();
         q.close();
         assert_eq!(q.push(8), Err(8), "push after close hands the item back");
         assert_eq!(q.pop(), Some(7), "remaining items still delivered");
         assert_eq!(q.pop(), None);
-        assert_eq!(q.try_pop(), None);
     }
 
     #[test]
@@ -240,7 +220,19 @@ mod tests {
             let r = r.clone();
             std::thread::spawn(move || r.send(42u64))
         };
-        assert_eq!(r.recv(), 42);
+        assert_eq!(r.recv_while(|| true), Some(42));
         sender.join().unwrap();
+    }
+
+    #[test]
+    fn reply_wait_gives_up_on_a_dead_responder() {
+        let r: Reply<u64> = Reply::new();
+        assert_eq!(r.recv_while(|| false), None, "no responder, no reply");
+        r.send(7);
+        assert_eq!(
+            r.recv_while(|| false),
+            Some(7),
+            "a reply sent before the responder exited still arrives"
+        );
     }
 }

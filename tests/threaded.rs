@@ -1,8 +1,9 @@
 //! The threaded serving driver's load-bearing property: for a fixed seed
 //! and submission sequence, the multiset of completed walks — per tenant,
 //! paths *and* tick stamps included — equals the deterministic driver's,
-//! under arbitrary schedules, both accelerator shard modes, routed mixed
-//! fleets, and backpressuring sinks; and shutdown under load loses
+//! under arbitrary schedules, saturated shards (every submit call's
+//! acceptance count included), both accelerator shard modes, routed
+//! mixed fleets, and backpressuring sinks; and shutdown under load loses
 //! nothing.
 //!
 //! Like `tests/properties.rs`, randomness is hand-rolled (no `proptest`
@@ -42,6 +43,10 @@ fn keys(walks: Vec<CompletedWalk>) -> Vec<WalkKey> {
     keys
 }
 
+/// What one drive schedule produced: the walk keys, the completed and
+/// step counts, and every submit call's `(offered, taken)`.
+type Drive = (Vec<WalkKey>, u64, u64, Vec<(usize, usize)>);
+
 /// One random drive schedule: interleaved submit chunks (rotating
 /// tenants) and ticks, then drain + finish. The schedule is derived
 /// entirely from `seed`, never from driver state, so both regimes replay
@@ -50,9 +55,10 @@ fn drive_schedule<B: ridgewalker_suite::algo::WalkBackend>(
     mut driver: Driver<B>,
     queries: &[WalkQuery],
     seed: u64,
-) -> (Vec<WalkKey>, u64, u64) {
+) -> Drive {
     let mut rng = SplitMix64::new(seed);
     let mut walks = Vec::new();
+    let mut calls = Vec::new();
     let mut offset = 0;
     while offset < queries.len() {
         if rng.next_bool(0.6) {
@@ -62,6 +68,7 @@ fn drive_schedule<B: ridgewalker_suite::algo::WalkBackend>(
             let mut part = &queries[offset..end];
             while !part.is_empty() {
                 let taken = driver.submit(tenant, part);
+                calls.push((part.len(), taken));
                 part = &part[taken..];
                 if taken == 0 {
                     walks.extend(driver.tick());
@@ -77,27 +84,42 @@ fn drive_schedule<B: ridgewalker_suite::algo::WalkBackend>(
     }
     let (rest, stats) = driver.finish();
     walks.extend(rest);
-    (keys(walks), stats.completed, stats.steps)
+    (keys(walks), stats.completed, stats.steps, calls)
 }
 
+/// Cases 12 and up saturate the shards: a coalescing buffer of exactly
+/// one micro-batch in front of a backend that holds four queries. Those
+/// submits get refused part-way, which sends the threaded driver down its
+/// exact run-by-run path; every call's acceptance count must still match
+/// the deterministic driver's.
 #[test]
 fn walk_multisets_match_across_random_schedules() {
     let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
     let spec = WalkSpec::urw(12);
     let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
     let nv = p.graph().vertex_count();
-    for case in 0..12u64 {
+    let mut refused_calls = 0;
+    for case in 0..20u64 {
         let qs = QuerySet::random(nv, 300, 0x5EED ^ case);
         let shards = 1 + (case % 4) as usize;
+        let saturating = case >= 12;
+        let max_batch = 16 + 8 * (case as usize % 3);
         let run = |mode: DriverMode| {
             let p = p.clone();
             let spec = spec.clone();
             let driver = Driver::new(
                 ServiceConfig::new(shards)
-                    .max_batch(16 + 8 * (case as usize % 3))
-                    .buffer_capacity(512)
+                    .max_batch(max_batch)
+                    .buffer_capacity(if saturating { max_batch } else { 512 })
                     .driver_mode(mode),
-                move |shard| ReferenceBackend::new(p.clone(), spec.clone(), 0xD1CE ^ shard as u64),
+                move |shard| {
+                    let b = ReferenceBackend::new(p.clone(), spec.clone(), 0xD1CE ^ shard as u64);
+                    if saturating {
+                        b.queue_capacity(4)
+                    } else {
+                        b
+                    }
+                },
             );
             drive_schedule(driver, qs.queries(), 0xCA5E ^ case)
         };
@@ -105,10 +127,25 @@ fn walk_multisets_match_across_random_schedules() {
         let thr = run(DriverMode::Threaded);
         assert_eq!(det.0.len(), 300, "case {case}: stream conservation");
         assert_eq!(
+            det.3, thr.3,
+            "case {case} ({shards} shards): per-call acceptance counts must match"
+        );
+        assert_eq!(
             det, thr,
             "case {case} ({shards} shards): walk multisets (with tick stamps) must match"
         );
+        if saturating {
+            refused_calls += det
+                .3
+                .iter()
+                .filter(|(offered, taken)| taken < offered)
+                .count();
+        }
     }
+    assert!(
+        refused_calls > 0,
+        "the saturating cases must exercise partial or zero acceptance"
+    );
 }
 
 /// PR 8's elastic extension of the parity property: the random schedule
@@ -176,10 +213,9 @@ fn walk_multisets_match_across_random_scale_schedules() {
                     live += 1;
                     scale_events += 1;
                 } else if live > 1 {
-                    // Drain-in-place: whatever the retirement barrier
-                    // harvests (the retiring shard's walks under the
-                    // deterministic regime, possibly more under the
-                    // threaded one) joins the same final multiset.
+                    // Drain-in-place: the retiring shard's walks not yet
+                    // handed out (under the threaded regime, its last
+                    // tick's too) join the same final multiset.
                     walks.extend(driver.retire_shard());
                     live -= 1;
                     scale_events += 1;
