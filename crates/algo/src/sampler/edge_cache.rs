@@ -8,7 +8,7 @@
 //! budget, turning the common second-order step into two array reads.
 //!
 //! The cache is deliberately *unshared*: each engine worker owns one
-//! exclusively (`&mut` access, no locks), so `WalkService` shards never
+//! exclusively (`&mut` access, no locks), so `Driver` shards never
 //! contend on it. Internally it is hash-partitioned into segments with
 //! independent budgets, which keeps eviction scans short and makes the
 //! layout mirror a per-pipeline on-chip SRAM split.

@@ -108,11 +108,11 @@ pub struct BackendTelemetry {
 /// single-owner mutable state (`&mut self` everywhere), and a purely
 /// local engine — one holding `Rc` graph views, say — is a legitimate
 /// implementation. Serving layers that *move* backends onto worker
-/// threads (the threaded driver in `grw_service`) demand `B: Send` at
-/// their own boundary instead, which every engine in this workspace
-/// satisfies: the shared graph travels as `Arc<PreparedGraph>` and all
-/// RNG/sampler state is owned per backend (asserted in this module's
-/// tests).
+/// threads (the threads executor of `grw_service::Driver`) demand
+/// `B: Send` at their own boundary instead, which every engine in this
+/// workspace satisfies: the shared graph travels as `Arc<PreparedGraph>`
+/// and all RNG/sampler state is owned per backend (asserted in this
+/// module's tests).
 pub trait WalkBackend {
     /// Offers queries; accepts a prefix and returns how many were taken.
     fn submit(&mut self, queries: &[WalkQuery]) -> usize;

@@ -30,7 +30,7 @@ use grw_graph::generators::ScaleFactor;
 use grw_obs::SpanSet;
 use grw_route::{ClassRates, Router, ScaleDecision, SloConfig, StaticHashPolicy, TargetSlo};
 use grw_service::{
-    accelerator_service, percentile, shard_backend, AccelShardMode, ServiceConfig, ShardSpec,
+    accelerator_driver, percentile, shard_backend, AccelShardMode, ServiceConfig, ShardSpec,
     TenantId,
 };
 use ridgewalker::{Accelerator, AcceleratorConfig};
@@ -491,7 +491,7 @@ pub fn run_autoscale_bench(cfg: &AutoscaleBenchConfig) -> AutoscaleBenchReport {
 
     // One single-shard closed-loop calibration run anchors everything:
     // the SLO target, the diurnal envelope, and the stall bound.
-    let mut cal_svc = accelerator_service(
+    let mut cal_svc = accelerator_driver(
         ServiceConfig::new(1)
             .max_batch(cfg.max_batch)
             .max_delay_ticks(1)
@@ -561,7 +561,7 @@ pub fn run_autoscale_bench(cfg: &AutoscaleBenchConfig) -> AutoscaleBenchReport {
         ("static-over", cfg.max_shards, false),
         ("static-under", cfg.min_shards, false),
     ] {
-        let service = accelerator_service(
+        let service = accelerator_driver(
             svc_cfg(shards),
             &accel,
             prepared.clone(),

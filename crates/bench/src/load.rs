@@ -4,7 +4,7 @@
 //! this harness measures the serving tier the way a capacity planner
 //! would: an open-loop arrival process (Poisson, bursty on/off, or
 //! deterministic — [`grw_queueing::ArrivalProcess`]) emits query
-//! timestamps, queries join the [`WalkService`] at their arrival ticks
+//! timestamps, queries join the [`Driver`] at their arrival ticks
 //! (never pre-batched), and every query's end-to-end latency
 //! (arrival → delivery) is recorded exactly. Sweeping the offered load ρ
 //! across a grid yields the latency-vs-load curve; a closed-loop
@@ -27,8 +27,8 @@ use grw_graph::CsrGraph;
 use grw_obs::{PhaseSummary, SpanSet};
 use grw_queueing::{ArrivalProcess, BulkQueueModel, MmnQueue};
 use grw_service::{
-    accelerator_service, percentile, AccelShardMode, CompletedWalk, ServiceConfig, SinkAck,
-    SinkReport, TenantId, WalkService, WalkSink,
+    accelerator_driver, percentile, AccelShardMode, CompletedWalk, Driver, ServiceConfig, SinkAck,
+    SinkReport, TenantId, WalkSink,
 };
 use grw_sink::CountingSink;
 use ridgewalker::{Accelerator, AcceleratorConfig};
@@ -158,7 +158,7 @@ pub enum LoadDelivery {
     /// the delivery-blind measurement (PR 3 behaviour, the baselines'
     /// mode).
     Collect,
-    /// Deliveries stream through [`WalkService::tick_into`] into a
+    /// Deliveries stream through [`Driver::tick_into`] into a
     /// [`CountingSink`] gated to accept at most `window` walks between
     /// flushes (`usize::MAX` = never push back). Latency is stamped when
     /// the *sink accepts* the walk, so time spent parked in the spill
@@ -510,7 +510,7 @@ fn opt_json(v: Option<f64>, decimals: usize) -> String {
     }
 }
 
-type DynService = WalkService<grw_service::DynWalkBackend>;
+type DynService = Driver<grw_service::DynWalkBackend>;
 
 /// Builds one fresh service in the given mode.
 fn make_service(
@@ -530,7 +530,7 @@ fn make_service(
         // Sized so the instrumented grid point's journal never drops an
         // event (phase attribution stays exact, not a lower bound).
         .journal_capacity((cfg.queries_per_point * 6).max(grw_obs::DEFAULT_JOURNAL_CAPACITY));
-    accelerator_service(svc_cfg, accel, prepared.clone(), spec, mode)
+    accelerator_driver(svc_cfg, accel, prepared.clone(), spec, mode)
 }
 
 /// Closed-loop saturation calibration: the service is held `window`
@@ -542,7 +542,7 @@ fn make_service(
 /// same way (one single-shard service per backend class) to anchor the
 /// adaptive policy's cost model.
 pub fn calibrate_saturation(
-    service: &mut WalkService<grw_service::DynWalkBackend>,
+    service: &mut Driver<grw_service::DynWalkBackend>,
     queries: &[WalkQuery],
     window: usize,
 ) -> f64 {

@@ -29,7 +29,7 @@ use grw_route::{
     StaticHashPolicy,
 };
 use grw_service::{
-    accelerator_service, mixed_fleet_service, percentile, AccelShardMode, ServiceConfig, ShardSpec,
+    accelerator_driver, mixed_fleet_driver, percentile, AccelShardMode, ServiceConfig, ShardSpec,
     TenantId,
 };
 use ridgewalker::{Accelerator, AcceleratorConfig};
@@ -372,9 +372,9 @@ fn calibrate_class(
         .buffer_capacity(cfg.max_batch.max(cfg.calibration_queries));
     let mut svc = match class {
         BackendClass::Accelerator => {
-            accelerator_service(svc_cfg, accel, prepared.clone(), spec, cfg.accel_mode)
+            accelerator_driver(svc_cfg, accel, prepared.clone(), spec, cfg.accel_mode)
         }
-        BackendClass::Cpu => mixed_fleet_service(
+        BackendClass::Cpu => mixed_fleet_driver(
             svc_cfg,
             accel,
             prepared.clone(),
@@ -514,7 +514,7 @@ fn run_workload(cfg: &RoutingBenchConfig, wl: LoadWorkload) -> WorkloadRouting {
     ];
     let mut outcomes = Vec::new();
     for policy in policies {
-        let service = mixed_fleet_service(
+        let service = mixed_fleet_driver(
             svc_cfg,
             &accel,
             prepared.clone(),

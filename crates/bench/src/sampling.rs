@@ -17,7 +17,7 @@
 //!   state: one persistent backend per arm replays the stream
 //!   [`repeats`](SamplingBenchConfig::repeats)` + 1` times and the best
 //!   pass is reported, so the adaptive arm's cache warms on the first
-//!   pass exactly as a long-lived `WalkService` shard's does — across
+//!   pass exactly as a long-lived `Driver` shard's does — across
 //!   two RMAT degree-skew settings —
 //!   `balanced` (`a=b=c=d=0.25`) and the heavy-tailed `graph500`
 //!   initiator the paper's Fig. 10 uses.
@@ -457,7 +457,7 @@ fn run_arm(
 
 /// Best steady-state wall time per arm, measured like a serving shard.
 ///
-/// Each arm gets one *persistent* backend — the regime `WalkService`
+/// Each arm gets one *persistent* backend — the regime `Driver`
 /// shards actually run in, where a shard lives for the whole serving
 /// session and its second-order cache stays warm across query batches.
 /// The query stream is replayed `repeats + 1` times through that backend

@@ -5,7 +5,7 @@
 //! drain; a serving tier reproduces that regime with an *open-loop*
 //! arrival process — a fixed number of queries arrives per service tick
 //! whether or not earlier ones finished. This module drives the identical
-//! stream through a [`WalkService`] twice, once per
+//! stream through a [`Driver`] twice, once per
 //! [`AccelShardMode`], and reports MStep/s (wall and simulated) plus the
 //! pipeline bubble ratio for each. The incremental mode should hold a
 //! strictly lower bubble ratio: batch-mode shards re-pay pipeline fill at
@@ -14,7 +14,7 @@
 
 use grw_algo::{PreparedGraph, QuerySet, WalkSpec};
 use grw_graph::generators::{Dataset, ScaleFactor};
-use grw_service::{accelerator_service, AccelShardMode, ServiceConfig, TenantId, WalkService};
+use grw_service::{accelerator_driver, AccelShardMode, Driver, ServiceConfig, TenantId};
 use ridgewalker::{Accelerator, AcceleratorConfig};
 use std::sync::Arc;
 
@@ -206,7 +206,7 @@ impl ServingComparison {
 /// meter at the end of the loaded window, before draining the tail.
 /// Returns `(completed, loaded-window meter)`.
 fn drive(
-    service: &mut WalkService<grw_service::DynWalkBackend>,
+    service: &mut Driver<grw_service::DynWalkBackend>,
     queries: &[grw_algo::WalkQuery],
     arrivals_per_tick: usize,
 ) -> (u64, grw_sim::stats::UtilizationMeter) {
@@ -248,7 +248,7 @@ pub fn run_serving_comparison(w: ServingWorkload) -> ServingComparison {
             .max_batch(w.max_batch)
             .max_delay_ticks(1)
             .buffer_capacity(w.max_batch.max(w.arrivals_per_tick) * 4);
-        let mut service = accelerator_service(cfg, &accel, prepared.clone(), &spec, mode);
+        let mut service = accelerator_driver(cfg, &accel, prepared.clone(), &spec, mode);
         let (completed, loaded) = drive(&mut service, queries.queries(), w.arrivals_per_tick);
         let stats = service.stats();
         assert_eq!(completed, w.queries as u64, "stream must be fully served");

@@ -5,7 +5,7 @@
 //! once? The legacy consumption pattern — `collected.extend(svc.tick())`
 //! — grows linearly with walks completed, because every path the run
 //! ever produced stays in the caller's `Vec`. Streaming the identical
-//! open-loop stream through [`WalkService::tick_into`] and a bounded
+//! open-loop stream through [`Driver::tick_into`] and a bounded
 //! [`CorpusSink`] keeps the resident count at O(spill capacity + sink
 //! buffer): each path is windowed into skip-gram pairs on delivery and
 //! dropped, and the pair window itself flushes downstream at capacity.
@@ -16,12 +16,12 @@
 //! deterministic and CI-gateable; only wall-clock throughput varies by
 //! host.
 //!
-//! [`WalkService::tick_into`]: grw_service::WalkService::tick_into
+//! [`Driver::tick_into`]: grw_service::Driver::tick_into
 
 use grw_algo::{PreparedGraph, QuerySet, WalkQuery, WalkSpec};
 use grw_graph::generators::{Dataset, ScaleFactor};
 use grw_obs::{PhaseSummary, SpanSet};
-use grw_service::{accelerator_service, AccelShardMode, ServiceConfig, TenantId, WalkService};
+use grw_service::{accelerator_driver, AccelShardMode, Driver, ServiceConfig, TenantId};
 use grw_sink::{CorpusSink, SkipGramPair, WalkSink};
 use ridgewalker::{Accelerator, AcceleratorConfig};
 use std::sync::Arc;
@@ -264,7 +264,7 @@ impl SinkBenchReport {
     }
 }
 
-type DynService = WalkService<grw_service::DynWalkBackend>;
+type DynService = Driver<grw_service::DynWalkBackend>;
 
 fn make_service(
     cfg: &SinkBenchConfig,
@@ -281,7 +281,7 @@ fn make_service(
         // plus batch events: size the journal so the instrumented arm's
         // phase attribution is exact, never an overflow lower bound.
         .journal_capacity((cfg.queries * 6).max(grw_obs::DEFAULT_JOURNAL_CAPACITY));
-    accelerator_service(
+    accelerator_driver(
         svc_cfg,
         accel,
         prepared.clone(),

@@ -3,13 +3,13 @@
 //! `grw_service` serves a sharded fleet, and since the `DynWalkBackend`
 //! shard type landed, a fleet can *mix* accelerator shards (batch or
 //! incremental cycle-level machines) with CPU shards behind one
-//! `WalkService`. What was missing is the layer that decides **who runs
+//! [`Driver`]. What was missing is the layer that decides **who runs
 //! where**: static vertex-hash placement spreads load uniformly, which is
 //! exactly wrong when the shards are heterogeneous — a slow CPU shard
 //! gets the same share as a deep accelerator pipeline, and its queue sets
 //! the fleet's tail latency.
 //!
-//! This crate is that layer. A [`Router`] wraps the service and consults
+//! This crate is that layer. A [`Router`] wraps the driver and consults
 //! a [`RoutePolicy`] at every micro-batch boundary, handing it the live
 //! fleet signals the serving tier already measures:
 //!
@@ -54,16 +54,16 @@
 //! use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
 //! use grw_graph::CsrGraph;
 //! use grw_route::{AdaptivePolicy, Router};
-//! use grw_service::{DynWalkBackend, ServiceConfig, TenantId, WalkService};
+//! use grw_service::{Driver, DynWalkBackend, ServiceConfig, TenantId};
 //! use std::sync::Arc;
 //!
 //! let g = CsrGraph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)], true);
 //! let spec = WalkSpec::urw(6);
 //! let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
-//! let service = WalkService::new(ServiceConfig::new(2), |_| -> DynWalkBackend {
+//! let driver = Driver::new(ServiceConfig::new(2), |_| -> DynWalkBackend {
 //!     Box::new(ParallelBackend::new(prepared.clone(), spec.clone(), 0xFEED, 2))
 //! });
-//! let mut router = Router::new(service, AdaptivePolicy::default());
+//! let mut router = Router::new(driver, AdaptivePolicy::default());
 //! let queries = QuerySet::random(8, 100, 1);
 //! assert_eq!(router.submit(TenantId(7), queries.queries()), 100);
 //! assert_eq!(router.drain().len(), 100);
@@ -84,8 +84,7 @@ use grw_algo::{BackendClass, WalkQuery};
 use grw_obs::{Counter, EventKind, Gauge, Labels, Obs, GLOBAL_SHARD};
 use grw_rng::SplitMix64;
 use grw_service::{
-    CompletedWalk, Driver, DynWalkBackend, ServiceStats, ShardSnapshot, TenantId, WalkService,
-    WalkSink,
+    CompletedWalk, Driver, DynWalkBackend, ServiceStats, ShardSnapshot, TenantId, WalkSink,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -168,13 +167,9 @@ pub struct ScaleStep {
 /// heterogeneous) fleet, fronted by a [`RoutePolicy`] that places every
 /// tenant's micro-batches using live load signals.
 ///
-/// The router is driver-generic: it wraps either execution regime — the
-/// deterministic tick loop ([`WalkService`]) or the thread-per-shard
-/// `ThreadedDriver` — behind the same placement logic, because
-/// `submit_routed`, `shard_snapshots`, and the tick/drain lifecycle have
-/// identical semantics in both ([`ShardSnapshot::pending_commands`]
-/// additionally exposes the threaded regime's cross-thread backlog to
-/// the policies' `backlog()` signal). Delivery passes straight through,
+/// The driver's one API has one implementation under both executors
+/// (inline or threads, picked by `ServiceConfig::driver`), so every
+/// router method works under either. Delivery passes straight through,
 /// so everything the driver guarantees about conservation and
 /// (multiset-)determinism holds verbatim.
 pub struct Router<P: RoutePolicy> {
@@ -203,12 +198,10 @@ pub struct Router<P: RoutePolicy> {
 }
 
 impl<P: RoutePolicy> Router<P> {
-    /// Wraps a serving driver with `policy` — pass a [`WalkService`], a
-    /// `ThreadedDriver`, or a [`Driver`] (anything `Into<Driver>`). All
-    /// shards start eligible and no calibration is loaded (policies fall
-    /// back to cost-hint priors — see [`with_rates`](Self::with_rates)).
-    pub fn new(driver: impl Into<Driver<DynWalkBackend>>, policy: P) -> Self {
-        let driver = driver.into();
+    /// Wraps a serving driver with `policy`. All shards start eligible
+    /// and no calibration is loaded (policies fall back to cost-hint
+    /// priors — see [`with_rates`](Self::with_rates)).
+    pub fn new(driver: Driver<DynWalkBackend>, policy: P) -> Self {
         let classes: Vec<BackendClass> = driver.shard_snapshots().iter().map(|s| s.class).collect();
         let shards = classes.len();
         Self {
@@ -396,7 +389,7 @@ impl<P: RoutePolicy> Router<P> {
     /// eligible shard. Complete the retirement with
     /// [`try_finish_retire`](Self::try_finish_retire) once it runs dry.
     ///
-    /// Retirement is LIFO by construction — both drivers only remove
+    /// Retirement is LIFO by construction — the driver only removes
     /// the tail shard, which is what keeps every surviving shard's index
     /// (and therefore bindings, counters, and snapshots) stable.
     pub fn begin_retire(&mut self) -> Option<usize> {
@@ -530,8 +523,8 @@ impl<P: RoutePolicy> Router<P> {
 
     /// Offers queries on behalf of `tenant`, placing them via the policy;
     /// accepts a prefix and returns its length, exactly like
-    /// [`WalkService::submit`]. With every shard drained nothing is
-    /// accepted (returns 0).
+    /// [`Driver::submit`]. With every shard drained nothing is accepted
+    /// (returns 0).
     pub fn submit(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
         if queries.is_empty() || !self.eligible.iter().any(|&e| e) {
             return 0;
@@ -595,15 +588,15 @@ impl<P: RoutePolicy> Router<P> {
     }
 
     /// Vertex-hash placement over the eligible subset: with nothing
-    /// drained this reproduces [`WalkService::submit`]'s shard choice
-    /// query for query. The whole call goes to the driver at once, with
+    /// drained this reproduces [`Driver::submit`]'s shard choice query
+    /// for query. The whole call goes to the driver at once, with
     /// each query's home.
     fn submit_hashed(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
         let targets: Vec<usize> = (0..self.eligible.len())
             .filter(|&s| self.eligible[s])
             .collect();
         let all = targets.len() == self.eligible.len();
-        // With nothing drained this is exactly `WalkService::shard_of`.
+        // With nothing drained this is exactly `Driver::shard_of`.
         let homes: Vec<usize> = queries
             .iter()
             .map(|q| {
@@ -626,16 +619,9 @@ impl<P: RoutePolicy> Router<P> {
         self.driver.tick()
     }
 
-    /// [`WalkService::tick_into`]: one tick, delivered into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — explicit borrowed-sink
-    /// delivery is a deterministic-regime API (the sink would have to
-    /// cross threads every call); attach owned per-shard sinks with
-    /// [`attach_sinks`](Self::attach_sinks) instead.
+    /// One tick, delivered into `sink` — see [`Driver::tick_into`].
     pub fn tick_into<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        self.deterministic_mut("tick_into").tick_into(sink)
+        self.driver.tick_into(sink)
     }
 
     /// Runs the fleet dry — see [`Driver::drain`].
@@ -643,21 +629,17 @@ impl<P: RoutePolicy> Router<P> {
         self.driver.drain()
     }
 
-    /// [`WalkService::drain_into`]: drains, delivered into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — see
-    /// [`tick_into`](Self::tick_into).
+    /// Runs the fleet dry, delivered into `sink` — see
+    /// [`Driver::drain_into`].
     pub fn drain_into<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        self.deterministic_mut("drain_into").drain_into(sink)
+        self.driver.drain_into(sink)
     }
 
-    /// Routes completions into sinks from now on — see
-    /// [`Driver::attach_sinks`] (one global sink under the deterministic
-    /// regime, one owned sink per worker thread under the threaded one).
-    pub fn attach_sinks(&mut self, make_sink: impl FnMut(usize) -> Box<dyn WalkSink + Send>) {
-        self.driver.attach_sinks(make_sink);
+    /// Routes completions into one sink from now on, built by
+    /// `make_sink(0)` and subscribed at the coordinator — see
+    /// [`Driver::attach_sink`].
+    pub fn attach_sinks(&mut self, mut make_sink: impl FnMut(usize) -> Box<dyn WalkSink + Send>) {
+        self.driver.attach_sink(make_sink(0));
     }
 
     /// Queries parked or in flight anywhere in the fleet.
@@ -681,7 +663,7 @@ impl<P: RoutePolicy> Router<P> {
     }
 
     /// Clean shutdown: drains the fleet (joining worker threads under
-    /// the threaded driver) and returns the remaining walks plus final
+    /// the threads executor) and returns the remaining walks plus final
     /// statistics — see [`Driver::finish`].
     pub fn finish(self) -> (Vec<CompletedWalk>, ServiceStats) {
         self.driver.finish()
@@ -728,51 +710,6 @@ impl<P: RoutePolicy> Router<P> {
     pub fn into_driver(self) -> Driver<DynWalkBackend> {
         self.driver
     }
-
-    /// Immutable access to the wrapped deterministic service.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — use [`driver`](Self::driver)
-    /// for regime-generic access.
-    pub fn service(&self) -> &WalkService<DynWalkBackend> {
-        self.driver
-            .as_deterministic()
-            .expect("service() requires the deterministic driver; use driver()")
-    }
-
-    /// Mutable access to the wrapped deterministic service (sink
-    /// subscription etc.). Submitting through this bypasses the policy —
-    /// use [`submit`](Self::submit) for routed traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — use
-    /// [`driver_mut`](Self::driver_mut).
-    pub fn service_mut(&mut self) -> &mut WalkService<DynWalkBackend> {
-        self.deterministic_mut("service_mut")
-    }
-
-    /// Unwraps the router, returning the deterministic service.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the threaded driver — use
-    /// [`into_driver`](Self::into_driver).
-    pub fn into_service(self) -> WalkService<DynWalkBackend> {
-        match self.driver {
-            Driver::Deterministic(svc) => svc,
-            Driver::Threaded(_) => {
-                panic!("into_service() requires the deterministic driver; use into_driver()")
-            }
-        }
-    }
-
-    fn deterministic_mut(&mut self, what: &str) -> &mut WalkService<DynWalkBackend> {
-        self.driver
-            .as_deterministic_mut()
-            .unwrap_or_else(|| panic!("{what}() requires the deterministic driver"))
-    }
 }
 
 #[cfg(test)]
@@ -783,11 +720,11 @@ mod tests {
     use grw_service::ServiceConfig;
     use std::sync::Arc;
 
-    fn cpu_fleet(shards: usize, seed: u64) -> WalkService<DynWalkBackend> {
+    fn cpu_fleet(shards: usize, seed: u64) -> Driver<DynWalkBackend> {
         let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
         let spec = WalkSpec::urw(8);
         let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
-        WalkService::new(ServiceConfig::new(shards).max_batch(32), move |_| {
+        Driver::new(ServiceConfig::new(shards).max_batch(32), move |_| {
             Box::new(ParallelBackend::new(
                 prepared.clone(),
                 spec.clone(),
@@ -815,7 +752,7 @@ mod tests {
                 .iter()
                 .map(|s| s.submitted)
                 .collect::<Vec<_>>(),
-            "hash routing reproduces WalkService::submit placement"
+            "hash routing reproduces Driver::submit placement"
         );
         let mut a = direct.drain();
         let mut b = routed.drain();
@@ -942,7 +879,7 @@ mod tests {
     #[test]
     fn append_and_retire_replan_placement_and_conserve_walks() {
         let make = cpu_backend_factory(0xAB);
-        let svc = WalkService::new(ServiceConfig::new(2).max_batch(32), &make);
+        let svc = Driver::new(ServiceConfig::new(2).max_batch(32), &make);
         let mut r = Router::new(svc, StaticHashPolicy);
         let qs = QuerySet::random(2000, 300, 11);
         let mut done = Vec::new();
@@ -1002,7 +939,7 @@ mod tests {
     #[test]
     fn closed_loop_scaling_grows_under_pressure_and_shrinks_when_idle() {
         let make = trickle_backend_factory(0xAB, 4);
-        let svc = WalkService::new(ServiceConfig::new(1).max_batch(8), &make);
+        let svc = Driver::new(ServiceConfig::new(1).max_batch(8), &make);
         let mut r = Router::new(svc, StaticHashPolicy)
             .with_rates(ClassRates::none().with(BackendClass::Cpu, 4.0));
         let mut policy = TargetSlo::new(SloConfig {

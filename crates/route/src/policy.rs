@@ -22,7 +22,7 @@ use grw_service::TenantId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Route each query to its vertex-hash home among the *eligible*
-    /// shards (identical to `WalkService::submit` when nothing is
+    /// shards (identical to `Driver::submit` when nothing is
     /// drained). No tenant binding is recorded.
     HashEach,
     /// Park the whole batch on this shard and bind the tenant there

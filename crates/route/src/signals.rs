@@ -139,14 +139,13 @@ pub(crate) mod tests {
             },
             queued: backlog,
             in_flight: 0,
-            pending_commands: 0,
             awaiting_injection: None,
             executing: None,
             submitted: 0,
             completed: 0,
             ewma_latency_ticks: None,
             bubble_ratio: None,
-            sampling: Default::default(),
+            telemetry: Default::default(),
         }
     }
 

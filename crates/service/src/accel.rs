@@ -7,26 +7,27 @@
 //! backend (one persistent machine per shard, submissions join the
 //! running pipeline). Both ship as `Box<dyn WalkBackend + Send>` shards,
 //! so a fleet can even mix modes — or mix accelerator and CPU shards —
-//! behind one `WalkService`.
-
+//! behind one [`Driver`].
 //!
-//! # Thread-safety audit (threaded driver)
+//! # Thread-safety audit (threads executor)
 //!
-//! Every shard backend built here is **owned outright by its shard** and
-//! moves onto a worker thread under
-//! [`DriverMode::Threaded`](crate::DriverMode::Threaded), so the
-//! `Send` story is exactly the `DynWalkBackend` bound (`Box<dyn
-//! WalkBackend + Send>`): accelerator shards each own their whole
-//! cycle-level machine (per-shard `Accelerator::new`, nothing shared),
-//! CPU shards own their `ParallelBackend` worker pool, and the one piece
-//! of genuinely shared state — the prepared graph — travels as
-//! `Arc<PreparedGraph>` (immutable after build, `Sync`). CPU shards
-//! deliberately share the *seed value* `cpu_seed` (plain `u64` copies,
-//! no RNG state aliasing): software backends key randomness by
-//! `(seed, query id)`, which is what makes a query's path independent of
-//! which CPU shard — and therefore which thread — serves it.
+//! Every shard backend built here is **owned outright by its shard
+//! runner** and moves onto a worker thread under
+//! [`DriverMode::Threaded`](crate::DriverMode::Threaded), so the `Send`
+//! story is exactly the `DynWalkBackend` bound (`Box<dyn WalkBackend +
+//! Send>`): accelerator shards each own their whole cycle-level machine
+//! (per-shard `Accelerator::new`, nothing shared), CPU shards own their
+//! `ParallelBackend` worker pool, and the one piece of genuinely shared
+//! state — the prepared graph — travels as `Arc<PreparedGraph>`
+//! (immutable after build, `Sync`). Sinks never cross threads: the
+//! coordinator delivers every walk on the caller's thread, so a sink only
+//! needs `Send` to live inside the [`Driver`] itself. CPU shards
+//! deliberately share the *seed value* `cpu_seed` (plain `u64` copies, no
+//! RNG state aliasing): software backends key randomness by `(seed, query
+//! id)`, which is what makes a query's path independent of which CPU
+//! shard — and therefore which thread — serves it.
 
-use crate::{Driver, ServiceConfig, WalkService};
+use crate::{Driver, ServiceConfig};
 use grw_algo::{ParallelBackend, PreparedGraph, WalkBackend, WalkSpec};
 use ridgewalker::Accelerator;
 use std::sync::Arc;
@@ -57,7 +58,7 @@ pub type DynWalkBackend = Box<dyn WalkBackend + Send>;
 ///
 /// (CPU shards deliberately do **not** use this: they share one seed so
 /// walk content is placement-invariant — see
-/// [`mixed_fleet_service`].)
+/// [`mixed_fleet_driver`].)
 pub fn fleet_shard_seed(base_seed: u64, shard: usize) -> u64 {
     base_seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -87,10 +88,13 @@ pub enum ShardSpec {
     },
 }
 
-/// Builds a [`WalkService`] over a *heterogeneous* fleet: shard `i` is
-/// whatever `plan[i]` says — accelerator shards (batch or incremental
-/// mode, seeds decorrelated by shard index exactly like
-/// [`accelerator_service`]) mixed with CPU [`ParallelBackend`] shards.
+/// Builds a [`Driver`] over a *heterogeneous* fleet, on the executor
+/// [`ServiceConfig::driver`] selects: shard `i` is whatever `plan[i]`
+/// says — accelerator shards (batch or incremental mode, seeds
+/// decorrelated by shard index exactly like [`accelerator_driver`]) mixed
+/// with CPU [`ParallelBackend`] shards. Shard composition, seeds and walk
+/// output are identical under both executors (see the
+/// [thread-safety audit](self#thread-safety-audit-threads-executor)).
 ///
 /// Every CPU shard uses the same `cpu_seed`: software backends key their
 /// randomness by `(seed, query id)`, so a query's path is identical no
@@ -103,32 +107,6 @@ pub enum ShardSpec {
 ///
 /// Panics if `plan.len() != cfg.shards`, if the plan is empty, or if a
 /// CPU spec has zero threads or poll chunk.
-pub fn mixed_fleet_service(
-    cfg: ServiceConfig,
-    accel: &Accelerator,
-    prepared: Arc<PreparedGraph>,
-    spec: &WalkSpec,
-    plan: &[ShardSpec],
-    cpu_seed: u64,
-) -> WalkService<DynWalkBackend> {
-    WalkService::new(
-        cfg,
-        fleet_factory(cfg, accel, prepared, spec, plan, cpu_seed),
-    )
-}
-
-/// [`mixed_fleet_service`] in driver-generic form: builds the fleet under
-/// whichever regime [`ServiceConfig::driver`] selects — the deterministic
-/// tick loop or the thread-per-shard [`ThreadedDriver`]
-/// (see the [thread-safety audit](self#thread-safety-audit-threaded-driver)
-/// in the module docs). Shard composition, seeds, and walk output
-/// (as a multiset) are identical in both regimes.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`mixed_fleet_service`].
-///
-/// [`ThreadedDriver`]: crate::ThreadedDriver
 pub fn mixed_fleet_driver(
     cfg: ServiceConfig,
     accel: &Accelerator,
@@ -143,9 +121,8 @@ pub fn mixed_fleet_driver(
     )
 }
 
-/// The shared shard factory behind every fleet constructor: shard `i`
-/// becomes whatever `plan[i]` says, regardless of which driver will run
-/// it.
+/// The shard factory behind the fleet constructors: shard `i` becomes
+/// whatever `plan[i]` says, whichever executor will run it.
 fn fleet_factory(
     cfg: ServiceConfig,
     accel: &Accelerator,
@@ -212,27 +189,12 @@ fn shard_backend_from(
     }
 }
 
-/// Builds a [`WalkService`] whose shards are accelerator instances in the
-/// chosen execution `mode`, sharing one prepared graph. Each shard's
-/// machine derives its randomness seed from the base configuration's seed
-/// and the shard index, so shards are decorrelated but the whole service
-/// stays deterministic for a fixed submission/tick sequence.
-pub fn accelerator_service(
-    cfg: ServiceConfig,
-    accel: &Accelerator,
-    prepared: Arc<PreparedGraph>,
-    spec: &WalkSpec,
-    mode: AccelShardMode,
-) -> WalkService<DynWalkBackend> {
-    // A homogeneous fleet is the all-accelerator special case of the
-    // mixed constructor (the CPU seed is irrelevant — no CPU shards).
-    let plan = vec![ShardSpec::Accel(mode); cfg.shards];
-    mixed_fleet_service(cfg, accel, prepared, spec, &plan, 0)
-}
-
-/// [`accelerator_service`] in driver-generic form: a homogeneous
-/// accelerator fleet under whichever regime [`ServiceConfig::driver`]
-/// selects.
+/// Builds a [`Driver`] whose shards are accelerator instances in the
+/// chosen execution `mode`, sharing one prepared graph, on the executor
+/// [`ServiceConfig::driver`] selects. Each shard's machine derives its
+/// randomness seed from the base configuration's seed and the shard
+/// index, so shards are decorrelated but the whole fleet stays
+/// deterministic for a fixed submission/tick sequence.
 pub fn accelerator_driver(
     cfg: ServiceConfig,
     accel: &Accelerator,
@@ -240,6 +202,8 @@ pub fn accelerator_driver(
     spec: &WalkSpec,
     mode: AccelShardMode,
 ) -> Driver<DynWalkBackend> {
+    // A homogeneous fleet is the all-accelerator special case of the
+    // mixed constructor (the CPU seed is irrelevant — no CPU shards).
     let plan = vec![ShardSpec::Accel(mode); cfg.shards];
     mixed_fleet_driver(cfg, accel, prepared, spec, &plan, 0)
 }
@@ -263,7 +227,7 @@ mod tests {
         let (prepared, spec) = setup();
         let accel = Accelerator::new(AcceleratorConfig::new().pipelines(2));
         for mode in [AccelShardMode::Batch, AccelShardMode::Incremental] {
-            let mut svc = accelerator_service(
+            let mut svc = accelerator_driver(
                 ServiceConfig::new(2).max_batch(64),
                 &accel,
                 prepared.clone(),
@@ -295,7 +259,7 @@ mod tests {
                 poll_chunk: 8,
             },
         ];
-        let mut svc = mixed_fleet_service(
+        let mut svc = mixed_fleet_driver(
             ServiceConfig::new(3).max_batch(32),
             &accel,
             prepared.clone(),
@@ -338,7 +302,7 @@ mod tests {
                 poll_chunk: 64,
             },
         ];
-        let mut svc = mixed_fleet_service(
+        let mut svc = mixed_fleet_driver(
             ServiceConfig::new(2).max_batch(16),
             &accel,
             prepared.clone(),
@@ -363,7 +327,7 @@ mod tests {
         let (prepared, spec) = setup();
         let accel = Accelerator::new(AcceleratorConfig::new().pipelines(2));
         let run = || {
-            let mut svc = accelerator_service(
+            let mut svc = accelerator_driver(
                 ServiceConfig::new(2).max_batch(32).max_delay_ticks(1),
                 &accel,
                 prepared.clone(),

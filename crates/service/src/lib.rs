@@ -2,7 +2,8 @@
 //!
 //! The ROADMAP north star is a production-scale system serving heavy walk
 //! traffic. This crate is that serving layer, built entirely on the
-//! streaming [`WalkBackend`] interface from `grw_algo`:
+//! streaming [`WalkBackend`](grw_algo::WalkBackend) interface from
+//! `grw_algo`:
 //!
 //! * **Sharding** — N backend shards, each bound to the shared graph
 //!   (`Arc<PreparedGraph>` fits the backend's `Borrow` bound), with
@@ -18,22 +19,22 @@
 //!   the service namespaces ids ([`TenantId::namespace`]) on the way in
 //!   and routes every completed path back to its tenant on the way out.
 //! * **Result streaming** — completed walks can stream into bounded
-//!   [`WalkSink`] consumers ([`WalkService::tick_into`],
-//!   [`WalkService::attach_sink`]) instead of accumulating in returned
+//!   [`WalkSink`] consumers ([`Driver::tick_into`],
+//!   [`Driver::attach_sink`]) instead of accumulating in returned
 //!   `Vec`s, with a conservation guarantee (every delivered walk reaches
 //!   exactly one sink route exactly once) and a bounded spill buffer
 //!   absorbing sink backpressure. Concrete sinks (skip-gram corpora, PPR
 //!   aggregation, histograms, per-tenant fan-out) live in the `grw_sink`
 //!   crate.
-//! * **Two drivers** — the per-shard step logic lives in one
-//!   `ShardRunner` unit that executes under either the deterministic
-//!   tick loop below (this type — also exported as
-//!   [`DeterministicDriver`]) or the [`ThreadedDriver`], which gives
-//!   every shard its own OS thread behind bounded submission queues for
-//!   wall-clock throughput. For a fixed seed and submission sequence
-//!   both produce the same multiset of completed walks; see the
-//!   [`runner`](crate::ThreadedDriver) docs and pick with
-//!   [`DriverMode`].
+//! * **One coordinator, two executors** — the [`Driver`] does tenant
+//!   namespacing, the logical clock, admission, delivery, stats and
+//!   observability once, over the per-shard step logic in one
+//!   `ShardRunner` unit. [`DriverMode`] picks who hosts the runners:
+//!   the inline executor steps them on the caller's thread
+//!   (bit-deterministic), the threads executor gives every shard its own
+//!   OS thread behind bounded command queues (wall-clock overlap). For a
+//!   fixed seed and submission sequence both produce the same multiset of
+//!   completed walks, tick stamps included.
 //! * **Observability** — [`ServiceStats`]: throughput in MStep/s (wall
 //!   time, plus simulated time when backends report cycles), wall-clock
 //!   walks/s, queue depth (total and per shard), micro-batch p50/p99
@@ -43,7 +44,7 @@
 //!   its own arrival/flush/delivery tick stamps for exact per-query
 //!   measurement.
 //!
-//! Time is a logical *tick*: every [`WalkService::tick`] call advances the
+//! Time is a logical *tick*: every [`Driver::tick`] call advances the
 //! deadline clock, flushes what is due, and polls every shard. Paths are
 //! therefore a deterministic function of the submission/tick sequence —
 //! wall time only shows up in the latency statistics.
@@ -53,13 +54,13 @@
 //! ```
 //! use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
 //! use grw_graph::CsrGraph;
-//! use grw_service::{ServiceConfig, TenantId, WalkService};
+//! use grw_service::{Driver, ServiceConfig, TenantId};
 //! use std::sync::Arc;
 //!
 //! let g = CsrGraph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)], true);
 //! let spec = WalkSpec::urw(6);
 //! let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
-//! let mut service = WalkService::new(ServiceConfig::new(2), |shard| {
+//! let mut service = Driver::new(ServiceConfig::new(2), |shard| {
 //!     ParallelBackend::new(prepared.clone(), spec.clone(), 0xFEED ^ shard as u64, 2)
 //! });
 //!
@@ -83,52 +84,41 @@ mod tenant;
 mod threaded;
 
 pub use accel::{
-    accelerator_driver, accelerator_service, fleet_shard_seed, mixed_fleet_driver,
-    mixed_fleet_service, shard_backend, AccelShardMode, DynWalkBackend, ShardSpec,
+    accelerator_driver, fleet_shard_seed, mixed_fleet_driver, shard_backend, AccelShardMode,
+    DynWalkBackend, ShardSpec,
 };
 pub use batch::FlushReason;
 pub use driver::Driver;
 pub use sink::{SinkAck, SinkReport, WalkSink};
 pub use stats::{percentile, ServiceStats, TenantStats};
 pub use tenant::{TenantId, LOCAL_ID_BITS, MAX_LOCAL_ID};
-pub use threaded::ThreadedDriver;
 
-use grw_algo::{BackendClass, BackendTelemetry, WalkBackend, WalkPath, WalkQuery};
-use grw_obs::{Obs, GLOBAL_SHARD, SEQ_BASE_SPILL};
-use grw_rng::SplitMix64;
-use runner::ShardRunner;
-use sink::SpillDelivery;
-use stats::StatsCollector;
-use std::time::Instant;
-
-/// The deterministic driver *is* the tick-driven [`WalkService`]: one
-/// thread, shards stepped inline in index order, paths a pure function of
-/// the submission/tick sequence. The alias exists so driver-generic code
-/// can name both execution regimes symmetrically.
-pub type DeterministicDriver<B> = WalkService<B>;
+use grw_algo::{BackendClass, BackendTelemetry, WalkPath};
 
 /// Smoothing factor for the per-shard latency EWMA: each delivery moves
 /// the estimate 1/8 of the way to its own latency — responsive enough for
 /// load-aware routing, smooth enough to ride out single-batch noise.
 const LATENCY_EWMA_ALPHA: f64 = 0.125;
 
-/// Which execution regime hosts the per-shard runners.
+/// Which executor hosts the per-shard runners under the one
+/// [`Driver`] coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DriverMode {
-    /// The single-threaded logical-tick loop ([`WalkService`]): shards
-    /// step inline in index order, completions are bit-deterministic,
-    /// and wall-clock parallelism is zero. The right choice for tests,
-    /// baselines, and simulation studies.
+    /// The inline executor: shards step on the caller's thread in index
+    /// order, completions are bit-deterministic, and wall-clock
+    /// parallelism is zero. The right choice for tests, baselines, and
+    /// simulation studies.
     #[default]
     Deterministic,
-    /// One OS thread per shard behind bounded submission queues
-    /// ([`ThreadedDriver`]): same walks (multiset equality per tenant,
-    /// paths included), real wall-clock overlap across shards. The right
-    /// choice for serving actual traffic.
+    /// The threads executor: one OS thread per shard behind bounded
+    /// command queues, ticks pipelined one deep. Same walks (multiset
+    /// equality per tenant, paths and tick stamps included), real
+    /// wall-clock overlap across shards. The right choice for serving
+    /// actual traffic.
     Threaded,
 }
 
-/// Configuration of a [`WalkService`].
+/// Configuration of a [`Driver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of backend shards.
@@ -151,16 +141,15 @@ pub struct ServiceConfig {
     /// paths when streaming through [`WalkSink`]s.
     pub sink_spill_capacity: usize,
     /// Event capacity of the observability journal built by
-    /// [`Driver::attach_fresh_obs`] / [`WalkService::attach_fresh_obs`].
+    /// [`Driver::attach_fresh_obs`].
     /// A run that outgrows it keeps the newest events and *counts* the
     /// drop (surfaced by `obsdump` as a warning banner) — overflow is
     /// never silent. Raise it for figure-scale runs whose traces must
     /// stay complete.
     pub journal_capacity: usize,
-    /// Which driver the fleet constructors ([`mixed_fleet_driver`],
-    /// [`accelerator_driver`], [`Driver::new`]) build. The plain
-    /// [`WalkService::new`] constructor ignores this — it *is* the
-    /// deterministic driver.
+    /// Which executor [`Driver::new`] (and the fleet constructors
+    /// [`mixed_fleet_driver`] / [`accelerator_driver`]) runs the shards
+    /// on.
     pub driver: DriverMode,
 }
 
@@ -247,7 +236,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Selects the execution regime for the fleet constructors.
+    /// Selects the executor.
     pub fn driver_mode(mut self, mode: DriverMode) -> Self {
         self.driver = mode;
         self
@@ -274,7 +263,7 @@ pub struct CompletedWalk {
     /// Service tick at which its micro-batch was flushed to a backend.
     pub flushed_tick: u64,
     /// Service tick at which the path was delivered. Queries delivered by
-    /// [`WalkService::drain`] carry the tick current when drain ran (drain
+    /// [`Driver::drain`] carry the tick current when drain ran (drain
     /// does not advance the clock).
     pub completed_tick: u64,
 }
@@ -294,10 +283,10 @@ impl CompletedWalk {
 
 /// A point-in-time, per-shard view of the live signals a routing tier
 /// places tenants with: what the shard is (class, static cost prior),
-/// how loaded it is (coalescing-buffer depth, submission-queue backlog,
-/// backend residency and its awaiting/executing split where reported),
-/// and how it has been performing (per-shard latency EWMA, pipeline
-/// bubble ratio).
+/// how loaded it is (coalescing-buffer depth, backend residency and its
+/// awaiting/executing split where reported), and how it has been
+/// performing (per-shard latency EWMA, pipeline bubble ratio, the
+/// backend's raw telemetry).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     /// Shard index within the service.
@@ -310,11 +299,6 @@ pub struct ShardSnapshot {
     pub queued: usize,
     /// Queries resident inside the backend (accepted, not yet returned).
     pub in_flight: usize,
-    /// Commands parked in the shard's submission queue, still awaiting
-    /// its worker thread. Always zero under the deterministic driver
-    /// (commands execute inline); under [`ThreadedDriver`] this is the
-    /// cross-thread backlog a placement tier should count as load.
-    pub pending_commands: usize,
     /// Backend-internal admission backlog (the accelerator machine's
     /// awaiting-injection count), when the backend reports the split.
     pub awaiting_injection: Option<usize>,
@@ -331,532 +315,25 @@ pub struct ShardSnapshot {
     /// The shard backend's cumulative pipeline bubble ratio, when it
     /// reports a pipeline-cycle breakdown.
     pub bubble_ratio: Option<f64>,
-    /// The shard backend's cumulative sampling-kernel counters (rejection
-    /// trials, alias builds, second-order edge-cache hits/evictions).
-    pub sampling: grw_sim::stats::SamplingCounters,
+    /// The shard backend's cumulative telemetry: steps, simulated cycles
+    /// and clock, pipeline breakdown, sampling-kernel counters.
+    pub telemetry: BackendTelemetry,
 }
 
 impl ShardSnapshot {
     /// Total queries this shard is responsible for right now (parked in
-    /// its buffer or submission queue plus resident in its backend).
+    /// its buffer plus resident in its backend).
     pub fn backlog(&self) -> usize {
-        self.queued + self.in_flight + self.pending_commands
+        self.queued + self.in_flight
     }
-}
-
-/// The sharded, multi-tenant serving front-end over N walk backends.
-///
-/// See the crate docs for the full model; the lifecycle is
-/// [`submit`](Self::submit) → [`tick`](Self::tick)* →
-/// [`drain`](Self::drain), with [`stats`](Self::stats) available at any
-/// point.
-pub struct WalkService<B: WalkBackend> {
-    cfg: ServiceConfig,
-    runners: Vec<ShardRunner<B>>,
-    tick: u64,
-    started: Instant,
-    collector: StatsCollector,
-    /// Completed walks a backpressured sink could not take yet, oldest
-    /// first; bounded by [`ServiceConfig::sink_spill_capacity`].
-    spill: SpillDelivery,
-    /// The subscribed sink, when delivery is in streaming mode: `tick`
-    /// and `drain` route every completed walk here and return nothing.
-    attached: Option<Box<dyn WalkSink + Send>>,
-    /// Telemetry of shards retired by [`retire_shard`](Self::retire_shard),
-    /// folded into [`stats`](Self::stats) rollups so fleet-lifetime step
-    /// counters survive scale-down events.
-    retired_telemetry: Vec<BackendTelemetry>,
-    /// Observability hub (disabled until [`attach_obs`](Self::attach_obs)):
-    /// runners and the spill record into per-source buffers that flush
-    /// into this hub at barriers.
-    obs: Obs,
-}
-
-impl<B: WalkBackend> WalkService<B> {
-    /// Builds a service whose `shard`-th backend comes from
-    /// `make_backend(shard)`.
-    pub fn new(cfg: ServiceConfig, mut make_backend: impl FnMut(usize) -> B) -> Self {
-        let runners = (0..cfg.shards)
-            .map(|i| ShardRunner::new(&cfg, make_backend(i)))
-            .collect();
-        Self {
-            cfg,
-            runners,
-            tick: 0,
-            started: Instant::now(),
-            collector: StatsCollector::new(cfg.latency_reservoir),
-            spill: SpillDelivery::new(cfg.sink_spill_capacity),
-            attached: None,
-            retired_telemetry: Vec::new(),
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Attaches an observability hub: every shard runner gets a
-    /// per-shard recorder (queries admitted/delivered, micro-batch
-    /// boundaries, latency histograms) and the service-global spill gets
-    /// one under [`GLOBAL_SHARD`]. Recording is buffered per source and
-    /// flushed into the hub at barriers ([`drain`](Self::drain),
-    /// [`retire_shard`](Self::retire_shard), or an explicit
-    /// [`flush_obs`](Self::flush_obs)); a disabled hub makes every
-    /// recording call a no-op. Attaching never changes walk content or
-    /// tick stamps.
-    pub fn attach_obs(&mut self, obs: Obs) {
-        for (i, r) in self.runners.iter_mut().enumerate() {
-            r.set_obs(obs.shard_obs(i as u32));
-        }
-        self.spill
-            .set_obs(obs.shard_obs(GLOBAL_SHARD).seq_base(SEQ_BASE_SPILL));
-        self.obs = obs;
-    }
-
-    /// Builds a live hub sized by [`ServiceConfig::journal_capacity`],
-    /// attaches it, and returns a handle — the one-liner for callers
-    /// that want the config to govern how much trace a run can keep.
-    pub fn attach_fresh_obs(&mut self) -> Obs {
-        let obs = Obs::with_capacity(self.cfg.journal_capacity);
-        self.attach_obs(obs.clone());
-        obs
-    }
-
-    /// The configured journal capacity
-    /// ([`ServiceConfig::journal_capacity`]).
-    pub fn journal_capacity(&self) -> usize {
-        self.cfg.journal_capacity
-    }
-
-    /// Flushes every per-source event buffer into the hub and journals
-    /// per-shard alias-cache epochs — the explicit export barrier for
-    /// callers that want the trace current without draining.
-    pub fn flush_obs(&mut self) {
-        for r in &mut self.runners {
-            r.record_alias_epoch();
-            r.obs.flush();
-        }
-        self.spill.obs.flush();
-    }
-
-    /// Grows the live fleet by one shard and returns its index (always
-    /// the new highest). The shard starts empty at the current tick and
-    /// is part of the vertex-hash partition from the very next
-    /// submission — appends land at a micro-batch boundary by
-    /// construction, because the service only mutates between `submit` /
-    /// `tick` calls.
-    ///
-    /// Determinism: a shard's walks are a pure function of its own
-    /// command stream, so a fleet grown at tick T produces the same
-    /// walks as a fleet born at size N+1 receiving the same per-shard
-    /// streams. Derive the backend's seed deterministically from the
-    /// fleet seed and this index (see
-    /// [`fleet_shard_seed`]) to keep scale
-    /// events reproducible.
-    pub fn append_shard(&mut self, backend: B) -> usize {
-        let shard = self.runners.len();
-        self.runners.push(ShardRunner::new(&self.cfg, backend));
-        if self.obs.is_enabled() {
-            self.runners[shard].set_obs(self.obs.shard_obs(shard as u32));
-        }
-        self.cfg.shards = self.runners.len();
-        shard
-    }
-
-    /// Shrinks the live fleet by one shard — the highest-index one —
-    /// draining it in place first so walk conservation holds: everything
-    /// the shard had accepted completes and is returned (or streamed
-    /// into the attached sink), then the shard leaves the vertex-hash
-    /// partition. Retirement is LIFO so surviving shard indices never
-    /// shift under routers or placement policies.
-    ///
-    /// The retired backend's telemetry stays folded into
-    /// [`stats`](Self::stats), so fleet-lifetime counters (steps,
-    /// sampling, cycles) survive scale-down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet has only one shard (a service always has at
-    /// least one), or if the retiring backend stalls while draining.
-    pub fn retire_shard(&mut self) -> Vec<CompletedWalk> {
-        assert!(self.runners.len() > 1, "cannot retire the last shard");
-        let mut runner = self.runners.pop().expect("fleet is non-empty");
-        let walks = runner.drain_all(&mut self.collector);
-        runner.record_alias_epoch();
-        runner.obs.flush();
-        self.retired_telemetry.push(runner.backend.telemetry());
-        self.cfg.shards = self.runners.len();
-        self.route_or_return(walks)
-    }
-
-    /// The shard a start vertex routes to (stable vertex-hash partition).
-    pub fn shard_of(&self, start: u32) -> usize {
-        shard_of(start, self.cfg.shards)
-    }
-
-    /// Offers queries on behalf of `tenant`, each to its vertex-hash home;
-    /// accepts a prefix and returns its length (service-level
-    /// backpressure: a full shard buffer stops acceptance).
-    ///
-    /// Query ids are tenant-local and must fit [`MAX_LOCAL_ID`]; the
-    /// completed paths come back keyed by the same local ids.
-    pub fn submit(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
-        let homes: Vec<usize> = queries.iter().map(|q| self.shard_of(q.start)).collect();
-        self.submit_placed(tenant, queries, &homes)
-    }
-
-    /// [`submit`](Self::submit) with the placement decided by the caller:
-    /// every accepted query parks in shard `shard`'s coalescing buffer
-    /// instead of its vertex-hash home. The service itself never migrates
-    /// queries, so a query accepted here executes and completes on
-    /// `shard` exactly as if the hash had chosen it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn submit_routed(
-        &mut self,
-        tenant: TenantId,
-        queries: &[WalkQuery],
-        shard: usize,
-    ) -> usize {
-        assert!(shard < self.runners.len(), "shard {shard} out of range");
-        self.submit_placed(tenant, queries, &vec![shard; queries.len()])
-    }
-
-    /// The one acceptance loop: offers `queries[i]` to shard `homes[i]`,
-    /// in order, and stops at the first refusal (prefix semantics).
-    /// This is the routing hook a placement tier (the `grw_route` crate)
-    /// drives, handing over a whole call with per-query homes at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `homes` and `queries` differ in length or a home is out
-    /// of range.
-    pub fn submit_placed(
-        &mut self,
-        tenant: TenantId,
-        queries: &[WalkQuery],
-        homes: &[usize],
-    ) -> usize {
-        assert_eq!(queries.len(), homes.len(), "one home shard per query");
-        let shards = self.runners.len();
-        assert!(homes.iter().all(|&s| s < shards), "home shard out of range");
-        let mut accepted = 0;
-        for (q, &shard) in queries.iter().zip(homes) {
-            let internal = tenant.namespace_query(q);
-            if !self.runners[shard].accept(internal, self.tick, &mut self.collector) {
-                break;
-            }
-            self.collector.record_submitted(tenant);
-            accepted += 1;
-        }
-        accepted
-    }
-
-    /// Advances the logical clock one tick: flushes every micro-batch that
-    /// is due (size or deadline), polls every shard, and returns the walks
-    /// that completed.
-    ///
-    /// With a sink [attached](Self::attach_sink), the completed walks are
-    /// streamed into it instead and the returned `Vec` is empty.
-    pub fn tick(&mut self) -> Vec<CompletedWalk> {
-        let out = self.advance_tick();
-        self.route_or_return(out)
-    }
-
-    /// [`tick`](Self::tick), delivering into `sink` instead of returning a
-    /// `Vec`: every walk completing this tick is offered to the sink (or
-    /// parked in the bounded spill buffer if it pushes back). Returns the
-    /// number of walks that completed this tick.
-    ///
-    /// The spill buffer belongs to the *delivery stream*, not to any one
-    /// sink value: walks spilled by this call are re-offered to whatever
-    /// sink the next delivery call passes. Consecutive `tick_into`/
-    /// [`drain_into`](Self::drain_into) calls therefore form one logical
-    /// route — to hand the stream to a *different* consumer without
-    /// leaking spilled walks across, run the spill dry first (a
-    /// `drain_into` with the old sink, or keep ticking it until
-    /// [`ServiceStats::sink_spill_depth`] is zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sink is [attached](Self::attach_sink) (one route per
-    /// walk — mixing subscription and explicit delivery would make the
-    /// destination ambiguous), or if the sink refuses delivery after a
-    /// flush while the spill buffer is full (a sink-contract violation).
-    pub fn tick_into<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        assert!(
-            self.attached.is_none(),
-            "detach the subscribed sink before delivering into another"
-        );
-        let out = self.advance_tick();
-        self.spill
-            .deliver(out, sink, self.tick, &mut self.collector)
-    }
-
-    /// Flushes everything and runs every shard dry; returns the remaining
-    /// walks. Afterwards [`ServiceStats::queue_depth`] is zero.
-    ///
-    /// With a sink [attached](Self::attach_sink), the walks are streamed
-    /// into it (running the spill buffer dry and flushing the sink at the
-    /// end) and the returned `Vec` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a backend refuses its remaining work without making any
-    /// progress (a backend bug, not a reachable service state).
-    pub fn drain(&mut self) -> Vec<CompletedWalk> {
-        if let Some(mut sink) = self.attached.take() {
-            self.drain_into_sink(&mut sink);
-            self.attached = Some(sink);
-            self.flush_obs();
-            return Vec::new();
-        }
-        let out = self.drain_collect();
-        let out = self.route_or_return(out);
-        self.flush_obs();
-        out
-    }
-
-    /// [`drain`](Self::drain), delivering into `sink`: every remaining
-    /// walk reaches the sink round by round as the shards run dry — the
-    /// resident completed-path count never exceeds one poll round plus
-    /// the spill buffer, even when the backlog is huge — then the spill
-    /// buffer is emptied (forcing sink flushes where needed) and the sink
-    /// is flushed so downstream consumers see the tail. Returns the
-    /// number of walks drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`tick_into`](Self::tick_into),
-    /// or if the sink keeps refusing spilled walks across flushes.
-    pub fn drain_into<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        assert!(
-            self.attached.is_none(),
-            "detach the subscribed sink before delivering into another"
-        );
-        let delivered = self.drain_into_sink(sink);
-        self.flush_obs();
-        delivered
-    }
-
-    /// The drain loop in streaming form: each round's completions go
-    /// straight into the sink instead of accumulating in a `Vec`.
-    fn drain_into_sink<S: WalkSink + ?Sized>(&mut self, sink: &mut S) -> usize {
-        let mut delivered = 0;
-        loop {
-            let (out, progressed) = self.drain_round();
-            delivered += self
-                .spill
-                .deliver(out, sink, self.tick, &mut self.collector);
-            if self.queue_depth() == 0 {
-                break;
-            }
-            assert!(
-                progressed,
-                "service stalled: backends hold work but complete nothing"
-            );
-        }
-        self.spill.run_dry(sink, self.tick, &mut self.collector);
-        sink.flush();
-        delivered
-    }
-
-    /// Subscribes `sink` to the delivery stream: from now on [`tick`] and
-    /// [`drain`] route every completed walk into it and return empty
-    /// `Vec`s. Returns the previously attached sink, if any — after
-    /// running any spilled walks into it, so replacing one subscription
-    /// with another never leaks the old subscription's walks into the new
-    /// sink. (Walks spilled by earlier *explicit* `tick_into` calls have
-    /// no owning sink value and go to the new subscription — see
-    /// [`tick_into`](Self::tick_into) on running the spill dry before
-    /// switching consumers.)
-    ///
-    /// [`tick`]: Self::tick
-    /// [`drain`]: Self::drain
-    pub fn attach_sink(
-        &mut self,
-        sink: Box<dyn WalkSink + Send>,
-    ) -> Option<Box<dyn WalkSink + Send>> {
-        let previous = self.detach_sink();
-        self.attached = Some(sink);
-        previous
-    }
-
-    /// Ends the subscription and returns the sink, first running any
-    /// spilled walks into it (conservation: they belong to its route) and
-    /// flushing it.
-    pub fn detach_sink(&mut self) -> Option<Box<dyn WalkSink + Send>> {
-        let mut sink = self.attached.take()?;
-        self.spill
-            .run_dry(&mut sink, self.tick, &mut self.collector);
-        sink.flush();
-        Some(sink)
-    }
-
-    /// The attached sink's own counters, when one is subscribed.
-    pub fn sink_report(&self) -> Option<SinkReport> {
-        self.attached.as_ref().map(|s| s.report())
-    }
-
-    /// Completed walks currently parked in the spill buffer, O(1) — the
-    /// per-tick residency observation (the same number as
-    /// [`ServiceStats::sink_spill_depth`], without building a full stats
-    /// snapshot).
-    pub fn spill_depth(&self) -> usize {
-        self.spill.depth()
-    }
-
-    /// Shared clock/flush/poll step behind [`tick`](Self::tick) and
-    /// [`tick_into`](Self::tick_into): every runner steps inline, in
-    /// shard order, against the one global collector.
-    fn advance_tick(&mut self) -> Vec<CompletedWalk> {
-        self.tick += 1;
-        let mut out = Vec::new();
-        for r in &mut self.runners {
-            out.extend(r.run_tick(self.tick, &mut self.collector));
-        }
-        out
-    }
-
-    /// One round of the drain loop: flushes the coalescing buffers as far
-    /// as the backends accept, runs every shard dry once, and returns
-    /// `(completions of this round, whether any backend made progress)`.
-    fn drain_round(&mut self) -> (Vec<CompletedWalk>, bool) {
-        for r in &mut self.runners {
-            r.drain_buffers(&mut self.collector);
-        }
-        let mut out = Vec::new();
-        let mut progressed = false;
-        for r in &mut self.runners {
-            let (walks, p) = r.drain_backend(&mut self.collector);
-            progressed |= p;
-            out.extend(walks);
-        }
-        (out, progressed)
-    }
-
-    /// The drain loop in collecting form, behind the `Vec`-returning
-    /// [`drain`](Self::drain).
-    fn drain_collect(&mut self) -> Vec<CompletedWalk> {
-        let mut delivered = Vec::new();
-        loop {
-            let (out, progressed) = self.drain_round();
-            delivered.extend(out);
-            if self.queue_depth() == 0 {
-                return delivered;
-            }
-            // Buffers still hold pushback from a previously-full backend;
-            // draining must have freed capacity for the next round.
-            assert!(
-                progressed,
-                "service stalled: backends hold work but complete nothing"
-            );
-        }
-    }
-
-    /// Streams `out` into the attached sink when one is subscribed
-    /// (returning an empty `Vec`), or hands it back to the caller.
-    fn route_or_return(&mut self, out: Vec<CompletedWalk>) -> Vec<CompletedWalk> {
-        let Some(mut sink) = self.attached.take() else {
-            if self.spill.is_empty() {
-                return out;
-            }
-            // Walks spilled by an earlier explicit `tick_into` were never
-            // consumed by any sink; a caller switching back to `Vec`
-            // delivery gets them here (oldest first) instead of having
-            // them stranded in the spill buffer forever.
-            let mut all = self.spill.take_all();
-            all.extend(out);
-            return all;
-        };
-        self.spill
-            .deliver(out, &mut sink, self.tick, &mut self.collector);
-        self.attached = Some(sink);
-        Vec::new()
-    }
-
-    /// Queries parked in buffers plus queries in flight inside backends.
-    pub fn queue_depth(&self) -> usize {
-        self.runners.iter().map(|r| r.queue_depth()).sum()
-    }
-
-    /// Point-in-time service statistics.
-    pub fn stats(&self) -> ServiceStats {
-        let rollup = stats::rollup_telemetry(
-            self.runners
-                .iter()
-                .map(|r| r.backend.telemetry())
-                .chain(self.retired_telemetry.iter().copied()),
-        );
-        ServiceStats::build(
-            &self.collector,
-            self.cfg.shards,
-            self.queue_depth(),
-            rollup.steps,
-            self.started.elapsed().as_secs_f64(),
-            rollup.simulated,
-            rollup.pipeline,
-            self.runners.iter().map(|r| r.submitted).collect(),
-            self.runners.iter().map(|r| r.queue_depth()).collect(),
-            self.spill.depth(),
-            rollup.sampling,
-        )
-    }
-
-    /// The current logical tick.
-    pub fn now(&self) -> u64 {
-        self.tick
-    }
-
-    /// Number of backend shards.
-    pub fn shard_count(&self) -> usize {
-        self.runners.len()
-    }
-
-    /// Immutable access to a shard's backend (telemetry, reports).
-    pub fn backend(&self, shard: usize) -> &B {
-        &self.runners[shard].backend
-    }
-
-    /// Live per-shard signals for load-aware placement: one
-    /// [`ShardSnapshot`] per shard, cheap enough to take before every
-    /// routing decision (no latency-sample copies, just counters and the
-    /// backend telemetry call).
-    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.runners
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let t = r.backend.telemetry();
-                ShardSnapshot {
-                    shard: i,
-                    class: r.backend.backend_class(),
-                    cost_hint: r.backend.cost_hint(),
-                    queued: r.queued(),
-                    in_flight: r.backend.in_flight(),
-                    pending_commands: 0,
-                    awaiting_injection: t.occupancy_split.map(|(a, _)| a),
-                    executing: t.occupancy_split.map(|(_, e)| e),
-                    submitted: r.submitted,
-                    completed: r.completed,
-                    ewma_latency_ticks: r.ewma_latency_ticks,
-                    bubble_ratio: t.pipeline.map(|m| m.bubble_ratio()),
-                    sampling: t.sampling,
-                }
-            })
-            .collect()
-    }
-}
-
-/// The stable vertex-hash shard partition both drivers share: which shard
-/// a start vertex routes to in an `n`-shard fleet.
-pub(crate) fn shard_of(start: u32, shards: usize) -> usize {
-    (SplitMix64::mix(u64::from(start)) % shards as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
+    use grw_algo::{
+        ParallelBackend, PreparedGraph, QuerySet, ReferenceBackend, WalkQuery, WalkSpec,
+    };
     use grw_graph::generators::{Dataset, ScaleFactor};
     use std::sync::Arc;
 
@@ -870,12 +347,12 @@ mod tests {
         shards: usize,
         cfg: ServiceConfig,
     ) -> (
-        WalkService<ParallelBackend<Arc<PreparedGraph>>>,
+        Driver<ParallelBackend<Arc<PreparedGraph>>>,
         Arc<PreparedGraph>,
     ) {
         let (p, spec) = shared();
         let prepared = p.clone();
-        let svc = WalkService::new(cfg.max_batch(32), move |shard| {
+        let svc = Driver::new(cfg.max_batch(32), move |shard| {
             ParallelBackend::new(prepared.clone(), spec.clone(), 0xBEEF ^ shard as u64, 2)
         });
         assert_eq!(svc.stats().shards, shards);
@@ -938,7 +415,7 @@ mod tests {
         // bit-identical, because software backends key RNG by (seed, id).
         let (p, spec) = shared();
         let prepared = p.clone();
-        let mut svc = WalkService::new(ServiceConfig::new(2).max_batch(32), move |shard| {
+        let mut svc = Driver::new(ServiceConfig::new(2).max_batch(32), move |shard| {
             ReferenceBackend::new(prepared.clone(), spec.clone(), 0xBEEF ^ shard as u64)
         });
         let qs = QuerySet::random(100, 300, 7);
@@ -967,7 +444,7 @@ mod tests {
         let (p, spec) = shared();
         let prepared = p.clone();
         // Tiny backend queues + tiny buffers force pushback.
-        let mut svc = WalkService::new(
+        let mut svc = Driver::new(
             ServiceConfig::new(1).max_batch(4).buffer_capacity(4),
             move |_| ReferenceBackend::new(prepared.clone(), spec.clone(), 1).queue_capacity(4),
         );
@@ -1197,21 +674,34 @@ mod tests {
 
     #[test]
     fn attached_sink_makes_tick_and_drain_stream() {
-        let (mut svc, _) = service(2, ServiceConfig::new(2));
-        let qs = QuerySet::random(100, 150, 8);
-        svc.submit(TenantId(2), qs.queries());
-        svc.attach_sink(Box::new(WindowSink::new(usize::MAX)));
-        assert!(svc.tick().is_empty(), "subscription swallows deliveries");
-        assert!(svc.drain().is_empty());
-        assert_eq!(svc.queue_depth(), 0);
-        let report = svc.sink_report().expect("sink attached");
-        assert_eq!(report.accepted, 150);
-        let sink = svc.detach_sink().expect("sink attached");
-        assert_eq!(sink.report().accepted, 150);
-        assert!(svc.sink_report().is_none());
-        // Detached: tick/drain return Vecs again.
-        svc.submit(TenantId(2), qs.queries());
-        assert_eq!(svc.drain().len(), 150);
+        // Walks of a tick that ran before the subscription stay with the
+        // caller under both executors; every later walk streams into it.
+        let run = |mode: DriverMode| {
+            let (mut svc, _) = service(2, ServiceConfig::new(2).driver_mode(mode));
+            let qs = QuerySet::random(100, 150, 8);
+            svc.submit(TenantId(2), qs.queries());
+            let mut returned = svc.tick();
+            svc.attach_sink(Box::new(WindowSink::new(usize::MAX)));
+            returned.extend(svc.tick());
+            assert!(svc.drain().is_empty(), "subscription swallows deliveries");
+            assert_eq!(svc.queue_depth(), 0);
+            let report = svc.sink_report().expect("sink attached");
+            assert_eq!(report.accepted as usize + returned.len(), 150, "{mode:?}");
+            let sink = svc.detach_sink().expect("sink attached");
+            assert_eq!(sink.report().accepted, report.accepted);
+            assert!(svc.sink_report().is_none());
+            // Detached: tick/drain return Vecs again.
+            svc.submit(TenantId(2), qs.queries());
+            let mut again = svc.tick();
+            again.extend(svc.drain());
+            assert_eq!(again.len(), 150, "{mode:?}");
+            let mut ids: Vec<u64> = returned.iter().map(|c| c.path.query).collect();
+            ids.sort_unstable();
+            (ids, report.accepted)
+        };
+        let inline = run(DriverMode::Deterministic);
+        assert!(!inline.0.is_empty() && inline.1 > 0, "walks on both routes");
+        assert_eq!(run(DriverMode::Threaded), inline, "same routes");
     }
 
     #[test]
@@ -1285,7 +775,7 @@ mod tests {
         let (p, spec) = shared();
         let prepared = p.clone();
         let sp = spec.clone();
-        let mut svc = WalkService::new(ServiceConfig::new(2).max_batch(16), move |shard| {
+        let mut svc = Driver::new(ServiceConfig::new(2).max_batch(16), move |shard| {
             ReferenceBackend::new(prepared.clone(), sp.clone(), 0xBEEF ^ shard as u64)
         });
         let nv = p.graph().vertex_count();
@@ -1329,7 +819,7 @@ mod tests {
     #[should_panic(expected = "cannot retire the last shard")]
     fn the_last_shard_cannot_retire() {
         let (p, spec) = shared();
-        let mut svc = WalkService::new(ServiceConfig::new(1), move |_| {
+        let mut svc = Driver::new(ServiceConfig::new(1), move |_| {
             ReferenceBackend::new(p.clone(), spec.clone(), 7)
         });
         let _ = svc.retire_shard();

@@ -1,11 +1,12 @@
-//! Hand-rolled blocking queues for the threaded driver — zero external
-//! deps, mirroring the repo's criterion-shim philosophy.
+//! Hand-rolled blocking queues for the threads executor (the private
+//! `threaded` module) — zero external deps, mirroring the repo's
+//! criterion-shim philosophy.
 //!
 //! Two primitives, both `Mutex` + `Condvar` (std only):
 //!
-//! * [`SyncQueue`] — a close-able bounded FIFO carrying the driver→worker
-//!   command streams (the coordinator blocks when a worker falls behind:
-//!   backpressure, not unbounded queueing).
+//! * [`SyncQueue`] — a close-able bounded FIFO carrying the
+//!   coordinator→worker command streams (the coordinator blocks when a
+//!   worker falls behind: backpressure, not unbounded queueing).
 //! * [`Reply`] — a one-shot rendezvous slot: the only way a worker talks
 //!   back. Workers fill slots without ever blocking, which is what keeps
 //!   the coordinator's blocking command pushes deadlock-free.
@@ -13,9 +14,10 @@
 //! What crosses per call: a submit is one command per shard it touches
 //! (the whole bucket of that shard's queries, usually with no reply); a
 //! tick is one command and one reply per shard, the reply carrying that
-//! tick's completed walks. Only a submit near buffer saturation pays a
-//! round-trip per same-shard run. A plain mutex is nowhere near the
-//! bottleneck the walk kernels are at that rate.
+//! tick's completed walks for the coordinator to deliver. Only a submit
+//! near buffer saturation pays a round-trip per same-shard run. A plain
+//! mutex is nowhere near the bottleneck the walk kernels are at that
+//! rate.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -102,11 +104,6 @@ impl<T> SyncQueue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Items currently enqueued.
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").buf.len()
-    }
 }
 
 /// A one-shot rendezvous: one side [`send`](Reply::send)s exactly once,
@@ -191,7 +188,6 @@ mod tests {
         let q = Arc::new(SyncQueue::bounded(2));
         q.push(1).unwrap();
         q.push(2).unwrap();
-        assert_eq!(q.len(), 2);
         // The third push must wait until the consumer pops.
         let producer = {
             let q = q.clone();

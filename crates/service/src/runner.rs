@@ -1,38 +1,36 @@
-//! The per-shard execution unit behind both drivers.
+//! The per-shard execution unit behind both executors.
 //!
 //! [`ShardRunner`] owns everything one shard needs to serve traffic: its
-//! backend, its micro-batch coalescer, and the per-query bookkeeping
-//! (arrival ticks, batch membership, latency EWMA). The step logic —
-//! micro-batcher flush → backend submit/poll → delivery accounting — is
-//! exactly the logic `WalkService` used to inline per shard; it lives
-//! here so the same unit can run under two execution regimes:
+//! backend, its micro-batch coalescer, the per-query bookkeeping (arrival
+//! ticks, batch membership, latency EWMA), its [`StatsCollector`] and its
+//! observability recorder. The step logic — micro-batcher flush → backend
+//! submit/poll → delivery accounting — lives here once, and the
+//! [`Driver`](crate::Driver) hosts the runners under either executor:
 //!
-//! * the [`WalkService`](crate::WalkService) tick loop (the
-//!   *deterministic driver*), which steps every runner inline on the
-//!   caller's thread, one shard after another;
-//! * the [`ThreadedDriver`](crate::ThreadedDriver), which moves each
-//!   runner onto its own OS thread and feeds it the same command stream
-//!   through a bounded queue.
+//! * **inline**, stepping every runner on the caller's thread, one shard
+//!   after another;
+//! * **threads** (the private `threaded` module), moving each runner onto
+//!   its own OS thread and feeding it the same command stream through a
+//!   bounded queue.
 //!
 //! Because a runner's evolution depends only on its *own* command
 //! sequence (accepts and tick advances, in order), a shard produces
-//! bit-identical walks — including tick stamps — no matter which driver
-//! hosts it. That is the load-bearing property behind the
-//! threaded-vs-deterministic multiset parity the `tests/threaded.rs`
-//! suite pins down.
+//! bit-identical walks — including tick stamps — no matter which executor
+//! hosts it. That is the load-bearing property behind the cross-executor
+//! multiset parity the `tests/threaded.rs` suite pins down.
 //!
-//! Stats flow through a [`StatsCollector`] passed into every mutating
-//! call: the deterministic driver hands every runner the one global
-//! collector (preserving the historical event order exactly), while the
-//! threaded driver gives each worker its own collector and merges them
-//! at report time (thread safety by ownership — no locks on the hot
-//! path).
+//! Every runner owns its collector under both executors, so the hot path
+//! takes no locks and passes no collector around; the coordinator merges
+//! the collectors, in shard order, when it builds
+//! [`ServiceStats`](crate::ServiceStats).
 
 use crate::batch::MicroBatcher;
 use crate::stats::StatsCollector;
-use crate::{CompletedWalk, FlushReason, ServiceConfig, TenantId, LATENCY_EWMA_ALPHA};
+use crate::{
+    CompletedWalk, FlushReason, ServiceConfig, ShardSnapshot, TenantId, LATENCY_EWMA_ALPHA,
+};
 use grw_algo::{WalkBackend, WalkPath, WalkQuery};
-use grw_obs::ShardObs;
+use grw_obs::{Event, ShardObs};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -44,14 +42,14 @@ struct BatchInFlight {
     flushed_tick: u64,
 }
 
-/// One shard's complete serving state: backend, coalescing buffer, and
-/// per-query accounting. See the [module docs](self).
+/// One shard's complete serving state: backend, coalescing buffer,
+/// per-query accounting and statistics. See the [module docs](self).
 pub(crate) struct ShardRunner<B: WalkBackend> {
     pub(crate) backend: B,
     batcher: MicroBatcher,
-    /// The shard's logical clock — synchronized with the driver's clock
-    /// by every [`accept`](Self::accept) / [`run_tick`](Self::run_tick)
-    /// call, so tick stamps are driver-independent.
+    /// The shard's logical clock — synchronized with the coordinator's
+    /// clock by every [`accept`](Self::accept) / [`run_tick`](Self::run_tick)
+    /// call, so tick stamps are executor-independent.
     tick: u64,
     /// Internal query id -> batches awaiting it, in flush order. The
     /// backend completes batches FIFO; the deque resolves a tenant
@@ -62,14 +60,15 @@ pub(crate) struct ShardRunner<B: WalkBackend> {
     arrivals: HashMap<u64, VecDeque<u64>>,
     batches: HashMap<u64, BatchInFlight>,
     next_batch_id: u64,
-    pub(crate) submitted: u64,
-    pub(crate) completed: u64,
+    /// This shard's statistics: admissions, batches, completions and
+    /// latency reservoirs, in total and per tenant.
+    pub(crate) collector: StatsCollector,
     /// EWMA of per-query end-to-end latency delivered by this shard, in
     /// ticks; `None` until the shard has delivered anything.
-    pub(crate) ewma_latency_ticks: Option<f64>,
+    ewma_latency_ticks: Option<f64>,
     /// Observability recorder for this shard — disabled (all no-ops)
     /// until a hub is attached via [`set_obs`](Self::set_obs).
-    pub(crate) obs: ShardObs,
+    obs: ShardObs,
 }
 
 impl<B: WalkBackend> ShardRunner<B> {
@@ -82,8 +81,7 @@ impl<B: WalkBackend> ShardRunner<B> {
             arrivals: HashMap::new(),
             batches: HashMap::new(),
             next_batch_id: 0,
-            submitted: 0,
-            completed: 0,
+            collector: StatsCollector::new(cfg.latency_reservoir),
             ewma_latency_ticks: None,
             obs: ShardObs::disabled(),
         }
@@ -94,58 +92,66 @@ impl<B: WalkBackend> ShardRunner<B> {
         self.obs = obs;
     }
 
-    /// The last tick this runner advanced to — the clock a worker's
-    /// spill-delivery path stamps sink accepts with (drains do not
-    /// advance it, matching the deterministic driver).
-    pub(crate) fn now(&self) -> u64 {
-        self.tick
+    /// The export barrier: journals the shard's cumulative alias-cache
+    /// telemetry (deduplicated inside the recorder — unchanged or
+    /// all-zero counters journal nothing) and hands over every buffered
+    /// event, for the coordinator to merge into the hub in shard order.
+    pub(crate) fn export_events(&mut self) -> Vec<Event> {
+        if self.obs.is_enabled() {
+            let s = self.backend.telemetry().sampling;
+            self.obs
+                .alias_cache_epoch(self.tick, s.cache_hits, s.alias_builds, s.cache_evictions);
+        }
+        self.obs.take_events()
     }
 
-    /// Journals the shard's cumulative alias-cache telemetry at an
-    /// export barrier (deduplicated inside the recorder — unchanged or
-    /// all-zero counters journal nothing).
-    pub(crate) fn record_alias_epoch(&mut self) {
-        if !self.obs.is_enabled() {
-            return;
+    /// Live signals of this shard for placement and stats.
+    pub(crate) fn snapshot(&self, shard: usize) -> ShardSnapshot {
+        let t = self.backend.telemetry();
+        ShardSnapshot {
+            shard,
+            class: self.backend.backend_class(),
+            cost_hint: self.backend.cost_hint(),
+            queued: self.queued(),
+            in_flight: self.backend.in_flight(),
+            awaiting_injection: t.occupancy_split.map(|(a, _)| a),
+            executing: t.occupancy_split.map(|(_, e)| e),
+            submitted: self.collector.submitted,
+            completed: self.collector.completed,
+            ewma_latency_ticks: self.ewma_latency_ticks,
+            bubble_ratio: t.pipeline.map(|m| m.bubble_ratio()),
+            telemetry: t,
         }
-        let s = self.backend.telemetry().sampling;
-        self.obs
-            .alias_cache_epoch(self.tick, s.cache_hits, s.alias_builds, s.cache_evictions);
     }
 
     /// Offers one already-namespaced query at tick `now`. On a full
     /// buffer the runner tries to make room once by flushing a full
     /// batch; `false` means the shard is saturated and the caller must
     /// stop accepting (prefix semantics).
-    pub(crate) fn accept(&mut self, internal: WalkQuery, now: u64, c: &mut StatsCollector) -> bool {
+    pub(crate) fn accept(&mut self, internal: WalkQuery, now: u64) -> bool {
         self.tick = now;
         if !self.batcher.push(internal, now) {
-            self.flush(FlushReason::Size, c);
+            self.flush(FlushReason::Size);
             if !self.batcher.push(internal, now) {
                 return false;
             }
         }
-        self.submitted += 1;
         let (tenant, local) = TenantId::unpack(internal.id);
+        self.collector.record_submitted(tenant);
         self.obs.query_admitted(now, tenant.0, local);
         self.arrivals.entry(internal.id).or_default().push_back(now);
         if self.batcher.due(now) == Some(FlushReason::Size) {
-            self.flush(FlushReason::Size, c);
+            self.flush(FlushReason::Size);
         }
         true
     }
 
     /// [`accept`](Self::accept) over a slice: takes the longest prefix
     /// the shard can hold and returns its length.
-    pub(crate) fn accept_batch(
-        &mut self,
-        queries: &[WalkQuery],
-        now: u64,
-        c: &mut StatsCollector,
-    ) -> usize {
+    pub(crate) fn accept_batch(&mut self, queries: &[WalkQuery], now: u64) -> usize {
         let mut taken = 0;
         for &q in queries {
-            if !self.accept(q, now, c) {
+            if !self.accept(q, now) {
                 break;
             }
             taken += 1;
@@ -156,50 +162,33 @@ impl<B: WalkBackend> ShardRunner<B> {
     /// Advances the shard to tick `now`: flushes every micro-batch that
     /// is due (size or deadline), polls the backend once, and returns
     /// the walks that completed, fully accounted.
-    pub(crate) fn run_tick(&mut self, now: u64, c: &mut StatsCollector) -> Vec<CompletedWalk> {
+    pub(crate) fn run_tick(&mut self, now: u64) -> Vec<CompletedWalk> {
         self.tick = now;
         while let Some(reason) = self.batcher.due(now) {
-            if !self.flush(reason, c) {
+            if !self.flush(reason) {
                 break;
             }
         }
         let paths = self.backend.poll();
-        paths.into_iter().map(|p| self.deliver(p, c)).collect()
+        paths.into_iter().map(|p| self.deliver(p)).collect()
     }
 
-    /// Pushes the coalescing buffer into the backend as far as it will
-    /// accept (the flush half of one drain round).
-    pub(crate) fn drain_buffers(&mut self, c: &mut StatsCollector) {
-        while !self.batcher.is_empty() {
-            if !self.flush(FlushReason::Drain, c) {
-                break;
-            }
-        }
-    }
-
-    /// Runs the backend dry once and returns `(completions, whether the
-    /// backend made progress)` — the execute half of one drain round.
-    pub(crate) fn drain_backend(&mut self, c: &mut StatsCollector) -> (Vec<CompletedWalk>, bool) {
-        let paths = self.backend.drain();
-        let progressed = !paths.is_empty();
-        let out = paths.into_iter().map(|p| self.deliver(p, c)).collect();
-        (out, progressed)
-    }
-
-    /// The full drain loop for one shard in isolation (the threaded
-    /// worker's shutdown/drain path): alternates buffer flushes and
-    /// backend drains until nothing is parked or in flight.
+    /// Runs the shard dry — the one drain algorithm of both executors:
+    /// alternates pushing the coalescing buffer into the backend (as far
+    /// as it accepts) with running the backend dry, until nothing is
+    /// parked or in flight. Does not advance the clock.
     ///
     /// # Panics
     ///
     /// Panics if the backend refuses its remaining work without making
     /// any progress (a backend bug, not a reachable service state).
-    pub(crate) fn drain_all(&mut self, c: &mut StatsCollector) -> Vec<CompletedWalk> {
+    pub(crate) fn drain_all(&mut self) -> Vec<CompletedWalk> {
         let mut out = Vec::new();
         loop {
-            self.drain_buffers(c);
-            let (walks, progressed) = self.drain_backend(c);
-            out.extend(walks);
+            while !self.batcher.is_empty() && self.flush(FlushReason::Drain) {}
+            let paths = self.backend.drain();
+            let progressed = !paths.is_empty();
+            out.extend(paths.into_iter().map(|p| self.deliver(p)));
             if self.queue_depth() == 0 {
                 return out;
             }
@@ -216,14 +205,14 @@ impl<B: WalkBackend> ShardRunner<B> {
     }
 
     /// Queries parked plus queries in flight inside the backend.
-    pub(crate) fn queue_depth(&self) -> usize {
+    fn queue_depth(&self) -> usize {
         self.batcher.len() + self.backend.in_flight()
     }
 
     /// Takes one micro-batch out of the buffer and submits it to the
     /// backend. Returns `false` when the backend accepted nothing
     /// (pushback) — the batch goes back to the buffer.
-    fn flush(&mut self, reason: FlushReason, c: &mut StatsCollector) -> bool {
+    fn flush(&mut self, reason: FlushReason) -> bool {
         let batch = self.batcher.take_batch();
         if batch.is_empty() {
             return false;
@@ -248,6 +237,7 @@ impl<B: WalkBackend> ShardRunner<B> {
         for q in &batch[..taken] {
             self.waiting.entry(q.id).or_default().push_back(id);
         }
+        let c = &mut self.collector;
         c.batches_flushed += 1;
         match reason {
             FlushReason::Size => c.flushed_by_size += 1,
@@ -265,10 +255,11 @@ impl<B: WalkBackend> ShardRunner<B> {
 
     /// Un-namespaces a completed path and settles its batch and
     /// per-query latency accounting.
-    fn deliver(&mut self, mut path: WalkPath, c: &mut StatsCollector) -> CompletedWalk {
+    fn deliver(&mut self, mut path: WalkPath) -> CompletedWalk {
         let internal = path.query;
         let (tenant, local) = TenantId::unpack(internal);
         path.query = local;
+        let c = &mut self.collector;
         c.completed += 1;
         let batch_id = self
             .waiting
@@ -308,7 +299,6 @@ impl<B: WalkBackend> ShardRunner<B> {
             flushed_tick,
             path.steps() as u32,
         );
-        self.completed += 1;
         self.ewma_latency_ticks = Some(match self.ewma_latency_ticks {
             Some(prev) => prev + LATENCY_EWMA_ALPHA * (latency as f64 - prev),
             None => latency as f64,

@@ -1,7 +1,7 @@
 //! The result-streaming contract: where completed walks go.
 //!
-//! [`WalkService::tick`](crate::WalkService::tick) and
-//! [`drain`](crate::WalkService::drain) return growing `Vec`s, which means
+//! [`Driver::tick`](crate::Driver::tick) and
+//! [`drain`](crate::Driver::drain) return growing `Vec`s, which means
 //! a service that runs for weeks accumulates every path it ever produced
 //! unless the caller disposes of them — the last unbounded-growth path in
 //! the serving tier. [`WalkSink`] inverts the flow: consumers register
@@ -9,6 +9,12 @@
 //! exactly one sink as it completes, so the resident completed-path count
 //! is bounded by the sink's own buffer capacity plus the service's spill
 //! buffer, never by the length of the run.
+//!
+//! Delivery happens at the coordinator under both executors: the one
+//! sink and its spill buffer live on the caller's thread, and worker
+//! threads never see a sink. Each batch of walks is offered stamped with
+//! the tick it completed in, so a sink sees the same sequence of
+//! `(walks, tick)` whichever executor runs the shards.
 //!
 //! The concrete sinks — skip-gram corpus windows, PPR terminal-visit
 //! aggregation, step/latency histograms, per-tenant fan-out routing — live
@@ -149,12 +155,11 @@ impl<S: WalkSink + ?Sized> WalkSink for &mut S {
     }
 }
 
-/// The bounded spill buffer between a delivery stream and one sink: the
-/// conservation machinery (offer → spill on pushback → forced flush
-/// before the bound breaches) shared by the deterministic service and
-/// every threaded worker. Each holder owns its own instance — the spill
-/// belongs to the delivery *stream*, so a worker thread's spill never
-/// mixes with another shard's.
+/// The bounded spill buffer between the coordinator's delivery stream
+/// and its sink: the conservation machinery (offer → spill on pushback →
+/// forced flush before the bound breaches). The [`Driver`](crate::Driver)
+/// owns the one instance; the spill belongs to the delivery *stream*, not
+/// to any one sink value.
 pub(crate) struct SpillDelivery {
     /// Completed walks a backpressured sink could not take yet, oldest
     /// first; bounded by the configured capacity.
@@ -163,7 +168,7 @@ pub(crate) struct SpillDelivery {
     /// Observability recorder for this delivery stream (disabled until a
     /// hub is attached). Spill events are stamped with the *walk's*
     /// completion tick — the spill has no clock of its own, and the walk
-    /// stamp is deterministic under both drivers.
+    /// stamp is deterministic under both executors.
     pub(crate) obs: ShardObs,
 }
 
@@ -183,10 +188,6 @@ impl SpillDelivery {
 
     pub(crate) fn depth(&self) -> usize {
         self.spill.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.spill.is_empty()
     }
 
     /// Hands every parked walk back to the caller (oldest first) — the

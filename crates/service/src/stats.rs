@@ -68,11 +68,12 @@ impl Reservoir {
     /// `seen()` equal to the union stream's length (exact counts are what
     /// the mean/conservation statistics divide by). The merged *sample*
     /// is approximate — `other`'s stream is represented by its retained
-    /// sample — which is the right trade for merging per-worker
-    /// collectors at report time: each worker's reservoir was exact or
-    /// uniform over its own stream, and ownership (one reservoir per
-    /// thread, merged after join) is what makes the whole scheme
-    /// thread-safe without locks.
+    /// sample — which is the right trade for merging per-shard
+    /// collectors at report time: each shard's reservoir was exact or
+    /// uniform over its own stream, and ownership (one collector per
+    /// runner, merged by the coordinator) is what makes the whole scheme
+    /// thread-safe without locks. A merge whose union fits the capacity
+    /// stays exact.
     pub(crate) fn merge(&mut self, other: &Reservoir) {
         for &v in other.sample() {
             self.push(v);
@@ -197,12 +198,12 @@ impl StatsCollector {
         t.latency_max = t.latency_max.max(latency_ticks);
     }
 
-    /// Folds another collector into this one — how the threaded driver
-    /// combines its submission-side collector with each worker's
-    /// delivery-side collector at report time. Counters add exactly;
-    /// reservoir samples merge approximately (see [`Reservoir::merge`]),
-    /// worker order fixed by the caller so reports are as reproducible
-    /// as the underlying wall-clock values allow.
+    /// Folds another collector into this one — how the coordinator
+    /// combines its delivery-side (sink) counters with every shard
+    /// runner's collector at report time. Counters add exactly;
+    /// reservoir samples merge exactly while they fit and approximately
+    /// beyond (see [`Reservoir::merge`]), in the shard order the caller
+    /// fixes.
     pub(crate) fn merge(&mut self, other: &StatsCollector) {
         self.submitted += other.submitted;
         self.completed += other.completed;
@@ -233,8 +234,8 @@ impl StatsCollector {
     }
 }
 
-/// Backend telemetry summed/merged across a fleet's shards — the
-/// aggregation both drivers feed into [`ServiceStats::build`].
+/// Backend telemetry summed/merged across a fleet's shards — what the
+/// coordinator feeds into [`ServiceStats::build`].
 pub(crate) struct TelemetryRollup {
     pub steps: u64,
     /// `(slowest shard's cycles, slowest shard's simulated seconds)` when
@@ -407,8 +408,7 @@ pub struct ServiceStats {
     /// Queries routed to each shard (hash balance check).
     pub per_shard_submitted: Vec<u64>,
     /// Per-shard queue depth right now (coalescing buffer + backend
-    /// in-flight; under the threaded driver also the submission-queue
-    /// backlog) — the load-imbalance view `queue_depth` sums away.
+    /// in-flight) — the load-imbalance view `queue_depth` sums away.
     pub per_shard_queue_depth: Vec<usize>,
     /// Walks accepted by a sink under streaming delivery
     /// (`tick_into`/`drain_into` or an attached sink).

@@ -1,6 +1,6 @@
 //! # grw_sink — bounded streaming consumers for completed walks
 //!
-//! The serving tier used to end at the accelerator edge: `WalkService`
+//! The serving tier used to end at the accelerator edge: `Driver`
 //! handed growing `Vec<CompletedWalk>`s back to the caller, so every path
 //! a sustained deployment produced stayed resident until someone disposed
 //! of it. This crate is the consumer layer that closes the loop: concrete
@@ -40,14 +40,14 @@
 //! ```
 //! use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
 //! use grw_graph::CsrGraph;
-//! use grw_service::{ServiceConfig, TenantId, WalkService};
+//! use grw_service::{Driver, ServiceConfig, TenantId};
 //! use grw_sink::{CorpusSink, WalkSink};
 //! use std::sync::Arc;
 //!
 //! let g = CsrGraph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)], true);
 //! let spec = WalkSpec::urw(6);
 //! let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
-//! let mut service = WalkService::new(ServiceConfig::new(2), |shard| {
+//! let mut service = Driver::new(ServiceConfig::new(2), |shard| {
 //!     ParallelBackend::new(prepared.clone(), spec.clone(), 0xFEED ^ shard as u64, 2)
 //! });
 //!

@@ -13,10 +13,9 @@ use grw_obs::{Counter, Labels, MetricsRegistry};
 use grw_service::{CompletedWalk, SinkAck, SinkReport, WalkSink};
 
 /// A [`WalkSink`] whose delivery counters also land in a metrics
-/// registry. `route` labels the stream (per-shard sinks under the
-/// threaded driver pass their shard index; a single global sink passes
-/// 0), so fan-out deployments keep their streams apart in the
-/// exposition.
+/// registry. `route` labels the stream (a driver's one subscription
+/// passes 0; a fan-out deployment passes each branch its own index), so
+/// parallel streams stay apart in the exposition.
 pub struct ObservedSink<S: WalkSink> {
     inner: S,
     accepted: Counter,

@@ -4,7 +4,7 @@ use grw_service::{CompletedWalk, SinkAck, SinkReport, TenantId, WalkSink};
 use std::collections::HashMap;
 
 /// Dispatches each walk to the sink registered for its tenant, falling
-/// back to a default route — so one `WalkService` subscription serves a
+/// back to a default route — so one `Driver` subscription serves a
 /// whole fleet of per-tenant consumers.
 ///
 /// The router preserves the service's conservation guarantee: every

@@ -3,7 +3,7 @@
 //! Replays a diurnal multi-tenant stream with MMPP-2 bursts riding the
 //! envelope through three provisioning arms sharing common random
 //! numbers: an autoscaled fleet (starts at `min_shards`, a `TargetSlo`
-//! policy grows and shrinks the live `WalkService` through the router's
+//! policy grows and shrinks the live `Driver` through the router's
 //! append/drain-retire path), a static over-provisioned fleet
 //! (`max_shards` throughout), and a static under-provisioned fleet
 //! (`min_shards` throughout). Reports per-arm p99 latency and

@@ -13,7 +13,7 @@ use ridgewalker_suite::algo::{Node2VecMethod, PreparedGraph, QuerySet, WalkSpec}
 use ridgewalker_suite::baselines::LightRw;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::graph::GraphStats;
-use ridgewalker_suite::service::{accelerator_service, AccelShardMode, ServiceConfig, TenantId};
+use ridgewalker_suite::service::{accelerator_driver, AccelShardMode, ServiceConfig, TenantId};
 use ridgewalker_suite::sim::FpgaPlatform;
 use ridgewalker_suite::sink::{CorpusSink, SkipGramPair, WalkSink};
 use std::sync::Arc;
@@ -44,7 +44,7 @@ fn main() {
     // the process hold the whole walk set.
     let accel_cfg = AcceleratorConfig::new().platform(FpgaPlatform::AlveoU250);
     let accel = Accelerator::new(accel_cfg);
-    let mut service = accelerator_service(
+    let mut service = accelerator_driver(
         ServiceConfig::new(2).max_batch(256).max_delay_ticks(1),
         &accel,
         prepared.clone(),

@@ -20,7 +20,7 @@ use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::ppr_exact::{l1_distance, personalized_pagerank};
 use ridgewalker_suite::algo::{PreparedGraph, QuerySet, WalkSpec};
 use ridgewalker_suite::graph::generators::RmatConfig;
-use ridgewalker_suite::service::{accelerator_service, AccelShardMode, ServiceConfig, TenantId};
+use ridgewalker_suite::service::{accelerator_driver, AccelShardMode, ServiceConfig, TenantId};
 use ridgewalker_suite::sink::PprAggregator;
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn main() {
     let prepared = Arc::new(PreparedGraph::new(graph, &spec).expect("unweighted graph"));
     let queries = QuerySet::repeated(source, 150_000);
     let accel = Accelerator::new(AcceleratorConfig::new().pipelines(8).seed(3));
-    let mut service = accelerator_service(
+    let mut service = accelerator_driver(
         ServiceConfig::new(1)
             .max_batch(512)
             .max_delay_ticks(1)

@@ -1,6 +1,6 @@
 //! Adaptive routing on a mixed accelerator/CPU fleet.
 //!
-//! Builds a heterogeneous `WalkService` (incremental accelerator shards
+//! Builds a heterogeneous `Driver` (incremental accelerator shards
 //! plus deliberately slower CPU shards), calibrates each backend class's
 //! saturation rate μ̂, and replays the identical bursty (MMPP-2)
 //! open-loop multi-tenant stream through a `grw_route::Router` under

@@ -2,7 +2,7 @@
 //! 10k-query mixed-tenant workload.
 //!
 //! Three tenants (a PPR-style recommender, an embedding-corpus builder
-//! and an ad-hoc analytics client) stream queries into one `WalkService`
+//! and an ad-hoc analytics client) stream queries into one `Driver`
 //! backed by four `ParallelEngine` shards over a shared prepared graph.
 //! Queries coalesce into size/deadline-bounded micro-batches, results
 //! route back to the tenant that asked, and the service prints its
@@ -14,7 +14,7 @@
 
 use ridgewalker_suite::algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
-use ridgewalker_suite::service::{ServiceConfig, TenantId, WalkService};
+use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ fn main() {
     let cfg = ServiceConfig::new(4).max_batch(128).max_delay_ticks(2);
     let backend_graph = prepared.clone();
     let backend_spec = spec.clone();
-    let mut service = WalkService::new(cfg, move |shard| {
+    let mut service = Driver::new(cfg, move |shard| {
         ParallelBackend::new(
             backend_graph.clone(),
             backend_spec.clone(),

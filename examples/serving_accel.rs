@@ -1,7 +1,7 @@
 //! Accelerator-shard serving benchmark: batch vs incremental execution.
 //!
 //! Serves the identical open-loop query stream through a sharded
-//! `WalkService` twice — once over micro-batch `AcceleratorBackend`
+//! `Driver` twice — once over micro-batch `AcceleratorBackend`
 //! shards (one detached cycle simulation per poll, fill/drain per batch)
 //! and once over `IncrementalAcceleratorBackend` shards (queries join one
 //! persistent running machine) — then reports MStep/s in wall and

@@ -3,7 +3,7 @@
 //! Drives the identical open-loop DeepWalk stream through the serving
 //! tier twice — once consumed the legacy way (every `CompletedWalk`
 //! accumulates in the caller's `Vec`) and once streamed through a
-//! bounded `CorpusSink` (`WalkService::tick_into`) — and reports the
+//! bounded `CorpusSink` (`Driver::tick_into`) — and reports the
 //! peak resident completed-path count of each, plus the skip-gram corpus
 //! the sink produced along the way. Writes `BENCH_sinks.json` for the CI
 //! perf-regression gate.

@@ -7,7 +7,7 @@ use ridgewalker_suite::bench::load::{run_latency_load, LoadConfig, LoadDelivery,
 use ridgewalker_suite::bench::Json;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::queueing::ArrivalProcess;
-use ridgewalker_suite::service::{ServiceConfig, TenantId, WalkService};
+use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
 use std::sync::Arc;
 
 /// The Poisson generator's empirical mean inter-arrival time must match
@@ -56,7 +56,7 @@ fn per_query_latency_bounds_batching_delay() {
     let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
     let nv = prepared.graph().vertex_count();
     let shared = prepared.clone();
-    let mut svc = WalkService::new(
+    let mut svc = Driver::new(
         ServiceConfig::new(2).max_batch(16).max_delay_ticks(3),
         move |shard| ParallelBackend::new(shared.clone(), spec.clone(), 0xD0 ^ shard as u64, 2),
     );

@@ -9,7 +9,9 @@
 //! Also pinned here: the spill-depth gauge regression. `sink_spill_depth`
 //! reports *live* backlog, so once a drain has run the spill dry it must
 //! read zero in both regimes — a cumulative count leaking into the gauge
-//! is exactly the drift this test exists to catch.
+//! is exactly the drift this test exists to catch. And `drain()` is an
+//! export barrier in both regimes: right after it returns, the journal
+//! holds every delivery.
 
 use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
@@ -21,8 +23,10 @@ use std::sync::Arc;
 
 /// Plays a fixed stream with a mid-run scale schedule (grow to three
 /// shards after the second chunk, shrink back after the fourth) through
-/// one regime and returns the canonical trace.
-fn trace_of(mode: DriverMode) -> String {
+/// one regime and returns the canonical trace. With `sink`, delivery
+/// streams into a backpressuring [`GatedSink`] that is handed over to a
+/// fresh one right after the append.
+fn trace_of(mode: DriverMode, sink: bool) -> String {
     let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
     let spec = WalkSpec::urw(8);
     let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
@@ -34,20 +38,36 @@ fn trace_of(mode: DriverMode) -> String {
     let mut d = Driver::new(cfg, make);
     let obs = Obs::new();
     d.attach_obs(obs.clone());
+    if sink {
+        d.attach_sink(Box::new(GatedSink::new(5)));
+    }
     let qs = QuerySet::random(200, 300, 77);
     let mut walks = Vec::new();
     for (i, chunk) in qs.queries().chunks(50).enumerate() {
         assert_eq!(d.submit(TenantId(2), chunk), 50);
         walks.extend(d.tick());
         match i {
-            1 => assert_eq!(d.append_shard(make(2)), 2),
+            1 => {
+                assert_eq!(d.append_shard(make(2)), 2);
+                if sink {
+                    let old = d.attach_sink(Box::new(GatedSink::new(5)));
+                    assert!(old.is_some_and(|s| s.report().accepted > 0));
+                }
+            }
             3 => walks.extend(d.retire_shard()),
             _ => {}
         }
     }
     let (rest, stats) = d.finish();
     walks.extend(rest);
-    assert_eq!(walks.len(), 300, "conservation across the scale schedule");
+    let delivered = if sink {
+        assert!(walks.is_empty(), "sunk walks never surface");
+        assert!(stats.sink_spilled > 0, "the 5-walk window must spill");
+        stats.sink_accepted as usize
+    } else {
+        walks.len()
+    };
+    assert_eq!(delivered, 300, "conservation across the scale schedule");
     assert_eq!(stats.completed, 300);
     assert_eq!(obs.dropped(), 0, "the stream must fit the journal ring");
     obs.trace_jsonl()
@@ -55,10 +75,27 @@ fn trace_of(mode: DriverMode) -> String {
 
 #[test]
 fn fixed_seed_trace_is_bit_identical_across_regimes() {
-    let det = trace_of(DriverMode::Deterministic);
-    let thr = trace_of(DriverMode::Threaded);
+    let det = trace_of(DriverMode::Deterministic, false);
+    let thr = trace_of(DriverMode::Threaded, false);
     assert!(!det.is_empty());
     assert_eq!(det, thr, "canonical JSONL must match byte for byte");
+
+    // The same schedule into a backpressuring sink at the coordinator,
+    // handed over mid-run: spill, forced-flush and sink-accept events are
+    // stamped identically too, because every batch reaches the sink
+    // stamped with the tick it completed in.
+    let det_sunk = trace_of(DriverMode::Deterministic, true);
+    assert_eq!(
+        det_sunk,
+        trace_of(DriverMode::Threaded, true),
+        "canonical JSONL with a sink must match byte for byte"
+    );
+    for ev in ["sink_accepted", "sink_spilled", "sink_forced_flush"] {
+        assert!(
+            det_sunk.lines().any(|l| jsonl_field(l, "ev") == Some(ev)),
+            "the sink arm journals {ev}"
+        );
+    }
 
     // The trace actually covers the run: one admission and one delivery
     // per query, batches in between, stamped with logical ticks only.
@@ -98,6 +135,18 @@ struct GatedSink {
     accepted: u64,
     refused: u64,
     flushes: u64,
+}
+
+impl GatedSink {
+    fn new(window: usize) -> Self {
+        Self {
+            window,
+            since_flush: 0,
+            accepted: 0,
+            refused: 0,
+            flushes: 0,
+        }
+    }
 }
 
 impl WalkSink for GatedSink {
@@ -143,15 +192,7 @@ fn spill_depth_reads_zero_after_drain_in_both_regimes() {
             move |shard| ReferenceBackend::new(p2.clone(), spec2.clone(), 0xBEEF ^ shard as u64),
         );
         // A tiny window forces refusals into the spill buffer.
-        d.attach_sinks(|_shard| {
-            Box::new(GatedSink {
-                window: 5,
-                since_flush: 0,
-                accepted: 0,
-                refused: 0,
-                flushes: 0,
-            })
-        });
+        d.attach_sink(Box::new(GatedSink::new(5)));
         assert_eq!(d.submit(TenantId(3), qs.queries()), 400);
         let rest = d.drain();
         assert!(rest.is_empty(), "{mode:?}: sunk walks never surface");
@@ -200,34 +241,14 @@ fn phase_decomposition_sums_exactly_in_both_regimes() {
         // A tight accept window prices the sink-wait phase, and the
         // mid-run scale schedule exercises migration/scale annotation
         // while spans are open.
-        d.attach_sinks(|_shard| {
-            Box::new(GatedSink {
-                window: 5,
-                since_flush: 0,
-                accepted: 0,
-                refused: 0,
-                flushes: 0,
-            })
-        });
+        d.attach_sink(Box::new(GatedSink::new(5)));
         let qs = QuerySet::random(200, 300, 99);
         for (i, chunk) in qs.queries().chunks(50).enumerate() {
             assert_eq!(d.submit(TenantId(4), chunk), 50, "{mode:?}");
             d.tick();
             match i {
-                1 => {
-                    assert_eq!(d.append_shard(make(2)), 2, "{mode:?}");
-                    // Sinks are per shard in the threaded regime, so
-                    // the newcomer needs its own delivery route too.
-                    d.attach_sinks(|_shard| {
-                        Box::new(GatedSink {
-                            window: 5,
-                            since_flush: 0,
-                            accepted: 0,
-                            refused: 0,
-                            flushes: 0,
-                        })
-                    });
-                }
+                // The one sink at the coordinator serves the newcomer too.
+                1 => assert_eq!(d.append_shard(make(2)), 2, "{mode:?}"),
                 3 => assert!(d.retire_shard().is_empty(), "{mode:?}: sunk"),
                 _ => {}
             }
@@ -267,6 +288,34 @@ fn phase_decomposition_sums_exactly_in_both_regimes() {
         let sum = spans.summary();
         assert_eq!(sum.count, 300);
         assert_eq!(sum.phase_sums.iter().sum::<u64>(), sum.total_sum);
+    }
+}
+
+/// `drain()` is an export barrier in both regimes: with no `stats()` or
+/// `flush_obs()` call, the journal holds one `query_delivered` per walk
+/// the moment it returns — worker-side events included.
+#[test]
+fn drain_exports_every_delivery_in_both_regimes() {
+    for mode in [DriverMode::Deterministic, DriverMode::Threaded] {
+        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::urw(8);
+        let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
+        let make =
+            |shard: usize| ReferenceBackend::new(p.clone(), spec.clone(), 0xBA5E ^ shard as u64);
+        let mut d = Driver::new(ServiceConfig::new(2).driver_mode(mode), make);
+        let obs = d.attach_fresh_obs();
+        let qs = QuerySet::random(200, 300, 41);
+        assert_eq!(d.submit(TenantId(6), qs.queries()), 300, "{mode:?}");
+        let mut walks = d.tick();
+        assert_eq!(d.shard_snapshots().len(), 2, "{mode:?}");
+        walks.extend(d.drain());
+        assert_eq!(walks.len(), 300, "{mode:?}: conservation");
+        let delivered = obs
+            .trace_jsonl()
+            .lines()
+            .filter(|l| jsonl_field(l, "ev") == Some("query_delivered"))
+            .count();
+        assert_eq!(delivered, 300, "{mode:?}: drain exported every delivery");
     }
 }
 

@@ -3,7 +3,7 @@
 //! bounded migration under oscillating load (hysteresis + dwell), drained
 //! shard classes never receiving queries, and the PR 4 sink-conservation
 //! property extended to *mixed* accelerator/CPU fleets under routed
-//! execution.
+//! execution, under both executors.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{BackendClass, PreparedGraph, QuerySet, WalkQuery, WalkSpec};
@@ -13,8 +13,8 @@ use ridgewalker_suite::route::{
     AdaptiveConfig, AdaptivePolicy, LeastLoadedPolicy, RoutePolicy, Router, StaticHashPolicy,
 };
 use ridgewalker_suite::service::{
-    mixed_fleet_service, AccelShardMode, CompletedWalk, DynWalkBackend, ServiceConfig, ShardSpec,
-    TenantId, WalkService,
+    mixed_fleet_driver, AccelShardMode, CompletedWalk, Driver, DriverMode, DynWalkBackend,
+    ServiceConfig, ShardSpec, TenantId,
 };
 use ridgewalker_suite::sink::CollectingSink;
 use std::collections::HashMap;
@@ -28,12 +28,14 @@ fn setup() -> (Arc<PreparedGraph>, WalkSpec) {
 
 const CPU_SEED: u64 = 0x5EED_C0DE;
 
-/// A 2-accel + 2-CPU fleet (the bench's shape, test-sized).
+/// A 2-accel + 2-CPU fleet (the bench's shape, test-sized) on the
+/// `driver` executor.
 fn mixed(
     prepared: &Arc<PreparedGraph>,
     spec: &WalkSpec,
     mode: AccelShardMode,
-) -> WalkService<DynWalkBackend> {
+    driver: DriverMode,
+) -> Driver<DynWalkBackend> {
     let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).poll_quantum(128));
     let plan = [
         ShardSpec::Accel(mode),
@@ -47,11 +49,12 @@ fn mixed(
             poll_chunk: 4,
         },
     ];
-    mixed_fleet_service(
+    mixed_fleet_driver(
         ServiceConfig::new(4)
             .max_batch(32)
             .max_delay_ticks(2)
-            .sink_spill_capacity(48),
+            .sink_spill_capacity(48)
+            .driver_mode(driver),
         &accel,
         prepared.clone(),
         spec,
@@ -63,13 +66,13 @@ fn mixed(
 /// An all-CPU fleet whose shards share one seed, so a query's walk is
 /// identical no matter which shard serves it — the "deterministic
 /// workload" of the placement-parity property.
-fn cpu_fleet(prepared: &Arc<PreparedGraph>, spec: &WalkSpec) -> WalkService<DynWalkBackend> {
+fn cpu_fleet(prepared: &Arc<PreparedGraph>, spec: &WalkSpec) -> Driver<DynWalkBackend> {
     let accel = Accelerator::new(AcceleratorConfig::new().pipelines(2));
     let plan = [ShardSpec::Cpu {
         threads: 2,
         poll_chunk: 8,
     }; 3];
-    mixed_fleet_service(
+    mixed_fleet_driver(
         ServiceConfig::new(3).max_batch(32).max_delay_ticks(2),
         &accel,
         prepared.clone(),
@@ -276,7 +279,7 @@ fn hysteresis_bounds_migrations_under_oscillating_load() {
             threads: 2,
             poll_chunk: 2,
         }; 2];
-        mixed_fleet_service(
+        mixed_fleet_driver(
             ServiceConfig::new(2).max_batch(16).max_delay_ticks(1),
             &accel,
             prepared.clone(),
@@ -299,7 +302,7 @@ fn hysteresis_bounds_migrations_under_oscillating_load() {
             let burst = &noise_queries.queries()[ni..(ni + 8).min(noise_queries.queries().len())];
             ni += burst.len();
             let _ = router
-                .service_mut()
+                .driver_mut()
                 .submit_routed(TenantId(100), burst, (tick % 2) as usize);
             let probe = &queries.queries()[qi..(qi + 3).min(queries.queries().len())];
             qi += probe.len();
@@ -349,7 +352,12 @@ fn drained_shard_class_never_receives_queries() {
         ),
     ];
     for (name, policy) in policies {
-        let service = mixed(&prepared, &spec, AccelShardMode::Incremental);
+        let service = mixed(
+            &prepared,
+            &spec,
+            AccelShardMode::Incremental,
+            DriverMode::Deterministic,
+        );
         let mut router = Router::new(service, policy);
         // Warm traffic across the whole fleet.
         for chunk in qs.queries()[..300].chunks(25) {
@@ -423,12 +431,18 @@ fn routed_mixed_fleet_sink_delivery_conserves_every_walk() {
         }
     };
 
-    for mode in [AccelShardMode::Batch, AccelShardMode::Incremental] {
+    // Both arms of a case run on the same executor; the sink calls work
+    // on either.
+    let cases = [DriverMode::Deterministic, DriverMode::Threaded]
+        .into_iter()
+        .flat_map(|d| [AccelShardMode::Batch, AccelShardMode::Incremental].map(|m| (d, m)));
+    for (driver, mode) in cases {
         for which in 0..2 {
             let ops = random_schedule(0x3C ^ which as u64, tenants.len(), per_tenant);
+            let fleet = || mixed(&prepared, &spec, mode, driver);
 
             // Legacy consumption of the routed run.
-            let mut legacy_router = Router::new(mixed(&prepared, &spec, mode), make_policy(which));
+            let mut legacy_router = Router::new(fleet(), make_policy(which));
             let mut legacy: Vec<CompletedWalk> = Vec::new();
             replay_router(&mut legacy_router, &ops, &pools, &mut |r| {
                 legacy.extend(r.tick());
@@ -438,7 +452,7 @@ fn routed_mixed_fleet_sink_delivery_conserves_every_walk() {
             // Streaming consumption of the identical routed run, through
             // a backpressuring 32-walk window (the spill path must be
             // exercised for conservation to mean anything).
-            let mut sink_router = Router::new(mixed(&prepared, &spec, mode), make_policy(which));
+            let mut sink_router = Router::new(fleet(), make_policy(which));
             let mut sink = CollectingSink::unbounded().capacity(32);
             replay_router(&mut sink_router, &ops, &pools, &mut |r| {
                 r.tick_into(&mut sink);
@@ -450,19 +464,25 @@ fn routed_mixed_fleet_sink_delivery_conserves_every_walk() {
             assert_eq!(
                 legacy.len(),
                 tenants.len() * per_tenant,
-                "{mode:?}/{which}: routed legacy path must answer everything"
+                "{driver:?}/{mode:?}/{which}: routed legacy path must answer everything"
             );
             assert_eq!(
                 by_tenant(legacy),
                 by_tenant(sunk),
-                "{mode:?}/{which}: per-tenant multisets must match exactly"
+                "{driver:?}/{mode:?}/{which}: per-tenant multisets must match exactly"
             );
             assert_eq!(stats.sink_accepted, (tenants.len() * per_tenant) as u64);
-            assert_eq!(stats.sink_spill_depth, 0, "{mode:?}/{which}: spill ran dry");
+            assert_eq!(
+                stats.sink_spill_depth, 0,
+                "{driver:?}/{mode:?}/{which}: spill ran dry"
+            );
             // Per-tenant attribution survives routing.
             assert_eq!(stats.per_tenant.len(), tenants.len());
             for t in &stats.per_tenant {
-                assert_eq!(t.completed, per_tenant as u64, "{mode:?}/{which}");
+                assert_eq!(
+                    t.completed, per_tenant as u64,
+                    "{driver:?}/{mode:?}/{which}"
+                );
             }
         }
     }

@@ -17,8 +17,8 @@ use ridgewalker_suite::graph::{weights, CsrGraph, VertexId};
 use ridgewalker_suite::rng::SplitMix64;
 use ridgewalker_suite::route::{AdaptiveConfig, AdaptivePolicy, Router};
 use ridgewalker_suite::service::{
-    mixed_fleet_service, AccelShardMode, CompletedWalk, DynWalkBackend, ServiceConfig, ShardSpec,
-    TenantId, WalkService,
+    mixed_fleet_driver, AccelShardMode, CompletedWalk, Driver, DynWalkBackend, ServiceConfig,
+    ShardSpec, TenantId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -284,7 +284,7 @@ fn mixed(
     prepared: &Arc<PreparedGraph>,
     spec: &WalkSpec,
     mode: AccelShardMode,
-) -> WalkService<DynWalkBackend> {
+) -> Driver<DynWalkBackend> {
     let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).poll_quantum(128));
     let plan = [
         ShardSpec::Accel(mode),
@@ -298,7 +298,7 @@ fn mixed(
             poll_chunk: 4,
         },
     ];
-    mixed_fleet_service(
+    mixed_fleet_driver(
         ServiceConfig::new(4).max_batch(32).max_delay_ticks(2),
         &accel,
         prepared.clone(),

@@ -8,8 +8,8 @@ use ridgewalker_suite::algo::{PreparedGraph, QuerySet, WalkQuery, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::rng::{RandomSource, SplitMix64};
 use ridgewalker_suite::service::{
-    accelerator_service, AccelShardMode, CompletedWalk, DynWalkBackend, ServiceConfig, TenantId,
-    WalkService,
+    accelerator_driver, AccelShardMode, CompletedWalk, Driver, DynWalkBackend, ServiceConfig,
+    TenantId,
 };
 use ridgewalker_suite::sink::{CollectingSink, CountingSink, HistogramSink, SinkRouter, WalkSink};
 use std::collections::HashMap;
@@ -25,9 +25,9 @@ fn service(
     prepared: &Arc<PreparedGraph>,
     spec: &WalkSpec,
     mode: AccelShardMode,
-) -> WalkService<DynWalkBackend> {
+) -> Driver<DynWalkBackend> {
     let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).poll_quantum(128));
-    accelerator_service(
+    accelerator_driver(
         ServiceConfig::new(2)
             .max_batch(32)
             .max_delay_ticks(2)
@@ -81,10 +81,10 @@ fn random_schedule(seed: u64, tenants: usize, per_tenant: usize) -> Vec<Op> {
 /// service however the consumption mode does. Refused prefixes are
 /// resubmitted after a tick, so the submission order is schedule-defined.
 fn replay(
-    svc: &mut WalkService<DynWalkBackend>,
+    svc: &mut Driver<DynWalkBackend>,
     ops: &[Op],
     pools: &[(TenantId, Vec<WalkQuery>)],
-    on_tick: &mut dyn FnMut(&mut WalkService<DynWalkBackend>),
+    on_tick: &mut dyn FnMut(&mut Driver<DynWalkBackend>),
 ) {
     let mut offsets = vec![0usize; pools.len()];
     for op in ops {

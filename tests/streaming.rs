@@ -1,6 +1,6 @@
 //! The streaming execution spine, end to end: `WalkBackend` determinism
 //! against the legacy batch API, and the sharded multi-tenant
-//! `WalkService` built on top of it.
+//! `Driver` built on top of it.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
@@ -8,7 +8,7 @@ use ridgewalker_suite::algo::{
     WalkBackend, WalkEngine, WalkSpec,
 };
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
-use ridgewalker_suite::service::{ServiceConfig, TenantId, WalkService};
+use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -165,8 +165,7 @@ fn service_answers_every_query_exactly_once_and_routes_tenants() {
             ParallelBackend::new(prepared.clone(), spec.clone(), 0xABAD ^ shard as u64, 2)
         }
     };
-    let mut service =
-        WalkService::new(ServiceConfig::new(3).max_batch(64).max_delay_ticks(2), make);
+    let mut service = Driver::new(ServiceConfig::new(3).max_batch(64).max_delay_ticks(2), make);
 
     // A 10k-query mixed-tenant workload, interleaved in waves.
     let workloads = [
@@ -265,18 +264,17 @@ fn service_over_accelerator_shards_reports_simulated_time_per_clock() {
             .backend(prepared.clone(), &spec)
         }
     };
-    let mut service = WalkService::new(ServiceConfig::new(2).max_batch(256), make);
+    let mut service = Driver::new(ServiceConfig::new(2).max_batch(256), make);
     let qs = QuerySet::random(nv, 1_000, 4);
     assert_eq!(service.submit(TenantId(0), qs.queries()), 1_000);
     let done = service.drain();
     assert_eq!(done.len(), 1_000);
 
     let stats = service.stats();
-    let expected_secs = (0..2)
-        .map(|i| {
-            let t = service.backend(i).telemetry();
-            t.cycles.unwrap() as f64 / (t.clock_mhz.unwrap() * 1e6)
-        })
+    let expected_secs = service
+        .shard_snapshots()
+        .iter()
+        .map(|s| s.telemetry.cycles.unwrap() as f64 / (s.telemetry.clock_mhz.unwrap() * 1e6))
         .fold(0.0f64, f64::max);
     let got = stats.simulated_seconds.expect("all shards report cycles");
     assert!(
@@ -300,7 +298,7 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
     let run = || {
         let prepared = prepared.clone();
         let spec = spec.clone();
-        let mut service = WalkService::new(
+        let mut service = Driver::new(
             ServiceConfig::new(2).max_batch(32).max_delay_ticks(1),
             move |shard| {
                 ParallelBackend::new(prepared.clone(), spec.clone(), 0xD15C ^ shard as u64, 3)

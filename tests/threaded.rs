@@ -1,10 +1,10 @@
-//! The threaded serving driver's load-bearing property: for a fixed seed
-//! and submission sequence, the multiset of completed walks — per tenant,
-//! paths *and* tick stamps included — equals the deterministic driver's,
-//! under arbitrary schedules, saturated shards (every submit call's
-//! acceptance count included), both accelerator shard modes, routed
-//! mixed fleets, and backpressuring sinks; and shutdown under load loses
-//! nothing.
+//! The threads executor's load-bearing property: for a fixed seed and
+//! submission sequence, the multiset of completed walks — per tenant,
+//! paths *and* tick stamps included — equals the inline executor's, under
+//! arbitrary schedules, saturated shards (every submit call's acceptance
+//! count included), scale events, both accelerator shard modes and
+//! routed mixed fleets; a backpressuring sink at the coordinator loses
+//! nothing under threads; and shutdown under load loses nothing.
 //!
 //! Like `tests/properties.rs`, randomness is hand-rolled (no `proptest`
 //! in the container): many seeded cases per property, every case derived
@@ -213,9 +213,9 @@ fn walk_multisets_match_across_random_scale_schedules() {
                     live += 1;
                     scale_events += 1;
                 } else if live > 1 {
-                    // Drain-in-place: the retiring shard's walks not yet
-                    // handed out (under the threaded regime, its last
-                    // tick's too) join the same final multiset.
+                    // Drain-in-place: the walks this barrier hands out
+                    // (the retiring shard's, and under threads every
+                    // shard's pending tick) join the same final multiset.
                     walks.extend(driver.retire_shard());
                     live -= 1;
                     scale_events += 1;
@@ -298,9 +298,8 @@ fn routed_mixed_fleet_matches_across_drivers() {
             poll_chunk: 4,
         },
     ];
-    // Static hashing is the placement-deterministic policy: identical
-    // decisions in both regimes regardless of live signals (which *are*
-    // allowed to differ — threaded snapshots see in-flight commands).
+    // Static hashing reads no live signals, so its decisions are
+    // identical in both regimes by construction.
     let run = |mode: DriverMode| {
         let driver = mixed_fleet_driver(
             ServiceConfig::new(4)
@@ -340,9 +339,7 @@ fn routed_mixed_fleet_matches_across_drivers() {
 }
 
 /// A sink that accepts at most `window` walks between flushes — the
-/// backpressure pattern of a bounded downstream consumer. Lives on a
-/// worker thread under the threaded driver, so it is plain owned state
-/// (`Send` comes for free).
+/// backpressure pattern of a bounded downstream consumer.
 struct GatedSink {
     window: usize,
     since_flush: usize,
@@ -378,7 +375,7 @@ impl WalkSink for GatedSink {
 }
 
 #[test]
-fn backpressuring_sinks_on_worker_threads_conserve_every_walk() {
+fn backpressuring_sink_conserves_every_walk_under_threads() {
     let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
     let spec = WalkSpec::urw(10);
     let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
@@ -392,27 +389,23 @@ fn backpressuring_sinks_on_worker_threads_conserve_every_walk() {
             .driver_mode(DriverMode::Threaded),
         move |shard| ReferenceBackend::new(p2.clone(), spec2.clone(), 0xD1CE ^ shard as u64),
     );
-    // A tiny window forces refusals, spills, and forced flushes on the
-    // worker threads themselves.
-    driver.attach_sinks(|_shard| {
-        Box::new(GatedSink {
-            window: 7,
-            since_flush: 0,
-            accepted: 0,
-            refused: 0,
-            flushes: 0,
-        })
-    });
+    // A tiny window forces refusals, spills, and forced flushes; the one
+    // sink sits at the coordinator and takes every shard's walks.
+    driver.attach_sink(Box::new(GatedSink {
+        window: 7,
+        since_flush: 0,
+        accepted: 0,
+        refused: 0,
+        flushes: 0,
+    }));
     assert_eq!(driver.submit(TenantId(1), qs.queries()), 600);
     for _ in 0..3 {
         // Sunk walks never come back through tick().
         assert!(driver.tick().is_empty());
     }
-    let per_shard = driver
-        .as_threaded()
-        .expect("threaded regime")
-        .sink_reports();
-    assert_eq!(per_shard.len(), 3, "one sink per worker thread");
+    let report = driver.sink_report().expect("sink attached");
+    assert!(report.accepted > 0, "ticks hand walks to the sink");
+    assert!(report.refused > 0, "the window pushes back mid-stream");
     let (rest, stats) = driver.finish();
     assert!(rest.is_empty(), "every walk was delivered to a sink");
     assert_eq!(stats.completed, 600, "conservation through backpressure");
