@@ -233,6 +233,25 @@ impl PreparedGraph {
         hop: u32,
         rng: &mut G,
     ) -> Option<(VertexId, SampleOutcome)> {
+        self.sample_position_with(rt, spec, cur, prev, hop, rng)
+            .map(|(position, outcome)| (self.graph.column_list()[position], outcome))
+    }
+
+    /// [`Self::sample_neighbor_with`] short of reading the chosen
+    /// neighbor: its *column position* (index into
+    /// [`CsrGraph::column_list`]) and the sample's cost. Always inlined,
+    /// like [`Self::step_position_with`], so that splitting the step
+    /// costs neither the public API nor the walk kernel a call.
+    #[inline(always)]
+    fn sample_position_with<G: RandomSource>(
+        &self,
+        rt: &mut SamplerRuntime,
+        spec: &WalkSpec,
+        cur: VertexId,
+        prev: Option<VertexId>,
+        hop: u32,
+        rng: &mut G,
+    ) -> Option<(usize, SampleOutcome)> {
         let degree = self.graph.degree(cur);
         let outcome = match self.strategies.for_degree(degree) {
             SamplerStrategy::InverseTransform => match spec {
@@ -284,8 +303,14 @@ impl PreparedGraph {
             }
         };
         rt.record(&outcome);
-        let next = self.graph.neighbors(cur)[outcome.local_index as usize];
-        Some((next, outcome))
+        // The position indexes the whole column array, so an index past
+        // `cur`'s row would silently pick another vertex's neighbor.
+        assert!(
+            outcome.local_index < degree,
+            "sampled local index within the row"
+        );
+        let position = self.graph.row_offset(cur) as usize + outcome.local_index as usize;
+        Some((position, outcome))
     }
 
     /// The full per-step decision of Algorithm II.1 through an ephemeral
@@ -313,22 +338,43 @@ impl PreparedGraph {
         hop: u32,
         rng: &mut G,
     ) -> StepDecision {
+        match self.step_position_with(rt, spec, cur, prev, hop, rng) {
+            Ok((position, outcome)) => StepDecision::Advance {
+                next: self.graph.column_list()[position],
+                outcome,
+            },
+            Err(reason) => StepDecision::Terminate(reason),
+        }
+    }
+
+    /// [`Self::next_step_with`] short of reading the chosen neighbor:
+    /// either why the walk ends, or the neighbor's column position and
+    /// the sample's cost. The cohort walk kernel prefetches that position
+    /// and reads it a pass later.
+    #[inline(always)]
+    pub(crate) fn step_position_with<G: RandomSource>(
+        &self,
+        rt: &mut SamplerRuntime,
+        spec: &WalkSpec,
+        cur: VertexId,
+        prev: Option<VertexId>,
+        hop: u32,
+        rng: &mut G,
+    ) -> Result<(usize, SampleOutcome), TerminationReason> {
         if hop >= spec.max_len() {
-            return StepDecision::Terminate(TerminationReason::MaxLength);
+            return Err(TerminationReason::MaxLength);
         }
         if self.teleport_terminates(spec, rng) {
-            return StepDecision::Terminate(TerminationReason::Teleport);
+            return Err(TerminationReason::Teleport);
         }
-        match self.sample_neighbor_with(rt, spec, cur, prev, hop, rng) {
-            Some((next, outcome)) => StepDecision::Advance { next, outcome },
-            None => {
+        self.sample_position_with(rt, spec, cur, prev, hop, rng)
+            .ok_or_else(|| {
                 if self.graph.degree(cur) == 0 {
-                    StepDecision::Terminate(TerminationReason::DeadEnd)
+                    TerminationReason::DeadEnd
                 } else {
-                    StepDecision::Terminate(TerminationReason::NoTypedNeighbor)
+                    TerminationReason::NoTypedNeighbor
                 }
-            }
-        }
+            })
     }
 }
 

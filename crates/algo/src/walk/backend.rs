@@ -15,7 +15,7 @@
 //! layers (the `grw_service` crate) share one graph across shards via
 //! `Arc<PreparedGraph>`.
 
-use super::{execute_query, reference::ReferenceEngine};
+use super::walk_batch;
 use crate::strategy::SamplerRuntime;
 use crate::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
 use grw_sim::stats::{SamplingCounters, UtilizationMeter};
@@ -284,8 +284,10 @@ fn reorder(paths: Vec<WalkPath>, queries: &[WalkQuery]) -> Vec<WalkPath> {
         .collect()
 }
 
-/// Streaming backend over the sequential reference engine: queries queue
-/// up and execute one at a time, [`ReferenceBackend::poll_chunk`] per poll.
+/// Streaming backend over the reference engine: queries queue up, and each
+/// poll walks the next [`ReferenceBackend::poll_chunk`] of them through the
+/// cohort kernel (walkers interleaved, CSR reads prefetched) and returns
+/// their paths in submission order.
 #[derive(Debug, Clone)]
 pub struct ReferenceBackend<P> {
     prepared: P,
@@ -338,20 +340,16 @@ impl<P: Borrow<PreparedGraph>> ReferenceBackend<P> {
 
     fn execute_some(&mut self, limit: usize) -> Vec<WalkPath> {
         let n = limit.min(self.pending.len());
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let q = self.pending.pop_front().expect("counted");
-            let mut rng = ReferenceEngine::query_rng(self.seed, q.id);
-            let path = execute_query(
-                self.prepared.borrow(),
-                &mut self.runtime,
-                &self.spec,
-                &q,
-                &mut rng,
-            );
-            self.steps += path.steps();
-            out.push(path);
-        }
+        let batch = &self.pending.make_contiguous()[..n];
+        let out = walk_batch(
+            self.prepared.borrow(),
+            &mut self.runtime,
+            &self.spec,
+            self.seed,
+            batch,
+        );
+        self.pending.drain(..n);
+        self.steps += out.iter().map(WalkPath::steps).sum::<u64>();
         out
     }
 }
@@ -395,8 +393,10 @@ impl<P: Borrow<PreparedGraph>> WalkBackend for ReferenceBackend<P> {
     }
 }
 
-/// Streaming backend over the multi-threaded engine: each poll dispatches
-/// one chunk per worker thread. Because every query draws from an RNG
+/// Streaming backend over the multi-threaded engine: each poll splits its
+/// batch into one part per worker, walks part 0 on the calling thread and
+/// the rest on scoped threads, and returns the parts' paths in submission
+/// order. Because every query draws from an RNG
 /// stream keyed by `(seed, id)`, paths are bit-identical to
 /// [`ReferenceBackend`] (and to the legacy `WalkEngine::run`) regardless of
 /// thread count or chunking.
@@ -470,29 +470,21 @@ impl<P: Borrow<PreparedGraph>> ParallelBackend<P> {
         let prepared = self.prepared.borrow();
         let spec = &self.spec;
         let seed = self.seed;
-        let runtimes = &mut self.runtimes;
         let chunk = batch.len().div_ceil(self.threads);
-        let mut results: Vec<Vec<WalkPath>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .zip(runtimes.iter_mut())
-                .map(|(part, rt)| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|q| {
-                                let mut rng = ReferenceEngine::query_rng(seed, q.id);
-                                execute_query(prepared, rt, spec, q, &mut rng)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
+        let mut parts = batch.chunks(chunk).zip(self.runtimes.iter_mut());
+        // The caller walks part 0 itself instead of idling in `join`, so a
+        // one-thread backend never spawns.
+        let (first, first_rt) = parts.next().expect("a non-empty batch has a part");
+        let out = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .map(|(part, rt)| scope.spawn(move || walk_batch(prepared, rt, spec, seed, part)))
                 .collect();
+            let mut out = walk_batch(prepared, first_rt, spec, seed, first);
             for h in handles {
-                results.push(h.join().expect("walk worker panicked"));
+                out.extend(h.join().expect("walk worker panicked"));
             }
+            out
         });
-        let out: Vec<WalkPath> = results.into_iter().flatten().collect();
         self.steps += out.iter().map(WalkPath::steps).sum::<u64>();
         out
     }
@@ -536,8 +528,8 @@ impl<P: Borrow<PreparedGraph>> WalkBackend for ParallelBackend<P> {
 
     fn cost_hint(&self) -> f64 {
         // N worker threads serve a micro-batch ~N× faster than the
-        // sequential reference executor, each paying the prepared graph's
-        // per-step sampling cost.
+        // single-threaded reference executor, each paying the prepared
+        // graph's per-step sampling cost.
         self.prepared.borrow().sampler_cost_factor() / self.threads as f64
     }
 }
@@ -621,7 +613,7 @@ impl<F: FnMut(&[WalkQuery]) -> Vec<WalkPath>> WalkBackend for BatchFnBackend<F> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QuerySet, WalkEngine};
+    use crate::{QuerySet, ReferenceEngine, WalkEngine};
     use grw_graph::generators::{Dataset, ScaleFactor};
 
     fn setup() -> (PreparedGraph, WalkSpec, QuerySet) {

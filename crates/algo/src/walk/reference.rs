@@ -1,15 +1,18 @@
-//! The sequential reference engine (Algorithm II.1, executed literally).
+//! The reference engine: Algorithm II.1, with paths identical to executing
+//! it literally, one query at a time.
 
 use super::WalkEngine;
 use crate::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
 use grw_rng::{SplitMix64, Xoshiro256StarStar};
 
-/// Executes queries one at a time, in order — the ground truth every
-/// hardware model is validated against.
+/// The ground truth every hardware model is validated against: each path is
+/// exactly the one executing the queries one at a time, in order, would
+/// give, and the paths come back in query order.
 ///
 /// Each query draws from an independent RNG stream derived from
 /// `(engine seed, query id)`, so results do not depend on execution order
-/// and the engine is fully deterministic.
+/// and the engine is fully deterministic. Its backend interleaves a cohort
+/// of walkers to hide memory latency (see [`super::ReferenceBackend`]).
 ///
 /// # Example
 ///

@@ -2,8 +2,11 @@
 //! blocks whose line-rate behaviour the paper's claims rest on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use grw_algo::{sampler, PreparedGraph, QuerySet, ReferenceEngine, WalkEngine, WalkSpec};
-use grw_graph::generators::RmatConfig;
+use grw_algo::{
+    sampler, PreparedGraph, QuerySet, ReferenceBackend, ReferenceEngine, WalkBackend, WalkEngine,
+    WalkPath, WalkSpec,
+};
+use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
 use grw_graph::AliasTables;
 use grw_rng::{Philox4x32, RandomSource, SplitMix64, ThunderRing};
 use grw_sim::{Fifo, MemoryChannel, MemoryChannelSpec};
@@ -119,6 +122,37 @@ fn bench_engines(c: &mut Criterion) {
         let acc = Accelerator::new(AcceleratorConfig::new().pipelines(4));
         b.iter(|| acc.run(&p, &spec, qs.queries()).steps)
     });
+
+    // The walk kernel alone, in the backend's default 256-query polls:
+    // ns/step out of cache (30 MB LiveJournal stand-in) and in cache.
+    let kernels = [
+        (
+            "reference_backend_urw80_livejournal_standard",
+            Dataset::LiveJournal.generate(ScaleFactor::Standard),
+            WalkSpec::urw(80),
+        ),
+        (
+            "reference_backend_deepwalk80_webgoogle_tiny",
+            Dataset::WebGoogle.generate_weighted(ScaleFactor::Tiny),
+            WalkSpec::deepwalk(80),
+        ),
+    ];
+    for (name, g, spec) in kernels {
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let qs = QuerySet::random(p.graph().vertex_count(), 4096, 2);
+        let mut backend = ReferenceBackend::new(&p, spec, 1);
+        let mut walk_all = || {
+            assert_eq!(backend.submit(qs.queries()), qs.len());
+            let mut steps = 0;
+            while backend.in_flight() > 0 {
+                steps += backend.poll().iter().map(WalkPath::steps).sum::<u64>();
+            }
+            steps
+        };
+        // Every pass walks the same paths, so its step count is fixed.
+        group.throughput(Throughput::Elements(walk_all()));
+        group.bench_function(name, |b| b.iter(&mut walk_all));
+    }
     group.finish();
 }
 
