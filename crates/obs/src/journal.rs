@@ -492,6 +492,18 @@ impl Journal {
         self.dropped
     }
 
+    /// The most events the ring holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Counts `n` events that were dropped before reaching the ring
+    /// because they could not have survived it: the oldest events of a
+    /// full [`ShardObs`](crate::ShardObs) buffer.
+    pub(crate) fn count_dropped(&mut self, n: u64) {
+        self.dropped += n;
+    }
+
     /// Events currently held.
     pub fn len(&self) -> usize {
         self.events.len()

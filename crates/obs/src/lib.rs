@@ -29,7 +29,10 @@
 //! collectors already use (reports, drains, retirement, `finish`), and
 //! the hub's journal sorts canonically by `(tick, shard, seq)` — which
 //! is what makes the exported trace identical across the deterministic
-//! and threaded serving regimes for a fixed seed and schedule.
+//! and threaded serving regimes for a fixed seed and schedule. A buffer
+//! holds at most the journal's capacity however long a run goes between
+//! barriers: older events could not survive the ring anyway, so it keeps
+//! only their metric side (see [`ShardObs`]).
 //!
 //! Everything is `std`-only, like the rest of the workspace.
 
@@ -43,7 +46,7 @@ pub use registry::{
     log2_bucket, Counter, Gauge, Histogram, Labels, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -53,7 +56,8 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 16;
 
 /// Events a [`ShardObs`] local buffer is pre-faulted for at attach time
-/// (it still grows past this if a run buffers more between barriers).
+/// (it still grows past this, up to the journal's capacity, if a run
+/// buffers more between barriers).
 const SHARD_BUFFER_WARM: usize = 4096;
 
 /// Sequence base for spill-delivery recorders ([`ShardObs::seq_base`]).
@@ -209,7 +213,7 @@ impl Obs {
         // Pre-fault the local buffer for the same reason the hub ring
         // is pre-faulted in `Journal::new`: first-touch page faults
         // belong at attach time, not in the recording hot path.
-        let mut buf = Vec::new();
+        let mut buf = VecDeque::new();
         if self.is_enabled() {
             buf.resize(
                 SHARD_BUFFER_WARM,
@@ -222,11 +226,15 @@ impl Obs {
             );
             buf.clear();
         }
+        let capacity = self.inner.journal.lock().expect("journal lock").capacity();
         ShardObs {
             enabled: self.is_enabled(),
             shard,
             seq: 0,
             buf,
+            keep: capacity,
+            folded: Folded::default(),
+            dropped: 0,
             hub: Some(self.clone()),
             admitted: r.counter("grw_queries_admitted_total", labels),
             delivered: r.counter("grw_queries_delivered_total", labels),
@@ -246,9 +254,9 @@ impl Obs {
 }
 
 /// One locally pre-binned histogram accumulation (buckets, count, sum) —
-/// the unit [`ShardObs::settle`] batches per phase before a handful of
-/// `absorb_prebinned` calls.
-#[derive(Clone)]
+/// the unit [`Folded`] batches per phase before [`ShardObs::settle`]
+/// makes a handful of `absorb_prebinned` calls.
+#[derive(Clone, Debug)]
 struct PreBinned {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
@@ -278,19 +286,104 @@ impl PreBinned {
     }
 }
 
+/// The metric side of recorded events, summed locally until
+/// [`ShardObs::settle`] hands it to the registry: folding an event costs
+/// a few adds and no atomics.
+#[derive(Debug, Default)]
+struct Folded {
+    admitted: u64,
+    batches: u64,
+    /// End-to-end latency of delivered walks; its count is the walks
+    /// delivered.
+    latency: PreBinned,
+    /// [batch-wait, backend-service, sink-wait] — the index order of the
+    /// `tenant_phases` handle arrays.
+    phases: [PreBinned; 3],
+    /// The same phases per tenant, in first-seen order; batch-wait's
+    /// count is the tenant's walks delivered.
+    tenants: Vec<(u16, [PreBinned; 3])>,
+    /// Each tenant id's index into `tenants` plus one (0: not seen yet),
+    /// so folding an event looks its tenant up without a search.
+    slots: Vec<u32>,
+}
+
+impl Folded {
+    #[inline]
+    fn tenant(&mut self, tenant: u16) -> &mut [PreBinned; 3] {
+        let t = usize::from(tenant);
+        if t >= self.slots.len() {
+            self.slots.resize(t + 1, 0);
+        }
+        if self.slots[t] == 0 {
+            self.tenants.push((tenant, Default::default()));
+            self.slots[t] = self.tenants.len() as u32;
+        }
+        &mut self.tenants[self.slots[t] as usize - 1].1
+    }
+
+    #[inline]
+    fn fold(&mut self, e: &Event) {
+        match e.kind {
+            EventKind::QueryAdmitted { .. } => self.admitted += 1,
+            EventKind::BatchFlushed { .. } => self.batches += 1,
+            EventKind::QueryDelivered {
+                tenant,
+                arrival_tick,
+                flushed_tick,
+                ..
+            } => {
+                self.latency.add(e.tick.saturating_sub(arrival_tick));
+                let batch_wait = flushed_tick.saturating_sub(arrival_tick);
+                let backend = e.tick.saturating_sub(flushed_tick);
+                self.phases[0].add(batch_wait);
+                self.phases[1].add(backend);
+                let tp = self.tenant(tenant);
+                tp[0].add(batch_wait);
+                tp[1].add(backend);
+            }
+            EventKind::SinkAccepted {
+                tenant,
+                completed_tick,
+                ..
+            } => {
+                let sink_wait = e.tick.saturating_sub(completed_tick);
+                self.phases[2].add(sink_wait);
+                self.tenant(tenant)[2].add(sink_wait);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A per-shard (or per-source) recorder: the admission/delivery hot
-/// path is a single local `Vec` push — no locks, no atomics — and the
+/// path is a single local buffer push — no locks, no atomics — and the
 /// pre-bound registry handles settle in one bulk pass when the buffer
 /// is exported. Ship the buffer back to the hub
 /// with [`flush`](Self::flush) (same-thread) or
 /// [`take_events`](Self::take_events) (across a report channel, merged
 /// at the coordinator with [`Obs::absorb`]).
+///
+/// The buffer holds at most the hub journal's capacity, however long a
+/// run goes between barriers. A push into a full buffer first drops the
+/// oldest event, folding its metric side into local sums and counting it
+/// as a journal drop at the next export. Absorbing an unbounded buffer
+/// would have pushed at least a capacity's worth of events after it, so
+/// the ring would have evicted it anyway: the journal, its drop count
+/// and the metrics come out exactly as without the bound.
 #[derive(Debug)]
 pub struct ShardObs {
     enabled: bool,
     shard: u32,
     seq: u64,
-    buf: Vec<Event>,
+    buf: VecDeque<Event>,
+    /// The hub journal's capacity: only the newest `keep` events of a
+    /// buffer can reach the journal. A disabled recorder never drops.
+    keep: usize,
+    /// Metric side of the events dropped from `buf` since the last
+    /// export.
+    folded: Folded,
+    /// Events dropped from `buf` since the last export.
+    dropped: u64,
     hub: Option<Obs>,
     admitted: Counter,
     delivered: Counter,
@@ -323,7 +416,10 @@ impl ShardObs {
             enabled: false,
             shard: GLOBAL_SHARD,
             seq: 0,
-            buf: Vec::new(),
+            buf: VecDeque::new(),
+            keep: usize::MAX,
+            folded: Folded::default(),
+            dropped: 0,
             hub: None,
             admitted: Counter::noop(),
             delivered: Counter::noop(),
@@ -358,9 +454,16 @@ impl ShardObs {
 
     #[inline]
     fn push(&mut self, tick: u64, kind: EventKind) {
+        if self.buf.len() == self.keep {
+            // The ring would evict this one on absorption (see the type
+            // docs): keep only its metric side.
+            let oldest = self.buf.pop_front().expect("a full buffer");
+            self.folded.fold(&oldest);
+            self.dropped += 1;
+        }
         let seq = self.seq;
         self.seq += 1;
-        self.buf.push(Event {
+        self.buf.push_back(Event {
             tick,
             shard: self.shard,
             seq,
@@ -450,82 +553,47 @@ impl ShardObs {
         );
     }
 
-    /// Settles the metric side of everything currently buffered in one
-    /// pass: local sums, then a handful of atomic adds. Runs exactly
-    /// once per event — at the export barrier, right before the buffer
-    /// leaves this recorder — which keeps the per-event recording cost
-    /// at a single `Vec` push (the admission/delivery hot path cannot
-    /// afford three atomics per walk).
+    /// Settles the metric side of every event recorded since the last
+    /// export — dropped ones already folded, buffered ones folded here —
+    /// in one pass: local sums, then a handful of atomic adds. Runs
+    /// exactly once per event, at the export barrier, which keeps the
+    /// per-event recording cost at a single buffer push (the
+    /// admission/delivery hot path cannot afford three atomics per walk).
+    /// Also counts the dropped events at the hub's journal.
     fn settle(&mut self) {
-        let (mut admitted, mut delivered, mut batches) = (0u64, 0u64, 0u64);
-        let mut latency = PreBinned::default();
-        // Phase accumulators: [batch-wait, backend-service, sink-wait],
-        // shard-level and lazily per tenant — same index order as the
-        // `tenant_phases` handle arrays.
-        let mut phases = [
-            PreBinned::default(),
-            PreBinned::default(),
-            PreBinned::default(),
-        ];
-        let mut by_tenant: BTreeMap<u16, u64> = BTreeMap::new();
-        let mut tenant_phase: BTreeMap<u16, [PreBinned; 3]> = BTreeMap::new();
+        let mut f = std::mem::take(&mut self.folded);
         for e in &self.buf {
-            match e.kind {
-                EventKind::QueryAdmitted { .. } => admitted += 1,
-                EventKind::BatchFlushed { .. } => batches += 1,
-                EventKind::QueryDelivered {
-                    tenant,
-                    arrival_tick,
-                    flushed_tick,
-                    ..
-                } => {
-                    delivered += 1;
-                    latency.add(e.tick.saturating_sub(arrival_tick));
-                    let batch_wait = flushed_tick.saturating_sub(arrival_tick);
-                    let backend = e.tick.saturating_sub(flushed_tick);
-                    phases[0].add(batch_wait);
-                    phases[1].add(backend);
-                    *by_tenant.entry(tenant).or_insert(0) += 1;
-                    let tp = tenant_phase.entry(tenant).or_default();
-                    tp[0].add(batch_wait);
-                    tp[1].add(backend);
-                }
-                EventKind::SinkAccepted {
-                    tenant,
-                    completed_tick,
-                    ..
-                } => {
-                    let sink_wait = e.tick.saturating_sub(completed_tick);
-                    phases[2].add(sink_wait);
-                    tenant_phase.entry(tenant).or_default()[2].add(sink_wait);
-                }
-                _ => {}
-            }
+            f.fold(e);
         }
-        if admitted > 0 {
-            self.admitted.add(admitted);
+        if f.admitted > 0 {
+            self.admitted.add(f.admitted);
         }
-        if batches > 0 {
-            self.batches.add(batches);
+        if f.batches > 0 {
+            self.batches.add(f.batches);
         }
-        if delivered > 0 {
-            self.delivered.add(delivered);
-            latency.settle_into(&self.latency);
+        if f.latency.count > 0 {
+            self.delivered.add(f.latency.count);
+            f.latency.settle_into(&self.latency);
         }
-        phases[0].settle_into(&self.phase_batch_wait);
-        phases[1].settle_into(&self.phase_backend);
-        phases[2].settle_into(&self.phase_sink_wait);
+        f.phases[0].settle_into(&self.phase_batch_wait);
+        f.phases[1].settle_into(&self.phase_backend);
+        f.phases[2].settle_into(&self.phase_sink_wait);
         if let Some(hub) = &self.hub {
-            for (tenant, n) in by_tenant {
-                self.tenant_delivered
-                    .entry(tenant)
-                    .or_insert_with(|| {
-                        hub.registry()
-                            .counter("grw_tenant_delivered_total", Labels::tenant(tenant))
-                    })
-                    .add(n);
+            if self.dropped > 0 {
+                let mut journal = hub.inner.journal.lock().expect("journal lock");
+                journal.count_dropped(std::mem::take(&mut self.dropped));
             }
-            for (tenant, tp) in tenant_phase {
+            for (tenant, tp) in f.tenants {
+                let delivered = tp[0].count;
+                if delivered > 0 {
+                    self.tenant_delivered
+                        .entry(tenant)
+                        .or_insert_with(|| {
+                            hub.registry()
+                                .counter("grw_tenant_delivered_total", Labels::tenant(tenant))
+                        })
+                        .add(delivered);
+                }
                 let handles = self.tenant_phases.entry(tenant).or_insert_with(|| {
                     let r = hub.registry();
                     let l = Labels::tenant(tenant);
@@ -606,7 +674,7 @@ impl ShardObs {
         if !self.buf.is_empty() {
             self.settle();
         }
-        std::mem::take(&mut self.buf)
+        std::mem::take(&mut self.buf).into()
     }
 
     /// Pushes the local buffer into the hub (same-thread sources),
@@ -616,7 +684,7 @@ impl ShardObs {
             return;
         }
         self.settle();
-        let events = std::mem::take(&mut self.buf);
+        let events = std::mem::take(&mut self.buf).into();
         if let Some(hub) = &self.hub {
             hub.absorb(events);
         }
@@ -657,6 +725,53 @@ mod tests {
         assert_eq!(
             r.counter_value("grw_tenant_delivered_total", Labels::tenant(7)),
             Some(1)
+        );
+    }
+
+    /// Two sources record through 60 ticks with export barriers at ticks
+    /// 17 and 59, absorbing into `into`. Returns the largest buffer seen.
+    fn record_schedule(obs: &Obs, into: &Obs) -> usize {
+        let mut sources = [obs.shard_obs(0), obs.shard_obs(1)];
+        let mut largest = 0;
+        for t in 0..60u64 {
+            for (q, s) in (t * 2..).zip(&mut sources) {
+                let tenant = (t % 3) as u16;
+                s.query_admitted(t, tenant, q);
+                if t >= 2 {
+                    s.query_delivered(t, tenant, q - 4, t - 2, t - 1, 3);
+                    s.sink_accepted(t, tenant, q - 4, t - 2, t);
+                }
+                if t % 5 == 0 {
+                    s.batch_flushed(t, t, 5, "size");
+                }
+                largest = largest.max(s.buf.len());
+            }
+            if t == 17 || t == 59 {
+                for s in &mut sources {
+                    into.absorb(s.take_events());
+                }
+            }
+        }
+        largest
+    }
+
+    #[test]
+    fn bounded_buffers_leave_the_hub_as_unbounded_ones_would() {
+        const CAP: usize = 32;
+        let bounded = Obs::with_capacity(CAP);
+        let largest = record_schedule(&bounded, &bounded);
+        assert!(largest <= CAP, "buffers hold at most the capacity");
+        // The reference records into a hub large enough that its
+        // buffers drop nothing, and hands every event to a hub of the
+        // same capacity.
+        let (unbounded, reference) = (Obs::with_capacity(1 << 12), Obs::with_capacity(CAP));
+        assert!(record_schedule(&unbounded, &reference) > 2 * CAP);
+        assert!(reference.dropped() > 0, "the schedule overflows the ring");
+        assert_eq!(bounded.dropped(), reference.dropped());
+        assert_eq!(bounded.trace_jsonl(), reference.trace_jsonl());
+        assert_eq!(
+            bounded.registry().snapshot_json(),
+            unbounded.registry().snapshot_json()
         );
     }
 
