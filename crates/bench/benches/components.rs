@@ -4,14 +4,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grw_algo::{
     sampler, PreparedGraph, QuerySet, ReferenceBackend, ReferenceEngine, WalkBackend, WalkEngine,
-    WalkPath, WalkSpec,
+    WalkPath, WalkQuery, WalkSpec,
 };
 use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
 use grw_graph::AliasTables;
 use grw_rng::{Philox4x32, RandomSource, SplitMix64, ThunderRing};
+use grw_route::{Router, StaticHashPolicy};
+use grw_service::{Driver, DynWalkBackend, ServiceConfig, TenantId};
 use grw_sim::{Fifo, MemoryChannel, MemoryChannelSpec};
+use grw_sink::{CountingSink, PprAggregator, SinkRouter};
 use ridgewalker::scheduler::ButterflyBalancer;
 use ridgewalker::{Accelerator, AcceleratorConfig};
+use std::sync::Arc;
 
 fn bench_rng(c: &mut Criterion) {
     let mut group = c.benchmark_group("rng");
@@ -156,11 +160,61 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
+/// The serving path around the kernel, without the benchmark harness:
+/// `Router` → inline `Driver` → two `ReferenceBackend` shards → a
+/// `SinkRouter` of 16 per-tenant `PprAggregator`s, on Tiny WebGoogle.
+/// Each iteration submits 256 queries, one per call from 16 alternating
+/// tenants, then ticks once; throughput counts queries, so the rate reads
+/// as the service layer's queries per second (ns/query = 1e3 / Melem/s).
+fn bench_serving(c: &mut Criterion) {
+    const TENANTS: u16 = 16;
+    const PER_TICK: usize = 256;
+    let spec = WalkSpec::ppr(80);
+    let p = Arc::new(
+        PreparedGraph::new(Dataset::WebGoogle.generate(ScaleFactor::Tiny), &spec).unwrap(),
+    );
+    let cfg = ServiceConfig::new(2)
+        .max_batch(PER_TICK)
+        .max_delay_ticks(1)
+        .buffer_capacity(1 << 16);
+    let driver = Driver::new(cfg, |shard| -> DynWalkBackend {
+        Box::new(ReferenceBackend::new(p.clone(), spec.clone(), shard as u64))
+    });
+    let mut router = Router::new(driver, StaticHashPolicy);
+    router.attach_sinks(|_| {
+        let mut sinks = SinkRouter::new(Box::new(CountingSink::new()));
+        for t in 0..TENANTS {
+            sinks.add_route(TenantId(t), Box::new(PprAggregator::new(10)));
+        }
+        Box::new(sinks)
+    });
+    let starts = QuerySet::random(p.graph().vertex_count(), PER_TICK, 3);
+    let mut next_id = 0u64;
+    let mut group = c.benchmark_group("serving");
+    group.throughput(Throughput::Elements(PER_TICK as u64));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.bench_function("ppr_16_tenants_inline_256q_per_tick", |b| {
+        b.iter(|| {
+            for (i, q) in starts.queries().iter().enumerate() {
+                let query = WalkQuery {
+                    id: next_id,
+                    start: q.start,
+                };
+                next_id += 1;
+                router.submit(TenantId(i as u16 % TENANTS), &[query]);
+            }
+            router.tick()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rng,
     bench_samplers,
     bench_hardware_primitives,
-    bench_engines
+    bench_engines,
+    bench_serving
 );
 criterion_main!(benches);

@@ -86,7 +86,6 @@ use grw_rng::SplitMix64;
 use grw_service::{
     CompletedWalk, Driver, DynWalkBackend, ServiceStats, ShardSnapshot, TenantId, WalkSink,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// What the routing tier did, as opposed to what the service underneath
@@ -177,8 +176,12 @@ pub struct Router<P: RoutePolicy> {
     policy: P,
     rates: ClassRates,
     eligible: Vec<bool>,
-    /// Tenant -> shard binding from the last `Placement::Shard` decision.
-    bindings: HashMap<TenantId, usize>,
+    /// Tenant -> shard binding from the last `Placement::Shard` decision,
+    /// indexed by tenant id (grown to the highest tenant bound so far).
+    bindings: Vec<Option<usize>>,
+    /// The home shard of each query of the call being submitted: one
+    /// buffer, reused by every call.
+    homes: Vec<usize>,
     /// Backend class per shard, captured at construction and refreshed
     /// by [`replan`](Self::replan) at every scale event.
     classes: Vec<BackendClass>,
@@ -209,7 +212,8 @@ impl<P: RoutePolicy> Router<P> {
             policy,
             rates: ClassRates::none(),
             eligible: vec![true; shards],
-            bindings: HashMap::new(),
+            bindings: Vec::new(),
+            homes: Vec::new(),
             classes,
             migrations: 0,
             routed_per_shard: vec![0; shards],
@@ -325,23 +329,22 @@ impl<P: RoutePolicy> Router<P> {
             self.routed_retired += self.routed_per_shard[shards..].iter().sum::<u64>();
             self.routed_per_shard.truncate(shards);
         }
-        let eligible = self.eligible.clone();
+        // Bindings are visited in tenant order, which keeps the journal
+        // deterministic for a fixed schedule.
         let mut dropped_bindings: Vec<(TenantId, usize)> = Vec::new();
-        self.bindings.retain(|t, s| {
-            let keep = *s < shards && eligible[*s];
-            if !keep {
-                dropped_bindings.push((*t, *s));
+        for (t, binding) in self.bindings.iter_mut().enumerate() {
+            if let Some(s) = *binding {
+                if s >= shards || !self.eligible[s] {
+                    dropped_bindings.push((TenantId(t as u16), s));
+                    *binding = None;
+                }
             }
-            keep
-        });
+        }
         let dropped = dropped_bindings.len();
         self.migrations += dropped as u64;
         self.obs_migrations.add(dropped as u64);
         self.obs_fleet_shards.set(shards as i64);
         if self.obs.is_enabled() && !dropped_bindings.is_empty() {
-            // Binding drops surface in hash-map order; sort by tenant so
-            // the journal stays deterministic for a fixed schedule.
-            dropped_bindings.sort_by_key(|&(t, _)| t.0);
             let now = self.driver.now();
             for (t, s) in dropped_bindings {
                 // An unbinding, not a rebinding: the tenant re-places at
@@ -513,7 +516,7 @@ impl<P: RoutePolicy> Router<P> {
 
     /// The tenant's current shard binding, if a placement recorded one.
     pub fn binding(&self, tenant: TenantId) -> Option<usize> {
-        self.bindings.get(&tenant).copied()
+        self.bindings.get(usize::from(tenant.0)).copied().flatten()
     }
 
     /// Tenant migrations so far (rebindings to a different shard).
@@ -542,11 +545,7 @@ impl<P: RoutePolicy> Router<P> {
             eligible: &self.eligible,
             rates: &self.rates,
         };
-        let current = self
-            .bindings
-            .get(&tenant)
-            .copied()
-            .filter(|&s| self.eligible[s]);
+        let current = self.binding(tenant).filter(|&s| self.eligible[s]);
         match self.policy.place(tenant, queries, current, &view) {
             Placement::HashEach => self.submit_hashed(tenant, queries),
             Placement::Shard(shard) => {
@@ -555,14 +554,20 @@ impl<P: RoutePolicy> Router<P> {
                     "policy '{}' placed {tenant} on drained/unknown shard {shard}",
                     self.policy.name()
                 );
-                let taken = self.driver.submit_routed(tenant, queries, shard);
+                self.homes.clear();
+                self.homes.resize(queries.len(), shard);
+                let taken = self.driver.submit_placed(tenant, queries, &self.homes);
                 if taken == 0 {
                     // Nothing landed (shard buffer full): the tenant has
                     // not moved, so neither the binding nor the migration
                     // counter may say it did.
                     return 0;
                 }
-                let prev = self.bindings.insert(tenant, shard);
+                let slot = usize::from(tenant.0);
+                if slot >= self.bindings.len() {
+                    self.bindings.resize(slot + 1, None);
+                }
+                let prev = self.bindings[slot].replace(shard);
                 if let Some(p) = prev.filter(|&p| p != shard) {
                     self.migrations += 1;
                     self.obs_migrations.inc();
@@ -589,26 +594,24 @@ impl<P: RoutePolicy> Router<P> {
 
     /// Vertex-hash placement over the eligible subset: with nothing
     /// drained this reproduces [`Driver::submit`]'s shard choice query
-    /// for query. The whole call goes to the driver at once, with
-    /// each query's home.
+    /// for query, and allocates nothing. The whole call goes to the
+    /// driver at once, with each query's home.
     fn submit_hashed(&mut self, tenant: TenantId, queries: &[WalkQuery]) -> usize {
-        let targets: Vec<usize> = (0..self.eligible.len())
-            .filter(|&s| self.eligible[s])
-            .collect();
-        let all = targets.len() == self.eligible.len();
-        // With nothing drained this is exactly `Driver::shard_of`.
-        let homes: Vec<usize> = queries
-            .iter()
-            .map(|q| {
-                if all {
-                    self.driver.shard_of(q.start)
-                } else {
-                    targets[(SplitMix64::mix(u64::from(q.start)) % targets.len() as u64) as usize]
-                }
-            })
-            .collect();
-        let accepted = self.driver.submit_placed(tenant, queries, &homes);
-        for &shard in &homes[..accepted] {
+        self.homes.clear();
+        if self.eligible.iter().all(|&e| e) {
+            // With nothing drained this is exactly `Driver::shard_of`.
+            self.homes
+                .extend(queries.iter().map(|q| self.driver.shard_of(q.start)));
+        } else {
+            let targets: Vec<usize> = (0..self.eligible.len())
+                .filter(|&s| self.eligible[s])
+                .collect();
+            self.homes.extend(queries.iter().map(|q| {
+                targets[(SplitMix64::mix(u64::from(q.start)) % targets.len() as u64) as usize]
+            }));
+        }
+        let accepted = self.driver.submit_placed(tenant, queries, &self.homes);
+        for &shard in &self.homes[..accepted] {
             self.routed_per_shard[shard] += 1;
         }
         accepted
@@ -690,7 +693,7 @@ impl<P: RoutePolicy> Router<P> {
             routed_per_shard: self.routed_per_shard.clone(),
             routed_retired: self.routed_retired,
             routed_per_class,
-            bound_tenants: self.bindings.len(),
+            bound_tenants: self.bindings.iter().flatten().count(),
         }
     }
 

@@ -29,11 +29,14 @@ pub enum FlushReason {
 pub(crate) struct MicroBatcher {
     /// Parked queries with their arrival ticks, oldest first.
     buf: VecDeque<(WalkQuery, u64)>,
-    /// The batch most recently removed by `take_batch`, kept so `unshift`
-    /// can restore pushback with its true ages — a query that already
-    /// passed its deadline must stay past-deadline, not wait out a fresh
-    /// `max_delay_ticks`.
-    last_taken: Vec<(WalkQuery, u64)>,
+    /// The batch most recently removed by `take_batch`, and beside it
+    /// each of its queries' arrival ticks. Both buffers are reused from
+    /// batch to batch. The ticks let the runner record who arrived when,
+    /// and let `unshift` restore pushback with its true ages — a query
+    /// that already passed its deadline must stay past-deadline, not
+    /// wait out a fresh `max_delay_ticks`.
+    taken: Vec<WalkQuery>,
+    taken_arrivals: Vec<u64>,
     max_batch: usize,
     max_delay_ticks: u64,
     capacity: usize,
@@ -45,7 +48,8 @@ impl MicroBatcher {
         assert!(capacity >= max_batch, "buffer must hold one full batch");
         Self {
             buf: VecDeque::new(),
-            last_taken: Vec::new(),
+            taken: Vec::new(),
+            taken_arrivals: Vec::new(),
             max_batch,
             max_delay_ticks,
             capacity,
@@ -74,37 +78,42 @@ impl MicroBatcher {
     /// the buffer held more than `max_batch`) stays parked, each survivor
     /// keeping its own arrival tick — the deadline clock never restarts on
     /// a flush.
-    pub(crate) fn take_batch(&mut self) -> Vec<WalkQuery> {
+    pub(crate) fn take_batch(&mut self) -> &[WalkQuery] {
         let n = self.buf.len().min(self.max_batch);
-        self.last_taken = self.buf.drain(..n).collect();
-        self.last_taken.iter().map(|&(q, _)| q).collect()
+        self.taken.clear();
+        self.taken_arrivals.clear();
+        for (q, arrival) in self.buf.drain(..n) {
+            self.taken.push(q);
+            self.taken_arrivals.push(arrival);
+        }
+        &self.taken
     }
 
-    /// Returns the unaccepted suffix of the last taken batch to the
-    /// *front* of the buffer (backend pushback), restoring each query's
-    /// original arrival tick so ordering and ages are both preserved.
+    /// Keeps the first `accepted` queries of the last taken batch and
+    /// returns the rest to the *front* of the buffer (backend pushback),
+    /// each with its original arrival tick, so ordering and ages are both
+    /// preserved.
     ///
     /// # Panics
     ///
-    /// Panics if `rejected` is longer than the batch most recently
-    /// returned by [`take_batch`](Self::take_batch); debug builds
-    /// additionally verify it is that batch's suffix.
-    pub(crate) fn unshift(&mut self, rejected: &[WalkQuery]) {
-        if rejected.is_empty() {
-            return;
-        }
+    /// Panics if `accepted` exceeds the length of the batch most recently
+    /// returned by [`take_batch`](Self::take_batch).
+    pub(crate) fn unshift(&mut self, accepted: usize) {
         assert!(
-            rejected.len() <= self.last_taken.len(),
-            "unshift must restore a suffix of the last taken batch"
+            accepted <= self.taken.len(),
+            "a backend cannot accept more than it was offered"
         );
-        let suffix = &self.last_taken[self.last_taken.len() - rejected.len()..];
-        debug_assert!(
-            suffix.iter().zip(rejected).all(|(&(q, _), r)| q.id == r.id),
-            "unshift must restore the rejected queries themselves"
-        );
-        for &(q, tick) in suffix.iter().rev() {
-            self.buf.push_front((q, tick));
+        for i in (accepted..self.taken.len()).rev() {
+            self.buf.push_front((self.taken[i], self.taken_arrivals[i]));
         }
+        self.taken.truncate(accepted);
+        self.taken_arrivals.truncate(accepted);
+    }
+
+    /// The queries of the last taken batch that stayed taken, each with
+    /// its arrival tick, in flush order.
+    pub(crate) fn taken(&self) -> impl Iterator<Item = (&WalkQuery, u64)> {
+        self.taken.iter().zip(self.taken_arrivals.iter().copied())
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -171,9 +180,10 @@ mod tests {
         for i in 0..3 {
             b.push(q(i), 0);
         }
-        let batch = b.take_batch(); // [0, 1]
-                                    // The backend accepted one query; the rest bounce back.
-        b.unshift(&batch[1..]);
+        // The backend is offered [0, 1] and accepts one query; the rest
+        // bounce back.
+        assert_eq!(b.take_batch().len(), 2);
+        b.unshift(1);
         let ids: Vec<u64> = b.take_batch().iter().map(|x| x.id).collect();
         assert_eq!(ids, vec![1, 2], "pushback rejoins ahead of later arrivals");
     }
@@ -204,8 +214,8 @@ mod tests {
         b.push(q(0), 10);
         // Deadline passes at tick 14; the flush attempt is pushed back.
         assert_eq!(b.due(14), Some(FlushReason::Deadline));
-        let batch = b.take_batch();
-        b.unshift(&batch);
+        b.take_batch();
+        b.unshift(0);
         // The query is still past its deadline: retry immediately, don't
         // wait out another max_delay_ticks.
         assert_eq!(b.due(15), Some(FlushReason::Deadline));

@@ -19,6 +19,20 @@
 //! hosts it. That is the load-bearing property behind the cross-executor
 //! multiset parity the `tests/threaded.rs` suite pins down.
 //!
+//! # In-flight bookkeeping
+//!
+//! A flushed query is one record in a ring kept in flush order: its
+//! internal id, its arrival tick (which the micro-batcher parked beside
+//! it), its batch ordinal and a done flag. The batches in flight sit in a
+//! second ring, indexed by ordinal. A completed path takes the *oldest*
+//! not-done record with its id, scanning from the head — per-id FIFO, so a
+//! tenant that reuses a local id within the shard resolves its repeats in
+//! flush order. Backends that complete in submission order, as the CPU
+//! kernels do, always match the head. Done records leave from the head,
+//! and a batch leaves once its last walk has returned and every older
+//! batch has left. No lookup hashes and no query allocates: the rings grow
+//! to the shard's in-flight window and are reused from then on.
+//!
 //! Every runner owns its collector under both executors, so the hot path
 //! takes no locks and passes no collector around; the coordinator merges
 //! the collectors, in shard order, when it builds
@@ -31,8 +45,20 @@ use crate::{
 };
 use grw_algo::{WalkBackend, WalkPath, WalkQuery};
 use grw_obs::{Event, ShardObs};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
+
+/// A flushed query whose walk has not yet been delivered (or has, but
+/// an older record still holds the ring head).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// The internal (namespaced) query id.
+    id: u64,
+    arrival_tick: u64,
+    /// Ordinal of the micro-batch the query was flushed in.
+    batch: u64,
+    done: bool,
+}
 
 /// A micro-batch in flight, for latency accounting.
 #[derive(Debug, Clone, Copy)]
@@ -51,15 +77,14 @@ pub(crate) struct ShardRunner<B: WalkBackend> {
     /// clock by every [`accept`](Self::accept) / [`run_tick`](Self::run_tick)
     /// call, so tick stamps are executor-independent.
     tick: u64,
-    /// Internal query id -> batches awaiting it, in flush order. The
-    /// backend completes batches FIFO; the deque resolves a tenant
-    /// reusing one local id within the shard.
-    waiting: HashMap<u64, VecDeque<u64>>,
-    /// Internal query id -> arrival ticks, ordered exactly like
-    /// `waiting` so repeats resolve consistently.
-    arrivals: HashMap<u64, VecDeque<u64>>,
-    batches: HashMap<u64, BatchInFlight>,
-    next_batch_id: u64,
+    /// Flushed queries in flush order; the head is never done. See the
+    /// [module docs](self).
+    records: VecDeque<Record>,
+    /// Micro-batches in flight, indexed by ordinal from `first_batch`;
+    /// the head still has walks out.
+    batches: VecDeque<BatchInFlight>,
+    /// Ordinal of `batches[0]`.
+    first_batch: u64,
     /// This shard's statistics: admissions, batches, completions and
     /// latency reservoirs, in total and per tenant.
     pub(crate) collector: StatsCollector,
@@ -77,10 +102,9 @@ impl<B: WalkBackend> ShardRunner<B> {
             backend,
             batcher: MicroBatcher::new(cfg.max_batch, cfg.max_delay_ticks, cfg.buffer_capacity),
             tick: 0,
-            waiting: HashMap::new(),
-            arrivals: HashMap::new(),
-            batches: HashMap::new(),
-            next_batch_id: 0,
+            records: VecDeque::new(),
+            batches: VecDeque::new(),
+            first_batch: 0,
             collector: StatsCollector::new(cfg.latency_reservoir),
             ewma_latency_ticks: None,
             obs: ShardObs::disabled(),
@@ -139,7 +163,6 @@ impl<B: WalkBackend> ShardRunner<B> {
         let (tenant, local) = TenantId::unpack(internal.id);
         self.collector.record_submitted(tenant);
         self.obs.query_admitted(now, tenant.0, local);
-        self.arrivals.entry(internal.id).or_default().push_back(now);
         if self.batcher.due(now) == Some(FlushReason::Size) {
             self.flush(FlushReason::Size);
         }
@@ -217,26 +240,24 @@ impl<B: WalkBackend> ShardRunner<B> {
         if batch.is_empty() {
             return false;
         }
-        let taken = self.backend.submit(&batch);
-        if taken < batch.len() {
-            self.batcher.unshift(&batch[taken..]);
-        }
+        let taken = self.backend.submit(batch);
+        self.batcher.unshift(taken);
         if taken == 0 {
             return false;
         }
-        let id = self.next_batch_id;
-        self.next_batch_id += 1;
-        self.batches.insert(
-            id,
-            BatchInFlight {
-                remaining: taken,
-                flushed_at: Instant::now(),
-                flushed_tick: self.tick,
-            },
-        );
-        for q in &batch[..taken] {
-            self.waiting.entry(q.id).or_default().push_back(id);
-        }
+        let id = self.first_batch + self.batches.len() as u64;
+        self.batches.push_back(BatchInFlight {
+            remaining: taken,
+            flushed_at: Instant::now(),
+            flushed_tick: self.tick,
+        });
+        self.records
+            .extend(self.batcher.taken().map(|(q, arrival_tick)| Record {
+                id: q.id,
+                arrival_tick,
+                batch: id,
+                done: false,
+            }));
         let c = &mut self.collector;
         c.batches_flushed += 1;
         match reason {
@@ -261,33 +282,26 @@ impl<B: WalkBackend> ShardRunner<B> {
         path.query = local;
         let c = &mut self.collector;
         c.completed += 1;
-        let batch_id = self
-            .waiting
-            .get_mut(&internal)
-            .and_then(|q| q.pop_front())
+        let i = self
+            .records
+            .iter()
+            .position(|r| !r.done && r.id == internal)
             .expect("completed path must belong to a flushed batch");
-        if self.waiting.get(&internal).is_some_and(|q| q.is_empty()) {
-            self.waiting.remove(&internal);
+        let r = &mut self.records[i];
+        r.done = true;
+        let (arrival_tick, batch) = (r.arrival_tick, r.batch);
+        while self.records.front().is_some_and(|r| r.done) {
+            self.records.pop_front();
         }
-        let arrival_tick = self
-            .arrivals
-            .get_mut(&internal)
-            .and_then(|q| q.pop_front())
-            .expect("completed path must have an arrival record");
-        if self.arrivals.get(&internal).is_some_and(|q| q.is_empty()) {
-            self.arrivals.remove(&internal);
-        }
-        let (flushed_tick, done) = {
-            let b = self
-                .batches
-                .get_mut(&batch_id)
-                .expect("batch record exists until its last path returns");
-            b.remaining -= 1;
-            (b.flushed_tick, (b.remaining == 0).then_some(*b))
-        };
-        if let Some(b) = done {
-            self.batches.remove(&batch_id);
-            c.record_batch_done(b.flushed_at.elapsed(), self.tick - b.flushed_tick);
+        let b = &mut self.batches[(batch - self.first_batch) as usize];
+        b.remaining -= 1;
+        let flushed_tick = b.flushed_tick;
+        if b.remaining == 0 {
+            c.record_batch_done(b.flushed_at.elapsed(), self.tick - flushed_tick);
+            while self.batches.front().is_some_and(|b| b.remaining == 0) {
+                self.batches.pop_front();
+                self.first_batch += 1;
+            }
         }
         let latency = self.tick - arrival_tick;
         c.record_query_done(tenant, latency, path.steps());
@@ -309,6 +323,224 @@ impl<B: WalkBackend> ShardRunner<B> {
             arrival_tick,
             flushed_tick,
             completed_tick: self.tick,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grw_rng::{RandomSource, SplitMix64};
+    use std::collections::BTreeMap;
+
+    const MAX_BATCH: usize = 8;
+
+    /// A backend that completes work out of order: each poll shuffles
+    /// what it holds with a seeded permutation and completes a seeded
+    /// prefix of it. It also refuses the tail of about one batch in four
+    /// (all of it, sometimes, while it holds other work), and logs the
+    /// ids of every batch it accepted part of.
+    struct ShuffleBackend {
+        held: Vec<WalkQuery>,
+        rng: SplitMix64,
+        accepted: Vec<Vec<u64>>,
+        refused: usize,
+    }
+
+    impl ShuffleBackend {
+        fn shuffle(&mut self) {
+            for i in (1..self.held.len()).rev() {
+                let j = self.rng.next_below(i as u64 + 1) as usize;
+                self.held.swap(i, j);
+            }
+        }
+
+        fn complete(&mut self, n: usize) -> Vec<WalkPath> {
+            self.held
+                .drain(..n)
+                .map(|q| WalkPath::new(q.id, vec![q.start, q.start + 1]))
+                .collect()
+        }
+    }
+
+    impl WalkBackend for ShuffleBackend {
+        fn submit(&mut self, queries: &[WalkQuery]) -> usize {
+            let taken = if self.rng.next_below(4) == 0 {
+                // Never refuse everything while idle: a drain must progress.
+                let floor = u64::from(self.held.is_empty());
+                self.rng.next_below(queries.len() as u64).max(floor) as usize
+            } else {
+                queries.len()
+            };
+            self.refused += queries.len() - taken;
+            self.held.extend_from_slice(&queries[..taken]);
+            if taken > 0 {
+                self.accepted
+                    .push(queries[..taken].iter().map(|q| q.id).collect());
+            }
+            taken
+        }
+
+        fn poll(&mut self) -> Vec<WalkPath> {
+            self.shuffle();
+            let n = self.rng.next_below(self.held.len() as u64 + 1) as usize;
+            self.complete(n)
+        }
+
+        fn drain(&mut self) -> Vec<WalkPath> {
+            self.shuffle();
+            self.complete(self.held.len())
+        }
+
+        fn capacity_hint(&self) -> usize {
+            usize::MAX
+        }
+
+        fn in_flight(&self) -> usize {
+            self.held.len()
+        }
+    }
+
+    /// Which runner call flushed a batch, which fixes its reason.
+    #[derive(Clone, Copy)]
+    enum Call {
+        Accept,
+        Tick,
+        Drain,
+    }
+
+    /// What a walk's attribution must be, kept without the runner's
+    /// rings: per internal id, a FIFO of accept ticks and a FIFO of the
+    /// batches that flushed it.
+    #[derive(Default)]
+    struct Model {
+        parked: usize,
+        arrivals: BTreeMap<u64, VecDeque<u64>>,
+        flushes: BTreeMap<u64, VecDeque<usize>>,
+        /// Per batch: flush tick and walks still out.
+        batches: Vec<(u64, usize)>,
+        /// Batches flushed by size, deadline and drain.
+        reasons: [u64; 3],
+        /// Tick latency of every completed batch, in completion order.
+        batch_latencies: Vec<u64>,
+        /// Per tenant: submitted, completed, latency sum.
+        tenants: BTreeMap<TenantId, (u64, u64, u64)>,
+    }
+
+    impl Model {
+        fn accepted(&mut self, id: u64, now: u64) {
+            self.parked += 1;
+            self.arrivals.entry(id).or_default().push_back(now);
+            self.tenants.entry(TenantId::unpack(id).0).or_default().0 += 1;
+        }
+
+        /// Registers the batches the backend accepted since the last call.
+        fn flushed(&mut self, backend: &mut ShuffleBackend, call: Call, now: u64) {
+            for ids in backend.accepted.drain(..) {
+                let reason = match call {
+                    Call::Accept => 0,
+                    Call::Tick if self.parked >= MAX_BATCH => 0,
+                    Call::Tick => 1,
+                    Call::Drain => 2,
+                };
+                self.reasons[reason] += 1;
+                self.parked -= ids.len();
+                for &id in &ids {
+                    self.flushes
+                        .entry(id)
+                        .or_default()
+                        .push_back(self.batches.len());
+                }
+                self.batches.push((now, ids.len()));
+            }
+        }
+
+        fn completed(&mut self, walks: &[CompletedWalk], now: u64) {
+            for w in walks {
+                let id = w.tenant.namespace(w.path.query);
+                let arrival = self.arrivals.get_mut(&id).unwrap().pop_front().unwrap();
+                let batch = self.flushes.get_mut(&id).unwrap().pop_front().unwrap();
+                let (flushed, remaining) = &mut self.batches[batch];
+                *remaining -= 1;
+                if *remaining == 0 {
+                    self.batch_latencies.push(now - *flushed);
+                }
+                assert_eq!(
+                    (w.arrival_tick, w.flushed_tick, w.completed_tick),
+                    (arrival, *flushed, now),
+                    "walk of {id:#x} attributed to the wrong record"
+                );
+                let t = self.tenants.get_mut(&w.tenant).unwrap();
+                t.1 += 1;
+                t.2 += now - arrival;
+            }
+        }
+    }
+
+    #[test]
+    fn completions_match_a_per_id_fifo_model() {
+        for seed in 1..=8 {
+            let cfg = ServiceConfig::new(1)
+                .max_batch(MAX_BATCH)
+                .max_delay_ticks(2)
+                .buffer_capacity(32)
+                .latency_reservoir(1 << 16);
+            let backend = ShuffleBackend {
+                held: Vec::new(),
+                rng: SplitMix64::new(seed),
+                accepted: Vec::new(),
+                refused: 0,
+            };
+            let mut runner = ShardRunner::new(&cfg, backend);
+            let mut model = Model::default();
+            let mut rng = SplitMix64::new(seed ^ 0xA11CE);
+            let mut offer = |runner: &mut ShardRunner<ShuffleBackend>, model: &mut Model, now| {
+                // Bursts above and below the batch size, and idle ticks.
+                for _ in 0..rng.next_below(3) * rng.next_below(8) {
+                    // Three tenants each reusing four local ids.
+                    let tenant = TenantId(rng.next_below(3) as u16);
+                    let q = WalkQuery {
+                        id: tenant.namespace(rng.next_below(4)),
+                        start: rng.next_below(100) as u32,
+                    };
+                    if runner.accept(q, now) {
+                        model.accepted(q.id, now);
+                    }
+                    model.flushed(&mut runner.backend, Call::Accept, now);
+                }
+            };
+            let mut now = 0;
+            for _ in 0..300 {
+                now += 1;
+                offer(&mut runner, &mut model, now);
+                let walks = runner.run_tick(now);
+                model.flushed(&mut runner.backend, Call::Tick, now);
+                model.completed(&walks, now);
+            }
+            while runner.queued() == 0 {
+                offer(&mut runner, &mut model, now);
+            }
+            let walks = runner.drain_all();
+            model.flushed(&mut runner.backend, Call::Drain, now);
+            model.completed(&walks, now);
+
+            assert!(runner.backend.refused > 0, "pushback was exercised");
+            assert!(model.reasons.iter().all(|&n| n > 0), "{:?}", model.reasons);
+            assert!(runner.records.is_empty() && runner.batches.is_empty());
+            let c = &runner.collector;
+            assert_eq!(c.batches_flushed, model.batches.len() as u64);
+            assert_eq!(
+                [c.flushed_by_size, c.flushed_by_deadline, c.flushed_by_drain],
+                model.reasons
+            );
+            assert_eq!(c.batch_latencies_ticks.sample(), &model.batch_latencies[..]);
+            assert_eq!(c.batch_latencies_ticks.seen(), model.batches.len() as u64);
+            let tenants: BTreeMap<TenantId, (u64, u64, u64)> = c
+                .tenants
+                .iter()
+                .map(|(&t, tc)| (t, (tc.submitted, tc.completed, tc.latency_sum)))
+                .collect();
+            assert_eq!(tenants, model.tenants);
         }
     }
 }

@@ -23,9 +23,11 @@ use std::collections::HashMap;
 pub struct PprAggregator {
     k: usize,
     counts: HashMap<u32, u64>,
-    /// Vertices with the k highest counts, descending (count, then vertex
-    /// id ascending for determinism).
-    top: Vec<u32>,
+    /// The k highest-counted vertices with their counts, descending
+    /// (count, then vertex id ascending for determinism). Keeping each
+    /// count beside its vertex lets a reposition compare without reading
+    /// `counts`.
+    top: Vec<(u32, u64)>,
     walks: u64,
     flushes: u64,
 }
@@ -92,37 +94,37 @@ impl PprAggregator {
     pub fn top_k(&self) -> Vec<(u32, u64, f64)> {
         self.top
             .iter()
-            .map(|&v| (v, self.count(v), self.estimate(v)))
+            .map(|&(v, c)| (v, c, self.estimate(v)))
             .collect()
     }
 
-    /// Rank ordering: count descending, vertex id ascending.
-    fn ranks_before(&self, a: u32, b: u32) -> bool {
-        let (ca, cb) = (self.count(a), self.count(b));
-        ca > cb || (ca == cb && a < b)
-    }
-
-    /// Restores the ranking after `v`'s count was incremented.
-    fn reposition(&mut self, v: u32) {
-        match self.top.iter().position(|&t| t == v) {
-            Some(mut i) => {
-                // Bubble the incremented vertex toward the front.
-                while i > 0 && self.ranks_before(self.top[i], self.top[i - 1]) {
-                    self.top.swap(i, i - 1);
-                    i -= 1;
-                }
+    /// Restores the ranking after `v`'s count was incremented to `count`.
+    fn reposition(&mut self, v: u32, count: u64) {
+        // Rank ordering: count descending, vertex id ascending.
+        let ranks_before =
+            |(a, ca): (u32, u64), (b, cb): (u32, u64)| ca > cb || (ca == cb && a < b);
+        let mut i = match self.top.iter().position(|&(t, _)| t == v) {
+            Some(i) => {
+                self.top[i].1 = count;
+                i
             }
             None if self.top.len() < self.k => {
-                self.top.push(v);
-                self.reposition(v);
+                self.top.push((v, count));
+                self.top.len() - 1
             }
             None => {
-                let last = *self.top.last().expect("top is non-empty at capacity");
-                if self.ranks_before(v, last) {
-                    *self.top.last_mut().expect("checked") = v;
-                    self.reposition(v);
+                let last = self.top.last_mut().expect("top is non-empty at capacity");
+                if !ranks_before((v, count), *last) {
+                    return;
                 }
+                *last = (v, count);
+                self.top.len() - 1
             }
+        };
+        // Bubble the incremented vertex toward the front.
+        while i > 0 && ranks_before(self.top[i], self.top[i - 1]) {
+            self.top.swap(i, i - 1);
+            i -= 1;
         }
     }
 }
@@ -130,9 +132,11 @@ impl PprAggregator {
 impl WalkSink for PprAggregator {
     fn accept(&mut self, walk: &CompletedWalk) -> SinkAck {
         let terminal = walk.path.last();
-        *self.counts.entry(terminal).or_insert(0) += 1;
+        let count = self.counts.entry(terminal).or_insert(0);
+        *count += 1;
+        let count = *count;
         self.walks += 1;
-        self.reposition(terminal);
+        self.reposition(terminal, count);
         SinkAck::Accepted
     }
 

@@ -1,7 +1,6 @@
 //! Per-tenant fan-out: one delivery stream, many consumers.
 
 use grw_service::{CompletedWalk, SinkAck, SinkReport, TenantId, WalkSink};
-use std::collections::HashMap;
 
 /// Dispatches each walk to the sink registered for its tenant, falling
 /// back to a default route — so one `Driver` subscription serves a
@@ -12,13 +11,16 @@ use std::collections::HashMap;
 /// registered, the default otherwise), and a route's backpressure is the
 /// router's backpressure — the walk is not re-routed elsewhere, because
 /// silently diverting tenant data would break per-tenant accounting.
-/// `flush` fans out to every route.
+/// `flush` fans out to every route, in tenant order.
 pub struct SinkRouter {
-    routes: HashMap<u16, Box<dyn WalkSink + Send>>,
+    /// Each tenant's route, indexed by tenant id (grown to the highest
+    /// tenant registered so far).
+    routes: Vec<Option<Box<dyn WalkSink + Send>>>,
     default: Box<dyn WalkSink + Send>,
-    /// Walks delivered per tenant route (conservation accounting);
-    /// the default route's tally is keyed by the tenant that used it.
-    routed: HashMap<u16, u64>,
+    /// Walks delivered per tenant (conservation accounting), indexed by
+    /// tenant id; the default route's tally is kept under the tenant that
+    /// used it.
+    routed: Vec<u64>,
     via_default: u64,
     /// Final reports of removed/replaced routes, folded in so the
     /// aggregate [`report`](WalkSink::report) keeps covering every walk
@@ -31,9 +33,9 @@ impl SinkRouter {
     /// `default`.
     pub fn new(default: Box<dyn WalkSink + Send>) -> Self {
         Self {
-            routes: HashMap::new(),
+            routes: Vec::new(),
             default,
-            routed: HashMap::new(),
+            routed: Vec::new(),
             via_default: 0,
             retired: SinkReport::default(),
         }
@@ -48,7 +50,11 @@ impl SinkRouter {
 
     /// Registers `sink` as tenant `tenant`'s route.
     pub fn add_route(&mut self, tenant: TenantId, sink: Box<dyn WalkSink + Send>) {
-        if let Some(old) = self.routes.insert(tenant.0, sink) {
+        let slot = usize::from(tenant.0);
+        if slot >= self.routes.len() {
+            self.routes.resize_with(slot + 1, || None);
+        }
+        if let Some(old) = self.routes[slot].replace(sink) {
             let mut last = old.report();
             // A dropped sink holds nothing anymore; only its history
             // stays in the aggregate.
@@ -59,7 +65,7 @@ impl SinkRouter {
 
     /// The sink registered for `tenant`, if any.
     pub fn sink_for(&self, tenant: TenantId) -> Option<&(dyn WalkSink + Send)> {
-        self.routes.get(&tenant.0).map(|s| &**s)
+        self.routes.get(usize::from(tenant.0))?.as_deref()
     }
 
     /// The default route.
@@ -70,7 +76,7 @@ impl SinkRouter {
     /// Walks delivered on `tenant`'s behalf (via its own route or the
     /// default).
     pub fn delivered_for(&self, tenant: TenantId) -> u64 {
-        self.routed.get(&tenant.0).copied().unwrap_or(0)
+        self.routed.get(usize::from(tenant.0)).copied().unwrap_or(0)
     }
 
     /// Walks that fell through to the default route.
@@ -82,7 +88,7 @@ impl SinkRouter {
     /// to the default route). Its counters stay folded into the router's
     /// aggregate report, so retiring a route never looks like walk loss.
     pub fn remove_route(&mut self, tenant: TenantId) -> Option<Box<dyn WalkSink + Send>> {
-        let sink = self.routes.remove(&tenant.0)?;
+        let sink = self.routes.get_mut(usize::from(tenant.0))?.take()?;
         let mut last = sink.report();
         // The sink leaves with its buffer; only its history stays here.
         last.buffered = 0;
@@ -93,13 +99,16 @@ impl SinkRouter {
 
 impl WalkSink for SinkRouter {
     fn accept(&mut self, walk: &CompletedWalk) -> SinkAck {
-        let tenant = walk.tenant.0;
-        let (ack, via_default) = match self.routes.get_mut(&tenant) {
-            Some(sink) => (sink.accept(walk), false),
-            None => (self.default.accept(walk), true),
+        let tenant = usize::from(walk.tenant.0);
+        let (ack, via_default) = match self.routes.get_mut(tenant) {
+            Some(Some(sink)) => (sink.accept(walk), false),
+            _ => (self.default.accept(walk), true),
         };
         if ack == SinkAck::Accepted {
-            *self.routed.entry(tenant).or_insert(0) += 1;
+            if tenant >= self.routed.len() {
+                self.routed.resize(tenant + 1, 0);
+            }
+            self.routed[tenant] += 1;
             if via_default {
                 self.via_default += 1;
             }
@@ -108,7 +117,7 @@ impl WalkSink for SinkRouter {
     }
 
     fn flush(&mut self) {
-        for sink in self.routes.values_mut() {
+        for sink in self.routes.iter_mut().flatten() {
             sink.flush();
         }
         self.default.flush();
@@ -117,7 +126,7 @@ impl WalkSink for SinkRouter {
     fn report(&self) -> SinkReport {
         let mut merged = self.default.report();
         merged.merge(&self.retired);
-        for sink in self.routes.values() {
+        for sink in self.routes.iter().flatten() {
             merged.merge(&sink.report());
         }
         merged
