@@ -440,6 +440,25 @@ impl Event {
     }
 }
 
+/// An empty ring with room for `capacity` items, every page of it
+/// faulted in by writing `blank` into one slot per page (and the last
+/// slot). Writing one slot per page rather than every slot faults the
+/// same pages without pulling the whole buffer through the cache. The
+/// written slots are never dropped, so `blank` should own no heap memory.
+pub(crate) fn prefaulted<T: Clone>(capacity: usize, blank: T) -> std::collections::VecDeque<T> {
+    const PAGE: usize = 4096;
+    let mut slots = Vec::with_capacity(capacity);
+    let spare = slots.spare_capacity_mut();
+    let stride = (PAGE / std::mem::size_of::<T>().max(1)).max(1);
+    for slot in spare.iter_mut().step_by(stride) {
+        slot.write(blank.clone());
+    }
+    if let Some(last) = spare.last_mut() {
+        last.write(blank);
+    }
+    slots.into()
+}
+
 /// A bounded event ring: at capacity the *oldest* entry is dropped (the
 /// tail of a trace is what explains the incident you are holding), and
 /// the drop count is reported so a truncated trace is never mistaken
@@ -457,20 +476,19 @@ impl Journal {
     /// The ring is allocated *and pre-faulted* up front: a large ring
     /// comes from the OS as untouched pages that would otherwise fault
     /// one by one on the recording path, billing the construction cost
-    /// to the serving hot loop. Writing through the whole buffer here
-    /// moves every fault to construction time.
+    /// to the serving hot loop. Touching every page here moves every
+    /// fault to construction time.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let mut events = std::collections::VecDeque::with_capacity(capacity);
-        for _ in 0..capacity {
-            events.push_back(Event {
+        let events = prefaulted(
+            capacity,
+            Event {
                 tick: 0,
                 shard: 0,
                 seq: 0,
                 kind: EventKind::RetireBegun,
-            });
-        }
-        events.clear();
+            },
+        );
         Self {
             events,
             capacity,

@@ -157,8 +157,8 @@ impl Obs {
 
     /// Merges a batch of already-stamped events (a worker buffer, a
     /// runner buffer) into the hub journal.
-    pub fn absorb(&self, events: Vec<Event>) {
-        if events.is_empty() || !self.is_enabled() {
+    pub fn absorb(&self, events: impl IntoIterator<Item = Event>) {
+        if !self.is_enabled() {
             return;
         }
         let mut journal = self.inner.journal.lock().expect("journal lock");
@@ -213,26 +213,20 @@ impl Obs {
         // Pre-fault the local buffer for the same reason the hub ring
         // is pre-faulted in `Journal::new`: first-touch page faults
         // belong at attach time, not in the recording hot path.
-        let mut buf = VecDeque::new();
-        if self.is_enabled() {
-            buf.resize(
-                SHARD_BUFFER_WARM,
-                Event {
-                    tick: 0,
-                    shard: 0,
-                    seq: 0,
-                    kind: EventKind::RetireBegun,
-                },
-            );
-            buf.clear();
-        }
+        let buf = if self.is_enabled() {
+            journal::prefaulted(SHARD_BUFFER_WARM, (0, EventKind::RetireBegun))
+        } else {
+            VecDeque::new()
+        };
         let capacity = self.inner.journal.lock().expect("journal lock").capacity();
         ShardObs {
-            enabled: self.is_enabled(),
+            hot: Hot {
+                enabled: self.is_enabled(),
+                keep: capacity,
+                buf,
+            },
             shard,
             seq: 0,
-            buf,
-            keep: capacity,
             folded: Folded::default(),
             dropped: 0,
             hub: Some(self.clone()),
@@ -322,8 +316,8 @@ impl Folded {
     }
 
     #[inline]
-    fn fold(&mut self, e: &Event) {
-        match e.kind {
+    fn fold(&mut self, tick: u64, kind: &EventKind) {
+        match *kind {
             EventKind::QueryAdmitted { .. } => self.admitted += 1,
             EventKind::BatchFlushed { .. } => self.batches += 1,
             EventKind::QueryDelivered {
@@ -332,9 +326,9 @@ impl Folded {
                 flushed_tick,
                 ..
             } => {
-                self.latency.add(e.tick.saturating_sub(arrival_tick));
+                self.latency.add(tick.saturating_sub(arrival_tick));
                 let batch_wait = flushed_tick.saturating_sub(arrival_tick);
-                let backend = e.tick.saturating_sub(flushed_tick);
+                let backend = tick.saturating_sub(flushed_tick);
                 self.phases[0].add(batch_wait);
                 self.phases[1].add(backend);
                 let tp = self.tenant(tenant);
@@ -346,7 +340,7 @@ impl Folded {
                 completed_tick,
                 ..
             } => {
-                let sink_wait = e.tick.saturating_sub(completed_tick);
+                let sink_wait = tick.saturating_sub(completed_tick);
                 self.phases[2].add(sink_wait);
                 self.tenant(tenant)[2].add(sink_wait);
             }
@@ -372,17 +366,15 @@ impl Folded {
 /// and the metrics come out exactly as without the bound.
 #[derive(Debug)]
 pub struct ShardObs {
-    enabled: bool,
+    hot: Hot,
     shard: u32,
+    /// Sequence number of the oldest buffered event, or of the next one
+    /// recorded while the buffer is empty.
     seq: u64,
-    buf: VecDeque<Event>,
-    /// The hub journal's capacity: only the newest `keep` events of a
-    /// buffer can reach the journal. A disabled recorder never drops.
-    keep: usize,
-    /// Metric side of the events dropped from `buf` since the last
+    /// Metric side of the events dropped from the buffer since the last
     /// export.
     folded: Folded,
-    /// Events dropped from `buf` since the last export.
+    /// Events dropped from the buffer since the last export.
     dropped: u64,
     hub: Option<Obs>,
     admitted: Counter,
@@ -402,6 +394,24 @@ pub struct ShardObs {
     last_alias_epoch: Option<(u64, u64, u64)>,
 }
 
+/// The part of a [`ShardObs`] every recording reads and writes, on one
+/// cache line. Recording sites sit between walk-kernel steps that evict
+/// the recorder from the L1 cache, so a recording whose fields were
+/// spread over the recorder would miss on several lines instead of one.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Hot {
+    enabled: bool,
+    /// The hub journal's capacity: only the newest `keep` events of a
+    /// buffer can reach the journal. A disabled recorder never drops.
+    keep: usize,
+    /// Events recorded since the last export, oldest first, as `(tick,
+    /// kind)`: the shard is the recorder's and the sequence numbers run
+    /// consecutively from its `seq`, so an export restores both and the
+    /// hot path stores neither.
+    buf: VecDeque<(u64, EventKind)>,
+}
+
 impl Default for ShardObs {
     fn default() -> Self {
         Self::disabled()
@@ -413,11 +423,13 @@ impl ShardObs {
     /// starts with until a hub is attached.
     pub fn disabled() -> Self {
         Self {
-            enabled: false,
+            hot: Hot {
+                enabled: false,
+                keep: usize::MAX,
+                buf: VecDeque::new(),
+            },
             shard: GLOBAL_SHARD,
             seq: 0,
-            buf: VecDeque::new(),
-            keep: usize::MAX,
             folded: Folded::default(),
             dropped: 0,
             hub: None,
@@ -440,7 +452,7 @@ impl ShardObs {
     /// Whether this recorder records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.hot.enabled
     }
 
     /// Moves this recorder's sequence counter to `base` — used to give a
@@ -454,21 +466,22 @@ impl ShardObs {
 
     #[inline]
     fn push(&mut self, tick: u64, kind: EventKind) {
-        if self.buf.len() == self.keep {
-            // The ring would evict this one on absorption (see the type
-            // docs): keep only its metric side.
-            let oldest = self.buf.pop_front().expect("a full buffer");
-            self.folded.fold(&oldest);
-            self.dropped += 1;
+        if self.hot.buf.len() == self.hot.keep {
+            self.drop_oldest();
         }
-        let seq = self.seq;
+        self.hot.buf.push_back((tick, kind));
+    }
+
+    /// Drops the oldest buffered event, which the ring would evict on
+    /// absorption anyway (see the type docs), keeping only its metric
+    /// side. Out of line so the push it guards stays small enough to
+    /// inline into the recording sites.
+    #[inline(never)]
+    fn drop_oldest(&mut self) {
+        let (tick, kind) = self.hot.buf.pop_front().expect("a full buffer");
+        self.folded.fold(tick, &kind);
+        self.dropped += 1;
         self.seq += 1;
-        self.buf.push_back(Event {
-            tick,
-            shard: self.shard,
-            seq,
-            kind,
-        });
     }
 
     /// A query was accepted into the micro-batcher. Buffer-push only —
@@ -476,7 +489,7 @@ impl ShardObs {
     /// (see [`settle`](Self::flush)).
     #[inline]
     pub fn query_admitted(&mut self, tick: u64, tenant: u16, query: u64) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         self.push(tick, EventKind::QueryAdmitted { tenant, query });
@@ -486,7 +499,7 @@ impl ShardObs {
     /// next export barrier.
     #[inline]
     pub fn batch_flushed(&mut self, tick: u64, batch: u64, taken: usize, reason: &'static str) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         self.push(
@@ -512,7 +525,7 @@ impl ShardObs {
         flushed_tick: u64,
         steps: u32,
     ) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         self.push(
@@ -539,7 +552,7 @@ impl ShardObs {
         arrival_tick: u64,
         completed_tick: u64,
     ) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         self.push(
@@ -562,8 +575,8 @@ impl ShardObs {
     /// Also counts the dropped events at the hub's journal.
     fn settle(&mut self) {
         let mut f = std::mem::take(&mut self.folded);
-        for e in &self.buf {
-            f.fold(e);
+        for (tick, kind) in &self.hot.buf {
+            f.fold(*tick, kind);
         }
         if f.admitted > 0 {
             self.admitted.add(f.admitted);
@@ -613,7 +626,7 @@ impl ShardObs {
     /// A sink refused a walk; it was parked at spill depth `depth`.
     #[inline]
     pub fn sink_spilled(&mut self, tick: u64, depth: usize) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         self.spilled.inc();
@@ -629,7 +642,7 @@ impl ShardObs {
     /// The spill bound forced a sink flush.
     #[inline]
     pub fn sink_forced_flush(&mut self, tick: u64) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         self.forced_flushes.inc();
@@ -640,7 +653,7 @@ impl ShardObs {
     /// drain path emptying the buffer).
     #[inline]
     pub fn set_spill_depth(&mut self, depth: usize) {
-        if self.enabled {
+        if self.hot.enabled {
             self.spill_depth.set(depth as i64);
         }
     }
@@ -649,7 +662,7 @@ impl ShardObs {
     /// observation epoch — deduplicated, so an unchanged cache (or a
     /// workload that never touches it) journals nothing.
     pub fn alias_cache_epoch(&mut self, tick: u64, hits: u64, builds: u64, evictions: u64) {
-        if !self.enabled {
+        if !self.hot.enabled {
             return;
         }
         let now = (hits, builds, evictions);
@@ -667,24 +680,41 @@ impl ShardObs {
         );
     }
 
+    /// Empties the local buffer, settling the buffered events' metric
+    /// side first, and yields its events with their shard and sequence
+    /// numbers restored.
+    fn drain_events(&mut self) -> impl Iterator<Item = Event> {
+        if !self.hot.buf.is_empty() {
+            self.settle();
+        }
+        let shard = self.shard;
+        let first = self.seq;
+        self.seq += self.hot.buf.len() as u64;
+        std::mem::take(&mut self.hot.buf)
+            .into_iter()
+            .zip(first..)
+            .map(move |((tick, kind), seq)| Event {
+                tick,
+                shard,
+                seq,
+                kind,
+            })
+    }
+
     /// Drains the local buffer (for shipping across a report channel;
     /// merge at the coordinator with [`Obs::absorb`]), settling the
     /// buffered events' metric side first.
     pub fn take_events(&mut self) -> Vec<Event> {
-        if !self.buf.is_empty() {
-            self.settle();
-        }
-        std::mem::take(&mut self.buf).into()
+        self.drain_events().collect()
     }
 
     /// Pushes the local buffer into the hub (same-thread sources),
     /// settling the buffered events' metric side first.
     pub fn flush(&mut self) {
-        if self.buf.is_empty() {
+        if self.hot.buf.is_empty() {
             return;
         }
-        self.settle();
-        let events = std::mem::take(&mut self.buf).into();
+        let events = self.drain_events();
         if let Some(hub) = &self.hub {
             hub.absorb(events);
         }
@@ -744,7 +774,7 @@ mod tests {
                 if t % 5 == 0 {
                     s.batch_flushed(t, t, 5, "size");
                 }
-                largest = largest.max(s.buf.len());
+                largest = largest.max(s.hot.buf.len());
             }
             if t == 17 || t == 59 {
                 for s in &mut sources {

@@ -554,9 +554,7 @@ impl<P: RoutePolicy> Router<P> {
                     "policy '{}' placed {tenant} on drained/unknown shard {shard}",
                     self.policy.name()
                 );
-                self.homes.clear();
-                self.homes.resize(queries.len(), shard);
-                let taken = self.driver.submit_placed(tenant, queries, &self.homes);
+                let taken = self.driver.submit_routed(tenant, queries, shard);
                 if taken == 0 {
                     // Nothing landed (shard buffer full): the tenant has
                     // not moved, so neither the binding nor the migration

@@ -194,7 +194,7 @@ impl<B: WalkBackend> Driver<B> {
         match &mut self.exec {
             Executor::Inline(runners) => {
                 for r in runners {
-                    self.obs.absorb(r.export_events());
+                    r.flush_obs();
                 }
             }
             Executor::Threads(t) => {
@@ -224,7 +224,7 @@ impl<B: WalkBackend> Driver<B> {
             Executor::Inline(runners) => {
                 let mut r = runners.pop().expect("fleet is non-empty");
                 let walks = r.drain_all();
-                self.obs.absorb(r.export_events());
+                r.flush_obs();
                 let telemetry = r.backend.telemetry();
                 (walks, (r.collector, telemetry))
             }
@@ -540,7 +540,7 @@ impl<B: WalkBackend> Driver<B> {
                 .iter_mut()
                 .map(|r| {
                     let walks = r.drain_all();
-                    self.obs.absorb(r.export_events());
+                    r.flush_obs();
                     walks
                 })
                 .collect(),

@@ -23,15 +23,15 @@
 //!
 //! A flushed query is one record in a ring kept in flush order: its
 //! internal id, its arrival tick (which the micro-batcher parked beside
-//! it), its batch ordinal and a done flag. The batches in flight sit in a
-//! second ring, indexed by ordinal. A completed path takes the *oldest*
-//! not-done record with its id, scanning from the head — per-id FIFO, so a
-//! tenant that reuses a local id within the shard resolves its repeats in
-//! flush order. Backends that complete in submission order, as the CPU
-//! kernels do, always match the head. Done records leave from the head,
-//! and a batch leaves once its last walk has returned and every older
-//! batch has left. No lookup hashes and no query allocates: the rings grow
-//! to the shard's in-flight window and are reused from then on.
+//! it) and its batch ordinal. The batches in flight sit in a second ring,
+//! indexed by ordinal. A completed path removes the *oldest* record with
+//! its id, scanning from the head — per-id FIFO, so a tenant that reuses a
+//! local id within the shard resolves its repeats in flush order. Backends
+//! that complete in submission order, as the CPU kernels do, always match
+//! the head. A batch leaves once its last walk has returned and every
+//! older batch has left. No lookup hashes and no query allocates: the
+//! rings grow to the shard's in-flight window and are reused from then
+//! on.
 //!
 //! Every runner owns its collector under both executors, so the hot path
 //! takes no locks and passes no collector around; the coordinator merges
@@ -48,8 +48,7 @@ use grw_obs::{Event, ShardObs};
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// A flushed query whose walk has not yet been delivered (or has, but
-/// an older record still holds the ring head).
+/// A flushed query whose walk has not yet been delivered.
 #[derive(Debug, Clone, Copy)]
 struct Record {
     /// The internal (namespaced) query id.
@@ -57,7 +56,6 @@ struct Record {
     arrival_tick: u64,
     /// Ordinal of the micro-batch the query was flushed in.
     batch: u64,
-    done: bool,
 }
 
 /// A micro-batch in flight, for latency accounting.
@@ -77,7 +75,7 @@ pub(crate) struct ShardRunner<B: WalkBackend> {
     /// clock by every [`accept`](Self::accept) / [`run_tick`](Self::run_tick)
     /// call, so tick stamps are executor-independent.
     tick: u64,
-    /// Flushed queries in flush order; the head is never done. See the
+    /// Flushed queries whose walks are out, in flush order. See the
     /// [module docs](self).
     records: VecDeque<Record>,
     /// Micro-batches in flight, indexed by ordinal from `first_batch`;
@@ -116,17 +114,28 @@ impl<B: WalkBackend> ShardRunner<B> {
         self.obs = obs;
     }
 
-    /// The export barrier: journals the shard's cumulative alias-cache
-    /// telemetry (deduplicated inside the recorder — unchanged or
-    /// all-zero counters journal nothing) and hands over every buffered
+    /// The export barrier under threads: journals the shard's cumulative
+    /// alias-cache telemetry (deduplicated inside the recorder — unchanged
+    /// or all-zero counters journal nothing) and hands over every buffered
     /// event, for the coordinator to merge into the hub in shard order.
     pub(crate) fn export_events(&mut self) -> Vec<Event> {
+        self.record_alias_epoch();
+        self.obs.take_events()
+    }
+
+    /// The export barrier inline: [`export_events`](Self::export_events),
+    /// merging the events into the hub straight from the buffer.
+    pub(crate) fn flush_obs(&mut self) {
+        self.record_alias_epoch();
+        self.obs.flush();
+    }
+
+    fn record_alias_epoch(&mut self) {
         if self.obs.is_enabled() {
             let s = self.backend.telemetry().sampling;
             self.obs
                 .alias_cache_epoch(self.tick, s.cache_hits, s.alias_builds, s.cache_evictions);
         }
-        self.obs.take_events()
     }
 
     /// Live signals of this shard for placement and stats.
@@ -256,7 +265,6 @@ impl<B: WalkBackend> ShardRunner<B> {
                 id: q.id,
                 arrival_tick,
                 batch: id,
-                done: false,
             }));
         let c = &mut self.collector;
         c.batches_flushed += 1;
@@ -285,14 +293,13 @@ impl<B: WalkBackend> ShardRunner<B> {
         let i = self
             .records
             .iter()
-            .position(|r| !r.done && r.id == internal)
+            .position(|r| r.id == internal)
             .expect("completed path must belong to a flushed batch");
-        let r = &mut self.records[i];
-        r.done = true;
-        let (arrival_tick, batch) = (r.arrival_tick, r.batch);
-        while self.records.front().is_some_and(|r| r.done) {
-            self.records.pop_front();
-        }
+        let Record {
+            arrival_tick,
+            batch,
+            ..
+        } = self.records.remove(i).expect("a found record");
         let b = &mut self.batches[(batch - self.first_batch) as usize];
         b.remaining -= 1;
         let flushed_tick = b.flushed_tick;
