@@ -1,5 +1,5 @@
 //! Graph random walk algorithms: sampling methods, walk specifications and
-//! reference engines.
+//! the software walk executor.
 //!
 //! This crate is the *functional* layer of the reproduction — what a GRW
 //! computes, independent of how hardware executes it:
@@ -15,13 +15,14 @@
 //!   bucket ([`SamplerConfig`], [`StrategyTable`]) and the bounded
 //!   second-order [`EdgeAliasCache`] threaded through every engine as a
 //!   per-worker [`SamplerRuntime`].
-//! * [`ReferenceEngine`] / [`ParallelEngine`] — software engines that
-//!   execute queries exactly per Algorithm II.1 of the paper; they define
-//!   correct output distributions for every accelerator model to match.
 //! * [`WalkBackend`] — the streaming execution interface (incremental
-//!   submit / poll / drain with backpressure) every engine exposes; the
-//!   batch [`WalkEngine::run`] is a compatibility shim over it. See
+//!   submit / poll / drain with backpressure) every executor exposes;
+//!   [`run_streamed`] runs a whole batch through one. See
 //!   [`walk::backend`].
+//! * [`ReferenceBackend`] — the software executor, on one or more worker
+//!   threads: it executes queries exactly per Algorithm II.1 of the paper
+//!   and defines the correct output distributions for every accelerator
+//!   model to match.
 //! * [`ppr_exact`] — power-iteration personalized PageRank used to validate
 //!   the PPR walk estimator end-to-end.
 //! * [`distribution`] — chi-square helpers for the statistical tests.
@@ -29,14 +30,15 @@
 //! # Example
 //!
 //! ```
-//! use grw_algo::{PreparedGraph, QuerySet, ReferenceEngine, WalkEngine, WalkSpec};
+//! use grw_algo::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 //! use grw_graph::CsrGraph;
 //!
 //! let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)], true);
 //! let spec = WalkSpec::urw(8);
 //! let prepared = PreparedGraph::new(g, &spec).unwrap();
 //! let queries = QuerySet::random(prepared.graph().vertex_count(), 10, 42);
-//! let paths = ReferenceEngine::new(7).run(&prepared, &spec, queries.queries());
+//! let mut backend = ReferenceBackend::new(&prepared, spec, 7);
+//! let paths = run_streamed(&mut backend, queries.queries());
 //! assert_eq!(paths.len(), 10);
 //! ```
 
@@ -48,7 +50,6 @@ pub mod sampler;
 mod spec;
 pub mod strategy;
 pub mod walk;
-pub mod walkstats;
 
 pub use prepared::{PreparedGraph, StepDecision, TerminationReason};
 pub use query::{QuerySet, WalkPath, WalkQuery};
@@ -58,6 +59,5 @@ pub use strategy::{
     SamplerConfig, SamplerMode, SamplerRuntime, SamplerStrategy, SamplingCounters, StrategyTable,
 };
 pub use walk::{
-    run_streamed, BackendClass, BackendTelemetry, BatchFnBackend, ParallelBackend, ParallelEngine,
-    ReferenceBackend, ReferenceEngine, WalkBackend, WalkEngine,
+    run_streamed, BackendClass, BackendTelemetry, BatchFnBackend, ReferenceBackend, WalkBackend,
 };

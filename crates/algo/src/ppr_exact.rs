@@ -85,7 +85,7 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PreparedGraph, QuerySet, ReferenceEngine, WalkEngine, WalkSpec};
+    use crate::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 
     fn cycle_with_chord() -> CsrGraph {
         CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)], false)
@@ -131,7 +131,7 @@ mod tests {
         };
         let p = PreparedGraph::new(g, &spec).unwrap();
         let qs = QuerySet::repeated(0, 30_000);
-        let paths = ReferenceEngine::new(123).run(&p, &spec, qs.queries());
+        let paths = run_streamed(&mut ReferenceBackend::new(&p, spec, 123), qs.queries());
         let mut counts = [0u64; 5];
         for w in &paths {
             counts[w.last() as usize] += 1;

@@ -6,13 +6,13 @@
 //! queries as they arrive (with backpressure via [`WalkBackend::submit`]'s
 //! accepted count and [`WalkBackend::capacity_hint`]), *poll* for whatever
 //! has completed, and *drain* when the stream ends. Batch execution —
-//! [`super::WalkEngine::run`] — is the degenerate case: submit everything,
-//! then drain; every engine's `run` is now a thin shim over its backend.
+//! [`run_streamed`] — is the degenerate case: submit everything, then
+//! drain.
 //!
 //! Backends bind an executor to a prepared graph and a walk spec. They are
-//! generic over how the graph is owned ([`Borrow`]): engines' `run` shims
-//! borrow the caller's graph (`&PreparedGraph`), while long-lived serving
-//! layers (the `grw_service` crate) share one graph across shards via
+//! generic over how the graph is owned ([`Borrow`]): bulk callers borrow
+//! their graph (`&PreparedGraph`), while long-lived serving layers (the
+//! `grw_service` crate) share one graph across shards via
 //! `Arc<PreparedGraph>`.
 
 use super::walk_batch;
@@ -99,7 +99,7 @@ pub struct BackendTelemetry {
 /// * Paths carry the ids of the queries that produced them; completion
 ///   order is unspecified. Determinism: for a fixed backend configuration,
 ///   the path returned for a query depends only on the backend seed and the
-///   query (software engines) or the submitted batch composition
+///   query (software backends) or the submitted batch composition
 ///   (cycle-level engines) — never on wall-clock timing.
 ///
 /// # Thread placement
@@ -225,8 +225,7 @@ impl<B: WalkBackend + ?Sized> WalkBackend for &mut B {
 }
 
 /// Streams `queries` through `backend` and returns one path per query, in
-/// query order — the bulk-synchronous convenience every
-/// [`super::WalkEngine::run`] shim is built on.
+/// query order — the bulk-synchronous way to run a backend.
 ///
 /// Respects backpressure: refused queries are retried after a poll, so a
 /// bounded backend still absorbs arbitrarily large batches.
@@ -284,10 +283,32 @@ fn reorder(paths: Vec<WalkPath>, queries: &[WalkQuery]) -> Vec<WalkPath> {
         .collect()
 }
 
-/// Streaming backend over the reference engine: queries queue up, and each
-/// poll walks the next [`ReferenceBackend::poll_chunk`] of them through the
-/// cohort kernel (walkers interleaved, CSR reads prefetched) and returns
-/// their paths in submission order.
+/// The software walk executor: queries queue up, and each poll walks the
+/// next [`ReferenceBackend::poll_chunk`] of them through the cohort kernel
+/// (walkers interleaved, CSR reads prefetched) and returns their paths in
+/// submission order.
+///
+/// With [`ReferenceBackend::threads`] above one, a poll splits its queries
+/// into one contiguous part per worker, walks part 0 on the calling thread
+/// and the rest on scoped threads. Every query draws from an RNG stream
+/// keyed by `(seed, id)`, so its path does not depend on the thread count,
+/// the chunking or which worker walks it.
+///
+/// # Example
+///
+/// ```
+/// use grw_algo::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
+/// use grw_graph::CsrGraph;
+///
+/// let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)], true);
+/// let spec = WalkSpec::urw(5);
+/// let p = PreparedGraph::new(g, &spec).unwrap();
+/// let qs = QuerySet::random(3, 8, 0);
+/// let one = run_streamed(&mut ReferenceBackend::new(&p, spec.clone(), 1), qs.queries());
+/// let two = run_streamed(&mut ReferenceBackend::new(&p, spec, 1).threads(2), qs.queries());
+/// assert!(one.iter().all(|w| w.steps() == 5));
+/// assert_eq!(one, two);
+/// ```
 #[derive(Debug, Clone)]
 pub struct ReferenceBackend<P> {
     prepared: P,
@@ -297,13 +318,16 @@ pub struct ReferenceBackend<P> {
     queue_cap: usize,
     poll_chunk: usize,
     steps: u64,
-    runtime: SamplerRuntime,
+    /// One sampler runtime per worker, worker 0 being the calling thread —
+    /// caches are per worker by design, so threads never contend on
+    /// sampler state.
+    runtimes: Vec<SamplerRuntime>,
 }
 
 impl<P: Borrow<PreparedGraph>> ReferenceBackend<P> {
-    /// Creates a backend bound to a prepared graph and spec.
+    /// Creates a one-worker backend bound to a prepared graph and spec.
     pub fn new(prepared: P, spec: WalkSpec, seed: u64) -> Self {
-        let runtime = prepared.borrow().runtime();
+        let runtimes = vec![prepared.borrow().runtime()];
         Self {
             prepared,
             spec,
@@ -312,8 +336,22 @@ impl<P: Borrow<PreparedGraph>> ReferenceBackend<P> {
             queue_cap: DEFAULT_QUEUE_CAPACITY,
             poll_chunk: 256,
             steps: 0,
-            runtime,
+            runtimes,
         }
+    }
+
+    /// Sets the worker count: the calling thread plus `threads - 1` scoped
+    /// threads per poll. Worker 0 keeps the runtime built by
+    /// [`ReferenceBackend::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn threads(mut self, threads: usize) -> Self {
+        assert!(threads > 0, "need at least one worker thread");
+        let prepared = self.prepared.borrow();
+        self.runtimes.resize_with(threads, || prepared.runtime());
+        self
     }
 
     /// Bounds the pending-query queue (backpressure point).
@@ -327,7 +365,7 @@ impl<P: Borrow<PreparedGraph>> ReferenceBackend<P> {
         self
     }
 
-    /// Sets how many queries one `poll` executes.
+    /// Sets how many queries one `poll` executes, across all workers.
     ///
     /// # Panics
     ///
@@ -338,16 +376,38 @@ impl<P: Borrow<PreparedGraph>> ReferenceBackend<P> {
         self
     }
 
+    /// Executes up to `limit` pending queries, `div_ceil(n, threads)` per
+    /// worker, and returns their paths in submission order.
     fn execute_some(&mut self, limit: usize) -> Vec<WalkPath> {
         let n = limit.min(self.pending.len());
+        if n == 0 {
+            return Vec::new();
+        }
         let batch = &self.pending.make_contiguous()[..n];
-        let out = walk_batch(
-            self.prepared.borrow(),
-            &mut self.runtime,
-            &self.spec,
-            self.seed,
-            batch,
-        );
+        let prepared = self.prepared.borrow();
+        let (spec, seed) = (&self.spec, self.seed);
+        let out = match &mut self.runtimes[..] {
+            // One worker: the kernel runs on the calling thread, no scope.
+            [rt] => walk_batch(prepared, rt, spec, seed, batch),
+            runtimes => {
+                let chunk = n.div_ceil(runtimes.len());
+                let mut parts = batch.chunks(chunk).zip(runtimes);
+                // The caller walks part 0 itself instead of idling in `join`.
+                let (first, first_rt) = parts.next().expect("a non-empty batch has a part");
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = parts
+                        .map(|(part, rt)| {
+                            scope.spawn(move || walk_batch(prepared, rt, spec, seed, part))
+                        })
+                        .collect();
+                    let mut out = walk_batch(prepared, first_rt, spec, seed, first);
+                    for h in handles {
+                        out.extend(h.join().expect("walk worker panicked"));
+                    }
+                    out
+                })
+            }
+        };
         self.pending.drain(..n);
         self.steps += out.iter().map(WalkPath::steps).sum::<u64>();
         out
@@ -379,142 +439,6 @@ impl<P: Borrow<PreparedGraph>> WalkBackend for ReferenceBackend<P> {
     }
 
     fn telemetry(&self) -> BackendTelemetry {
-        BackendTelemetry {
-            steps: self.steps,
-            sampling: self.runtime.counters(),
-            ..BackendTelemetry::default()
-        }
-    }
-
-    fn cost_hint(&self) -> f64 {
-        // The prepared graph's strategy table determines the per-step
-        // sampling cost; exactly 1.0 under the legacy kernels.
-        self.prepared.borrow().sampler_cost_factor()
-    }
-}
-
-/// Streaming backend over the multi-threaded engine: each poll splits its
-/// batch into one part per worker, walks part 0 on the calling thread and
-/// the rest on scoped threads, and returns the parts' paths in submission
-/// order. Because every query draws from an RNG
-/// stream keyed by `(seed, id)`, paths are bit-identical to
-/// [`ReferenceBackend`] (and to the legacy `WalkEngine::run`) regardless of
-/// thread count or chunking.
-#[derive(Debug, Clone)]
-pub struct ParallelBackend<P> {
-    prepared: P,
-    spec: WalkSpec,
-    seed: u64,
-    threads: usize,
-    pending: VecDeque<WalkQuery>,
-    queue_cap: usize,
-    /// Queries handed to each worker per poll.
-    chunk_per_thread: usize,
-    steps: u64,
-    /// One sampler runtime per worker thread — caches are per-worker by
-    /// design, so threads never contend on sampler state.
-    runtimes: Vec<SamplerRuntime>,
-}
-
-impl<P: Borrow<PreparedGraph>> ParallelBackend<P> {
-    /// Creates a backend with `threads` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(prepared: P, spec: WalkSpec, seed: u64, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        let runtimes = (0..threads).map(|_| prepared.borrow().runtime()).collect();
-        Self {
-            prepared,
-            spec,
-            seed,
-            threads,
-            pending: VecDeque::new(),
-            queue_cap: DEFAULT_QUEUE_CAPACITY,
-            chunk_per_thread: 64,
-            steps: 0,
-            runtimes,
-        }
-    }
-
-    /// Bounds the pending-query queue (backpressure point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "queue capacity must be positive");
-        self.queue_cap = cap;
-        self
-    }
-
-    /// Sets the per-thread chunk one `poll` dispatches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn chunk_per_thread(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be positive");
-        self.chunk_per_thread = chunk;
-        self
-    }
-
-    /// Executes up to `limit` pending queries across the worker threads.
-    fn execute_some(&mut self, limit: usize) -> Vec<WalkPath> {
-        let n = limit.min(self.pending.len());
-        if n == 0 {
-            return Vec::new();
-        }
-        let batch: Vec<WalkQuery> = self.pending.drain(..n).collect();
-        let prepared = self.prepared.borrow();
-        let spec = &self.spec;
-        let seed = self.seed;
-        let chunk = batch.len().div_ceil(self.threads);
-        let mut parts = batch.chunks(chunk).zip(self.runtimes.iter_mut());
-        // The caller walks part 0 itself instead of idling in `join`, so a
-        // one-thread backend never spawns.
-        let (first, first_rt) = parts.next().expect("a non-empty batch has a part");
-        let out = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .map(|(part, rt)| scope.spawn(move || walk_batch(prepared, rt, spec, seed, part)))
-                .collect();
-            let mut out = walk_batch(prepared, first_rt, spec, seed, first);
-            for h in handles {
-                out.extend(h.join().expect("walk worker panicked"));
-            }
-            out
-        });
-        self.steps += out.iter().map(WalkPath::steps).sum::<u64>();
-        out
-    }
-}
-
-impl<P: Borrow<PreparedGraph>> WalkBackend for ParallelBackend<P> {
-    fn submit(&mut self, queries: &[WalkQuery]) -> usize {
-        let room = self.queue_cap.saturating_sub(self.pending.len());
-        let n = room.min(queries.len());
-        self.pending.extend(queries[..n].iter().copied());
-        n
-    }
-
-    fn poll(&mut self) -> Vec<WalkPath> {
-        self.execute_some(self.threads * self.chunk_per_thread)
-    }
-
-    fn drain(&mut self) -> Vec<WalkPath> {
-        self.execute_some(usize::MAX)
-    }
-
-    fn capacity_hint(&self) -> usize {
-        self.queue_cap.saturating_sub(self.pending.len())
-    }
-
-    fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn telemetry(&self) -> BackendTelemetry {
         let mut sampling = SamplingCounters::default();
         for rt in &self.runtimes {
             sampling.merge(&rt.counters());
@@ -527,10 +451,10 @@ impl<P: Borrow<PreparedGraph>> WalkBackend for ParallelBackend<P> {
     }
 
     fn cost_hint(&self) -> f64 {
-        // N worker threads serve a micro-batch ~N× faster than the
-        // single-threaded reference executor, each paying the prepared
-        // graph's per-step sampling cost.
-        self.prepared.borrow().sampler_cost_factor() / self.threads as f64
+        // The prepared graph's strategy table sets the per-step sampling
+        // cost (exactly 1.0 under the legacy kernels); N workers serve a
+        // poll ~N× faster.
+        self.prepared.borrow().sampler_cost_factor() / self.runtimes.len() as f64
     }
 }
 
@@ -613,7 +537,8 @@ impl<F: FnMut(&[WalkQuery]) -> Vec<WalkPath>> WalkBackend for BatchFnBackend<F> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QuerySet, ReferenceEngine, WalkEngine};
+    use crate::walk::tests::run;
+    use crate::QuerySet;
     use grw_graph::generators::{Dataset, ScaleFactor};
 
     fn setup() -> (PreparedGraph, WalkSpec, QuerySet) {
@@ -631,44 +556,43 @@ mod tests {
     fn workspace_backends_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<ReferenceBackend<std::sync::Arc<PreparedGraph>>>();
-        assert_send::<ParallelBackend<std::sync::Arc<PreparedGraph>>>();
         assert_send::<Box<dyn WalkBackend + Send>>();
     }
 
     #[test]
-    fn reference_backend_matches_legacy_run() {
+    fn bounded_queue_matches_an_unbounded_run() {
         let (p, spec, qs) = setup();
-        let legacy = ReferenceEngine::new(5).run(&p, &spec, qs.queries());
+        let unbounded = run(&p, &spec, 5, qs.queries());
         let mut b = ReferenceBackend::new(&p, spec.clone(), 5).queue_capacity(64);
         let streamed = run_streamed(&mut b, qs.queries());
-        assert_eq!(legacy, streamed);
+        assert_eq!(unbounded, streamed);
         assert_eq!(b.in_flight(), 0);
         assert_eq!(
             b.telemetry().steps,
-            legacy.iter().map(WalkPath::steps).sum::<u64>()
+            unbounded.iter().map(WalkPath::steps).sum::<u64>()
         );
     }
 
     #[test]
     fn parallel_backend_is_bit_identical_across_chunkings() {
         let (p, spec, qs) = setup();
-        let legacy = ReferenceEngine::new(5).run(&p, &spec, qs.queries());
-        for (threads, chunk, cap) in [(1, 1, 7), (2, 64, 128), (4, 3, 4096), (7, 17, 33)] {
-            let mut b = ParallelBackend::new(&p, spec.clone(), 5, threads)
-                .chunk_per_thread(chunk)
+        let one = run(&p, &spec, 5, qs.queries());
+        for (threads, chunk, cap) in [(1, 1, 7), (2, 128, 128), (4, 12, 4096), (7, 119, 33)] {
+            let mut b = ReferenceBackend::new(&p, spec.clone(), 5)
+                .threads(threads)
+                .poll_chunk(chunk)
                 .queue_capacity(cap);
             let streamed = run_streamed(&mut b, qs.queries());
-            assert_eq!(
-                legacy, streamed,
-                "threads={threads} chunk={chunk} cap={cap}"
-            );
+            assert_eq!(one, streamed, "threads={threads} chunk={chunk} cap={cap}");
         }
     }
 
     #[test]
     fn incremental_submit_poll_interleaving_works() {
         let (p, spec, qs) = setup();
-        let mut b = ParallelBackend::new(&p, spec.clone(), 9, 2).queue_capacity(16);
+        let mut b = ReferenceBackend::new(&p, spec.clone(), 9)
+            .threads(2)
+            .queue_capacity(16);
         let mut got = Vec::new();
         let queries = qs.queries();
         let mut offset = 0;
@@ -687,10 +611,10 @@ mod tests {
         }
         got.extend(b.drain());
         assert_eq!(got.len(), queries.len());
-        let legacy = ReferenceEngine::new(9).run(&p, &spec, queries);
+        let expected = run(&p, &spec, 9, queries);
         let mut got_sorted = got;
         got_sorted.sort_by_key(|w| w.query);
-        assert_eq!(legacy, got_sorted);
+        assert_eq!(expected, got_sorted);
     }
 
     #[test]
@@ -709,39 +633,36 @@ mod tests {
     #[test]
     fn batch_fn_backend_adapts_a_closure() {
         let (p, spec, qs) = setup();
-        let mut engine = ReferenceEngine::new(3);
-        let mut b = BatchFnBackend::new(|queries: &[WalkQuery]| engine.run(&p, &spec, queries));
+        let mut b = BatchFnBackend::new(|queries: &[WalkQuery]| run(&p, &spec, 3, queries));
         let streamed = run_streamed(&mut b, qs.queries());
-        let legacy = ReferenceEngine::new(3).run(&p, &spec, qs.queries());
-        assert_eq!(streamed, legacy);
+        assert_eq!(streamed, run(&p, &spec, 3, qs.queries()));
     }
 
     #[test]
     fn arc_ownership_works_for_long_lived_backends() {
         let (p, spec, qs) = setup();
         let shared = std::sync::Arc::new(p);
-        let mut b = ParallelBackend::new(shared.clone(), spec.clone(), 5, 2);
+        let mut b = ReferenceBackend::new(shared.clone(), spec.clone(), 5).threads(2);
         let streamed = run_streamed(&mut b, qs.queries());
-        let legacy = ReferenceEngine::new(5).run(&shared, &spec, qs.queries());
-        assert_eq!(streamed, legacy);
+        assert_eq!(streamed, run(&shared, &spec, 5, qs.queries()));
     }
 
     #[test]
     fn boxed_and_borrowed_backends_delegate() {
         let (p, spec, qs) = setup();
-        let legacy = ReferenceEngine::new(5).run(&p, &spec, qs.queries());
+        let expected = run(&p, &spec, 5, qs.queries());
         // Runtime-selected shard kind: a trait object behind a Box.
         let mut boxed: Box<dyn WalkBackend> =
             Box::new(ReferenceBackend::new(&p, spec.clone(), 5).queue_capacity(64));
         let streamed = run_streamed(&mut boxed, qs.queries());
-        assert_eq!(legacy, streamed);
+        assert_eq!(expected, streamed);
         assert_eq!(boxed.in_flight(), 0);
         assert!(boxed.telemetry().steps > 0);
         assert!(boxed.telemetry().pipeline.is_none(), "software backend");
         // And a &mut to a concrete backend works the same way.
         let mut owned = ReferenceBackend::new(&p, spec.clone(), 5);
         let via_ref = run_streamed(&mut &mut owned, qs.queries());
-        assert_eq!(legacy, via_ref);
+        assert_eq!(expected, via_ref);
     }
 
     #[test]

@@ -1,50 +1,30 @@
-//! Software walk engines: the functional reference for every accelerator.
+//! The software walk executor: the functional reference for every
+//! accelerator.
 //!
 //! Execution is organised around the streaming [`WalkBackend`] trait
-//! (submit / poll / drain with backpressure); the batch [`WalkEngine`]
-//! interface survives as a compatibility shim implemented via
-//! [`run_streamed`] on each engine's backend. Both software backends run
-//! one kernel, the cohort-interleaved `walk_batch`: many walkers in
-//! flight, each one's next CSR read prefetched, paths returned in
-//! submission order and identical to executing the queries one at a time.
+//! (submit / poll / drain with backpressure); [`run_streamed`] runs a
+//! whole batch through any backend and returns its paths in query order.
+//! [`ReferenceBackend`] runs one kernel, the cohort-interleaved
+//! `walk_batch`, on one or more workers: many walkers in flight, each
+//! one's next CSR read prefetched, paths returned in submission order and
+//! identical to executing Algorithm II.1 of the paper one query at a time.
 
 pub mod backend;
-mod parallel;
-mod reference;
 
 pub use backend::{
-    run_streamed, BackendClass, BackendTelemetry, BatchFnBackend, ParallelBackend,
-    ReferenceBackend, WalkBackend,
+    run_streamed, BackendClass, BackendTelemetry, BatchFnBackend, ReferenceBackend, WalkBackend,
 };
-pub use parallel::ParallelEngine;
-pub use reference::ReferenceEngine;
 
 use crate::strategy::SamplerRuntime;
 use crate::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
 use grw_graph::VertexId;
-use grw_rng::Xoshiro256StarStar;
+use grw_rng::{SplitMix64, Xoshiro256StarStar};
 
-/// Anything that can execute a batch of walk queries.
-///
-/// Implementations must produce paths whose *distribution* matches
-/// Algorithm II.1 of the paper for the given spec; they are free to order
-/// execution however they like (the Markov property guarantees the result
-/// is exchangeable).
-///
-/// This is the legacy bulk interface: every implementation in this
-/// workspace is a thin shim that opens a streaming [`WalkBackend`], feeds
-/// it the whole batch via [`run_streamed`], and returns the reordered
-/// result. New code that wants incremental submission, interleaving or
-/// backpressure should use the backend directly.
-pub trait WalkEngine {
-    /// Executes all `queries` and returns one path per query, in query
-    /// order.
-    fn run(
-        &mut self,
-        prepared: &PreparedGraph,
-        spec: &WalkSpec,
-        queries: &[WalkQuery],
-    ) -> Vec<WalkPath>;
+/// The RNG stream query `query_id` draws from under backend seed `seed`.
+/// Keyed by `(seed, id)` alone, so a path does not depend on execution
+/// order, chunking or the worker that walks it.
+fn query_rng(seed: u64, query_id: u64) -> Xoshiro256StarStar {
+    Xoshiro256StarStar::new(SplitMix64::mix(seed ^ query_id.wrapping_mul(0x9E37)))
 }
 
 /// Walkers the cohort kernel keeps in flight: enough independent reads
@@ -54,7 +34,7 @@ pub trait WalkEngine {
 const COHORT_WIDTH: usize = 32;
 
 /// Executes `queries` to completion and returns one path per query, in
-/// query order — the inner loop of both software backends.
+/// query order — the inner loop of every [`ReferenceBackend`] worker.
 ///
 /// This is ThunderRW's step interleaving: up to [`COHORT_WIDTH`] walkers
 /// are in flight, and each pass over the cohort moves every walker one
@@ -67,13 +47,13 @@ const COHORT_WIDTH: usize = 32;
 /// row-pointer and column reads. A finished walker's place refills from
 /// the next query.
 ///
-/// Every walker draws from its own `(seed, id)` stream
-/// ([`ReferenceEngine::query_rng`]), so each path is exactly the one
-/// executing the queries one at a time would give. `rt` is the executing
-/// worker's sampler runtime: it never influences a path, only where
-/// second-order rows come from and what gets counted. When it holds an
-/// edge cache, whose hits and evictions depend on step order, the cohort
-/// is one walker wide and the queries run one at a time, in order.
+/// Every walker draws from its own `(seed, id)` stream ([`query_rng`]),
+/// so each path is exactly the one executing the queries one at a time
+/// would give. `rt` is the executing worker's sampler runtime: it never
+/// influences a path, only where second-order rows come from and what
+/// gets counted. When it holds an edge cache, whose hits and evictions
+/// depend on step order, the cohort is one walker wide and the queries
+/// run one at a time, in order.
 pub(crate) fn walk_batch(
     prepared: &PreparedGraph,
     rt: &mut SamplerRuntime,
@@ -161,7 +141,7 @@ impl Walker {
             prev: None,
             hop: 0,
             pending: None,
-            rng: ReferenceEngine::query_rng(seed, query.id),
+            rng: query_rng(seed, query.id),
             vertices,
         }
     }
@@ -193,9 +173,7 @@ fn prefetch<T>(r: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        Node2VecMethod, ParallelBackend, ReferenceBackend, SamplerConfig, StepDecision, WalkBackend,
-    };
+    use crate::{Node2VecMethod, QuerySet, SamplerConfig, StepDecision};
     use grw_graph::generators::{Dataset, ScaleFactor};
     use grw_graph::{weights, CsrGraph};
     use grw_rng::{RandomSource, SplitMix64};
@@ -214,7 +192,7 @@ mod tests {
         queries
             .iter()
             .map(|q| {
-                let mut rng = ReferenceEngine::query_rng(SEED, q.id);
+                let mut rng = query_rng(SEED, q.id);
                 let mut vertices = vec![q.start];
                 let (mut cur, mut prev, mut hop) = (q.start, None, 0);
                 while let StepDecision::Advance { next, .. } =
@@ -283,10 +261,10 @@ mod tests {
             .collect()
     }
 
-    /// Both software backends emit exactly the oracle's paths, in
-    /// submission order, and count exactly the oracle's sampling work —
-    /// edge-cache hits and evictions included — for every spec, sampler
-    /// mode, walk length and chunking.
+    /// The backend emits exactly the oracle's paths, in submission order,
+    /// and counts exactly the oracle's sampling work — edge-cache hits and
+    /// evictions included — for every spec, sampler mode, walk length,
+    /// chunking and worker count.
     #[test]
     fn backends_match_the_sequential_oracle_path_for_path_and_count_for_count() {
         let mut cache = SamplingCounters::default();
@@ -317,8 +295,9 @@ mod tests {
                             assert_eq!(t.steps, steps, "{case} chunk={chunk}");
                         }
 
-                        // A poll hands threads * chunk queries to the
-                        // workers, `div_ceil(n, threads)` each, in order.
+                        // A poll splits its threads * per_thread queries
+                        // across the workers, `div_ceil(n, threads)` each,
+                        // in order.
                         let per_thread = 7;
                         for threads in [1, 2, 3] {
                             let mut rts: Vec<SamplerRuntime> =
@@ -334,8 +313,9 @@ mod tests {
                             for rt in &rts {
                                 expected_counters.merge(&rt.counters());
                             }
-                            let mut b = ParallelBackend::new(&p, spec.clone(), SEED, threads)
-                                .chunk_per_thread(per_thread);
+                            let mut b = ReferenceBackend::new(&p, spec.clone(), SEED)
+                                .threads(threads)
+                                .poll_chunk(threads * per_thread);
                             assert_eq!(stream(&mut b, &qs), expected, "{case} threads={threads}");
                             assert_eq!(
                                 b.telemetry().sampling,
@@ -351,5 +331,148 @@ mod tests {
             cache.cache_hits > 0 && cache.cache_evictions > 0,
             "the edge cache must both hit and evict somewhere: {cache:?}"
         );
+    }
+
+    /// Every path of a one-worker backend with default bounds.
+    pub(super) fn run(
+        p: &PreparedGraph,
+        spec: &WalkSpec,
+        seed: u64,
+        queries: &[WalkQuery],
+    ) -> Vec<WalkPath> {
+        run_streamed(&mut ReferenceBackend::new(p, spec.clone(), seed), queries)
+    }
+
+    fn ring(n: usize) -> CsrGraph {
+        let edges: Vec<(u32, u32)> = (0..n as u32).map(|v| (v, (v + 1) % n as u32)).collect();
+        CsrGraph::from_edges(n, &edges, true)
+    }
+
+    #[test]
+    fn urw_walks_have_exact_length_on_dead_end_free_graphs() {
+        let spec = WalkSpec::urw(7);
+        let p = PreparedGraph::new(ring(5), &spec).unwrap();
+        let qs = QuerySet::random(5, 20, 3);
+        let paths = run(&p, &spec, 0, qs.queries());
+        assert!(paths.iter().all(|w| w.steps() == 7));
+    }
+
+    #[test]
+    fn paths_only_use_real_edges() {
+        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::urw(20);
+        let qs = QuerySet::random(g.vertex_count(), 50, 7);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        for w in &run(&p, &spec, 1, qs.queries()) {
+            for pair in w.vertices.windows(2) {
+                assert!(
+                    p.graph().has_edge(pair[0], pair[1]),
+                    "bogus edge {} -> {}",
+                    pair[0],
+                    pair[1]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backend_is_deterministic() {
+        let g = Dataset::CitPatents.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::ppr(30);
+        let qs = QuerySet::random(g.vertex_count(), 30, 9);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let a = run(&p, &spec, 5, qs.queries());
+        assert_eq!(a, run(&p, &spec, 5, qs.queries()));
+        assert_ne!(a, run(&p, &spec, 6, qs.queries()));
+    }
+
+    #[test]
+    fn multi_worker_runs_match_one_worker_exactly() {
+        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::urw(12);
+        let qs = QuerySet::random(g.vertex_count(), 64, 5);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let one = run(&p, &spec, 77, qs.queries());
+        for threads in [1, 2, 4, 7] {
+            let mut b = ReferenceBackend::new(&p, spec.clone(), 77).threads(threads);
+            assert_eq!(
+                one,
+                run_streamed(&mut b, qs.queries()),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn ppr_lengths_are_geometric() {
+        let spec = WalkSpec::Ppr {
+            alpha: 0.2,
+            max_len: 10_000,
+        };
+        let p = PreparedGraph::new(ring(8), &spec).unwrap();
+        let qs = QuerySet::random(8, 4_000, 11);
+        let paths = run(&p, &spec, 2, qs.queries());
+        let mean: f64 = paths.iter().map(|w| w.steps() as f64).sum::<f64>() / paths.len() as f64;
+        // E[steps] = (1-α)/α = 4 for termination *before* each hop.
+        assert!((mean - 4.0).abs() < 0.25, "mean PPR length {mean}");
+    }
+
+    #[test]
+    fn deadend_truncates_walks() {
+        // 0 -> 1 -> 2 (dead end).
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)], true);
+        let spec = WalkSpec::urw(50);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let qs = QuerySet::repeated(0, 5);
+        for w in &run(&p, &spec, 3, qs.queries()) {
+            assert_eq!(w.vertices, vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn every_spec_runs_end_to_end() {
+        let g = Dataset::AsSkitter.generate_typed(ScaleFactor::Tiny, 3);
+        for spec in specs(10) {
+            let p = PreparedGraph::new(g.clone(), &spec).unwrap();
+            let qs = QuerySet::random(g.vertex_count(), 20, 1);
+            let paths = run(&p, &spec, 0, qs.queries());
+            assert_eq!(paths.len(), 20, "{spec}");
+            assert!(
+                paths.iter().all(|w| w.steps() <= 10),
+                "{spec}: length bound"
+            );
+        }
+    }
+
+    #[test]
+    fn node2vec_paths_respect_second_order_validity() {
+        let g = Dataset::LiveJournal.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::node2vec(15, Node2VecMethod::Rejection);
+        let qs = QuerySet::random(g.vertex_count(), 25, 2);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        for w in &run(&p, &spec, 4, qs.queries()) {
+            for pair in w.vertices.windows(2) {
+                assert!(p.graph().has_edge(pair[0], pair[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_query_set_is_fine() {
+        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::urw(4);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let mut b = ReferenceBackend::new(&p, spec, 0).threads(4);
+        assert!(run_streamed(&mut b, &[]).is_empty());
+        assert!(b.poll().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_threads_panics() {
+        let g = CsrGraph::from_edges(2, &[(0, 1), (1, 0)], true);
+        let spec = WalkSpec::urw(4);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let _ = ReferenceBackend::new(&p, spec, 0).threads(0);
     }
 }

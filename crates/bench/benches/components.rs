@@ -3,12 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grw_algo::{
-    sampler, PreparedGraph, QuerySet, ReferenceBackend, ReferenceEngine, WalkBackend, WalkEngine,
-    WalkPath, WalkQuery, WalkSpec,
+    run_streamed, sampler, PreparedGraph, QuerySet, ReferenceBackend, WalkBackend, WalkPath,
+    WalkQuery, WalkSpec,
 };
 use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
 use grw_graph::AliasTables;
-use grw_rng::{Philox4x32, RandomSource, SplitMix64, ThunderRing};
+use grw_rng::{Philox4x32, RandomSource, SplitMix64};
 use grw_route::{Router, StaticHashPolicy};
 use grw_service::{Driver, DynWalkBackend, ServiceConfig, TenantId};
 use grw_sim::{Fifo, MemoryChannel, MemoryChannelSpec};
@@ -29,14 +29,6 @@ fn bench_rng(c: &mut Criterion) {
         b.iter(|| {
             q += 1;
             Philox4x32::keyed(q, 3).next_u64()
-        })
-    });
-    group.bench_function("thunderring_16_streams", |b| {
-        let mut ring = ThunderRing::new(7, 16);
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % 16;
-            ring.draw(i)
         })
     });
     group.finish();
@@ -120,7 +112,13 @@ fn bench_engines(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
     group.bench_function("reference_engine_256q", |b| {
-        b.iter(|| ReferenceEngine::new(1).run(&p, &spec, qs.queries()).len())
+        b.iter(|| {
+            run_streamed(
+                &mut ReferenceBackend::new(&p, spec.clone(), 1),
+                qs.queries(),
+            )
+            .len()
+        })
     });
     group.bench_function("accelerator_sim_256q_n4", |b| {
         let acc = Accelerator::new(AcceleratorConfig::new().pipelines(4));

@@ -29,7 +29,7 @@
 //! arms share a runner, so hardware largely cancels out).
 
 use grw_algo::{
-    run_streamed, Node2VecMethod, PreparedGraph, QuerySet, ReferenceEngine, SamplerConfig,
+    run_streamed, Node2VecMethod, PreparedGraph, QuerySet, ReferenceBackend, SamplerConfig,
     SamplingCounters, WalkBackend, WalkPath, WalkSpec,
 };
 use grw_graph::generators::RmatConfig;
@@ -446,8 +446,7 @@ fn run_arm(
     queries: &QuerySet,
 ) -> (Vec<WalkPath>, SamplingCounters, u64) {
     let spec = wl.spec(cfg.walk_len);
-    let mut backend = ReferenceEngine::new(cfg.seed ^ 0xE2)
-        .backend(prepared, &spec)
+    let mut backend = ReferenceBackend::new(prepared, spec, cfg.seed ^ 0xE2)
         .queue_capacity(queries.len().max(1))
         .poll_chunk(queries.len().max(1));
     let paths = run_streamed(&mut backend, queries.queries());
@@ -479,8 +478,7 @@ fn time_arms(
 ) -> (f64, f64) {
     let spec = wl.spec(cfg.walk_len);
     let mut backends = [legacy, adaptive].map(|prepared| {
-        ReferenceEngine::new(cfg.seed ^ 0xE2)
-            .backend(prepared, &spec)
+        ReferenceBackend::new(prepared, spec.clone(), cfg.seed ^ 0xE2)
             .queue_capacity(queries.len().max(1))
             .poll_chunk(queries.len().max(1))
     });

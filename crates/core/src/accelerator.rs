@@ -648,34 +648,6 @@ impl Machine {
 
     fn step_cycle(&mut self, prepared: &PreparedGraph) {
         let cycle = self.cycle;
-        if cycle.is_multiple_of(65_536) && cycle > 0 && std::env::var_os("RIDGE_TRACE").is_some() {
-            let ra_fifo: usize = self.pipes.iter().map(|p| p.ra_fifo.len()).sum();
-            let ra_out: usize = self.pipes.iter().map(|p| p.ra_out.len()).sum();
-            let ra_inflight: usize = self.pipes.iter().map(|p| p.ra_engine.in_flight()).sum();
-            let sp_fifo: usize = self.pipes.iter().map(|p| p.sp_fifo.len()).sum();
-            let ca_ready: usize = self.pipes.iter().map(|p| p.ca_ready.len()).sum();
-            let ca_inflight: usize = self.pipes.iter().map(|p| p.ca_engine.in_flight()).sum();
-            eprintln!(
-                "cycle {cycle}: inflight {} | sched_pipe {} recirc {} ra_router {} ra_fifo {ra_fifo} ra_eng {ra_inflight} ra_out {ra_out} cl_router {} sp_fifo {sp_fifo} ca_ready {ca_ready} ca_eng {ca_inflight}",
-                self.inflight,
-                self.sched_pipe.len(),
-                self.recirc.len(),
-                self.ra_router.in_flight(),
-                self.cl_router.in_flight(),
-            );
-            let per: Vec<(usize, usize, u64)> = self
-                .pipes
-                .iter()
-                .map(|p| {
-                    (
-                        p.ca_ready.len(),
-                        p.ca_engine.in_flight(),
-                        p.ca_engine.issued(),
-                    )
-                })
-                .collect();
-            eprintln!("  per-pipe ca (ready, inflight, issued): {per:?}");
-        }
         // 1. Memory channels advance.
         for p in &mut self.pipes {
             p.ra_engine.begin_cycle(cycle);
@@ -952,7 +924,7 @@ fn div8(words: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_algo::{Node2VecMethod, QuerySet, ReferenceEngine, WalkEngine};
+    use grw_algo::{run_streamed, Node2VecMethod, QuerySet, ReferenceBackend};
     use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
     use grw_graph::CsrGraph;
     use grw_sim::FpgaPlatform;
@@ -1056,7 +1028,7 @@ mod tests {
     #[test]
     fn distribution_matches_reference_engine() {
         // Chi-square the accelerator's next-hop choices out of a hub vertex
-        // against the reference engine's.
+        // against the reference backend's.
         let g = CsrGraph::from_edges(
             6,
             &[
@@ -1085,8 +1057,11 @@ mod tests {
             grw_algo::distribution::fits(&bins, &probs),
             "accelerator hub distribution skewed: {bins:?}"
         );
-        // Sanity: the reference engine passes the same test.
-        let ref_paths = ReferenceEngine::new(9).run(&p, &spec, qs.queries());
+        // Sanity: the reference backend passes the same test.
+        let ref_paths = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), 9),
+            qs.queries(),
+        );
         let counts_ref = grw_algo::distribution::next_hop_counts(&ref_paths, 0);
         let bins_ref =
             grw_algo::distribution::counts_for_neighbors(&counts_ref, p.graph().neighbors(0));

@@ -17,7 +17,11 @@
 //!   [`scheduler::Dispatcher`] (Algorithm VI.1) and [`scheduler::Merger`]
 //!   (Algorithm VI.2), composed into the N-to-N butterfly
 //!   [`scheduler::ButterflyBalancer`] of Fig. 7b, with FIFO depths
-//!   `1 + 4·log2(N)` from Theorem VI.1.
+//!   `1 + 4·log2(N)` from Theorem VI.1. The [`Accelerator`] does not run
+//!   these three models: it models the scheduler as a `2·log2(N)`-cycle
+//!   delay line between the merge stage and the Row-Access router. The
+//!   models run only in their own tests and one microbenchmark
+//!   (`hw_primitives/butterfly_balancer_16_cycle`).
 //! * **Data-aware task routing** ([`TaskRouter`]): a butterfly interconnect
 //!   delivering each task to the memory channel owning its vertex.
 //! * **The accelerator** ([`Accelerator`]): N asynchronous pipelines

@@ -16,11 +16,9 @@
 //! Theorem VI.1 via [`grw_queueing::ridgewalker_fifo_depth`].
 
 mod balancer;
-mod centralized;
 mod dispatcher;
 mod merger;
 
 pub use balancer::ButterflyBalancer;
-pub use centralized::CentralizedScheduler;
 pub use dispatcher::Dispatcher;
 pub use merger::Merger;

@@ -99,7 +99,7 @@ pub fn compare_transition_distributions(
 mod tests {
     use super::*;
     use crate::{Accelerator, AcceleratorConfig};
-    use grw_algo::{PreparedGraph, QuerySet, ReferenceEngine, WalkEngine, WalkSpec};
+    use grw_algo::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
     use grw_graph::generators::RmatConfig;
 
     #[test]
@@ -108,7 +108,10 @@ mod tests {
         let spec = WalkSpec::urw(30);
         let p = PreparedGraph::new(g.clone(), &spec).unwrap();
         let qs = QuerySet::random(g.vertex_count(), 3_000, 1);
-        let reference = ReferenceEngine::new(4).run(&p, &spec, qs.queries());
+        let reference = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), 4),
+            qs.queries(),
+        );
         let accel =
             Accelerator::new(AcceleratorConfig::new().pipelines(4)).run(&p, &spec, qs.queries());
         let report = compare_transition_distributions(&g, &reference, &accel.paths, 200);
@@ -127,7 +130,10 @@ mod tests {
         let spec = WalkSpec::urw(30);
         let p = PreparedGraph::new(g.clone(), &spec).unwrap();
         let qs = QuerySet::random(g.vertex_count(), 2_000, 1);
-        let reference = ReferenceEngine::new(4).run(&p, &spec, qs.queries());
+        let reference = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), 4),
+            qs.queries(),
+        );
         // A deliberately wrong engine: always takes the first neighbor.
         let biased: Vec<WalkPath> = qs
             .queries()

@@ -1,46 +1,48 @@
-//! ThundeRiNG-style pseudo-random number generation for graph random walks.
+//! Pseudo-random number generation for graph random walks.
 //!
-//! RidgeWalker pairs every sampling module with a ThundeRiNG instance — an
-//! FPGA-optimised generator that produces *many statistically independent
-//! streams* from a single cheap state-transition core. This crate reproduces
-//! that contract in software:
+//! A walk draws one random number per hop, and RidgeWalker executes every
+//! hop as a stateless task that may run on any pipeline, in any order. The
+//! generators here keep a walk's draws independent of where and when its
+//! hops execute:
 //!
-//! * [`SplitMix64`] — seeding and general-purpose scalar generation.
-//! * [`XorShift64Star`] and [`Xoshiro256StarStar`] — classic shift-register
-//!   generators used as output decorrelators.
-//! * [`Lcg64`] — a 64-bit multiplicative-congruential core with O(log n)
-//!   jump-ahead, the state-transition kernel of ThundeRiNG.
 //! * [`Philox4x32`] — a counter-based generator: stateless per-task random
-//!   numbers keyed by `(query, step)`, matching RidgeWalker's stateless task
-//!   decomposition.
-//! * [`ThunderRing`] — the multi-stream generator: one shared LCG update per
-//!   cycle fans out to `S` decorrelated streams.
+//!   numbers keyed by `(query, step)`. The cycle-level machine draws every
+//!   hop from it, matching RidgeWalker's stateless task decomposition.
+//! * [`Xoshiro256StarStar`] — a high-quality scalar generator. The software
+//!   walk executor gives every query its own stream, keyed by
+//!   `(seed, query id)`.
+//! * [`SplitMix64`] — seeding, key mixing and general-purpose scalar
+//!   generation (graph generators, arrival processes, test fixtures).
 //! * [`dist`] — uniform/exponential/geometric/Poisson/Zipf samplers built on
 //!   top of any [`RandomSource`].
 //!
 //! # Example
 //!
 //! ```
-//! use grw_rng::{RandomSource, ThunderRing};
+//! use grw_rng::{Philox4x32, RandomSource, Xoshiro256StarStar};
 //!
-//! let mut ring = ThunderRing::new(0xC0FFEE, 4);
-//! let a: Vec<u64> = (0..3).map(|_| ring.stream_mut(0).next_u64()).collect();
-//! let b: Vec<u64> = (0..3).map(|_| ring.stream_mut(1).next_u64()).collect();
-//! assert_ne!(a, b, "streams are decorrelated");
+//! // A task's draw depends only on its key, not on who computes it.
+//! assert_eq!(Philox4x32::keyed(7, 3).next_u64(), Philox4x32::keyed(7, 3).next_u64());
+//! // Distinct seeds give distinct streams.
+//! let a: Vec<u64> = {
+//!     let mut g = Xoshiro256StarStar::new(1);
+//!     (0..3).map(|_| g.next_u64()).collect()
+//! };
+//! let b: Vec<u64> = {
+//!     let mut g = Xoshiro256StarStar::new(2);
+//!     (0..3).map(|_| g.next_u64()).collect()
+//! };
+//! assert_ne!(a, b);
 //! ```
 
 pub mod dist;
-mod lcg;
 mod philox;
 mod splitmix;
-mod thundering;
 mod xorshift;
 
-pub use lcg::Lcg64;
 pub use philox::Philox4x32;
 pub use splitmix::SplitMix64;
-pub use thundering::{correlation, StreamRng, ThunderRing};
-pub use xorshift::{XorShift64Star, Xoshiro256StarStar};
+pub use xorshift::Xoshiro256StarStar;
 
 /// A deterministic source of uniformly distributed 64-bit values.
 ///
@@ -124,7 +126,7 @@ mod tests {
 
     #[test]
     fn next_below_respects_bound() {
-        let mut g = XorShift64Star::new(7);
+        let mut g = Xoshiro256StarStar::new(7);
         for bound in [1u64, 2, 3, 10, 1000, u64::MAX / 2] {
             for _ in 0..200 {
                 assert!(g.next_below(bound) < bound);

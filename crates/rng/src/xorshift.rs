@@ -1,59 +1,13 @@
-//! Shift-register generators: cheap per-cycle decorrelators.
-//!
-//! On the FPGA these cost a handful of LUTs per stream, which is why
-//! ThundeRiNG uses xorshift permutations to decouple many outputs from a
-//! single shared state core.
+//! xoshiro256**: the per-query stream of the software walk executor.
 
 use crate::{RandomSource, SplitMix64};
-
-/// Marsaglia's xorshift64* generator.
-///
-/// A 64-bit xorshift register with a multiplicative output scrambler.
-/// Period 2^64 - 1; the all-zero state is forbidden and remapped at
-/// construction.
-///
-/// # Example
-///
-/// ```
-/// use grw_rng::{RandomSource, XorShift64Star};
-///
-/// let mut g = XorShift64Star::new(42);
-/// assert_ne!(g.next_u64(), g.next_u64());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct XorShift64Star {
-    state: u64,
-}
-
-impl XorShift64Star {
-    /// Creates a generator; a zero seed is remapped to a fixed non-zero state.
-    pub fn new(seed: u64) -> Self {
-        let mixed = SplitMix64::mix(seed);
-        Self {
-            state: if mixed == 0 { 0x9E37_79B9 } else { mixed },
-        }
-    }
-
-    /// Applies one raw xorshift step (13/7/17 triple) to `x`.
-    pub fn step(mut x: u64) -> u64 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    }
-}
-
-impl RandomSource for XorShift64Star {
-    fn next_u64(&mut self) -> u64 {
-        self.state = Self::step(self.state);
-        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
 
 /// xoshiro256** (Blackman & Vigna): the general-purpose workhorse.
 ///
 /// 256 bits of state, period 2^256 - 1, excellent statistical quality.
-/// Used where the walk engines need a high-quality scalar generator.
+/// The software walk executor gives every query its own generator, keyed
+/// by `(seed, query id)`, so a path does not depend on which worker walks
+/// it or in what order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
@@ -66,29 +20,6 @@ impl Xoshiro256StarStar {
         Self {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
-    }
-
-    /// The `jump()` function: advances the stream by 2^128 steps, giving
-    /// non-overlapping substreams for parallel use.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
     }
 }
 
@@ -111,41 +42,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn xorshift_zero_seed_is_usable() {
-        let mut g = XorShift64Star::new(0);
-        let x = g.next_u64();
-        assert_ne!(x, 0);
-        assert_ne!(x, g.next_u64());
-    }
-
-    #[test]
-    fn xorshift_step_never_maps_nonzero_to_zero() {
-        // xorshift is a bijection on nonzero states.
-        for seed in 1..2000u64 {
-            assert_ne!(XorShift64Star::step(seed), 0);
-        }
-    }
-
-    #[test]
     fn xoshiro_is_deterministic() {
         let mut a = Xoshiro256StarStar::new(99);
         let mut b = Xoshiro256StarStar::new(99);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn xoshiro_jump_decorrelates() {
-        let mut a = Xoshiro256StarStar::new(1);
-        let mut b = Xoshiro256StarStar::new(1);
-        b.jump();
-        let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
-        // No element-wise collisions expected in 64 draws.
-        let collisions = xs.iter().zip(&ys).filter(|(x, y)| x == y).count();
-        assert_eq!(collisions, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! # Example
 //!
 //! ```
-//! use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
+//! use grw_algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 //! use grw_graph::CsrGraph;
 //! use grw_route::{AdaptivePolicy, Router};
 //! use grw_service::{Driver, DynWalkBackend, ServiceConfig, TenantId};
@@ -61,7 +61,7 @@
 //! let spec = WalkSpec::urw(6);
 //! let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
 //! let driver = Driver::new(ServiceConfig::new(2), |_| -> DynWalkBackend {
-//!     Box::new(ParallelBackend::new(prepared.clone(), spec.clone(), 0xFEED, 2))
+//!     Box::new(ReferenceBackend::new(prepared.clone(), spec.clone(), 0xFEED).threads(2))
 //! });
 //! let mut router = Router::new(driver, AdaptivePolicy::default());
 //! let queries = QuerySet::random(8, 100, 1);
@@ -716,7 +716,7 @@ impl<P: RoutePolicy> Router<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
+    use grw_algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
     use grw_graph::generators::{Dataset, ScaleFactor};
     use grw_service::ServiceConfig;
     use std::sync::Arc;
@@ -726,12 +726,8 @@ mod tests {
         let spec = WalkSpec::urw(8);
         let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
         Driver::new(ServiceConfig::new(shards).max_batch(32), move |_| {
-            Box::new(ParallelBackend::new(
-                prepared.clone(),
-                spec.clone(),
-                seed,
-                2,
-            )) as DynWalkBackend
+            Box::new(ReferenceBackend::new(prepared.clone(), spec.clone(), seed).threads(2))
+                as DynWalkBackend
         })
     }
 
@@ -813,12 +809,8 @@ mod tests {
         let spec = WalkSpec::urw(8);
         let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
         move |_| {
-            Box::new(ParallelBackend::new(
-                prepared.clone(),
-                spec.clone(),
-                seed,
-                2,
-            )) as DynWalkBackend
+            Box::new(ReferenceBackend::new(prepared.clone(), spec.clone(), seed).threads(2))
+                as DynWalkBackend
         }
     }
 
@@ -828,7 +820,7 @@ mod tests {
     /// this wrapper restores a finite service rate so queueing pressure
     /// (and therefore SLO-driven scaling) is observable in-process.
     struct TrickleBackend {
-        inner: ParallelBackend<Arc<PreparedGraph>>,
+        inner: ReferenceBackend<Arc<PreparedGraph>>,
         pending: std::collections::VecDeque<grw_algo::WalkQuery>,
         rate: usize,
     }
@@ -870,7 +862,7 @@ mod tests {
         let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
         move |_| {
             Box::new(TrickleBackend {
-                inner: ParallelBackend::new(prepared.clone(), spec.clone(), seed, 2),
+                inner: ReferenceBackend::new(prepared.clone(), spec.clone(), seed).threads(2),
                 pending: Default::default(),
                 rate,
             }) as DynWalkBackend

@@ -17,18 +17,20 @@
 //! story is exactly the `DynWalkBackend` bound (`Box<dyn WalkBackend +
 //! Send>`): accelerator shards each own their whole cycle-level machine
 //! (per-shard `Accelerator::new`, nothing shared), CPU shards own their
-//! `ParallelBackend` worker pool, and the one piece of genuinely shared
-//! state — the prepared graph — travels as `Arc<PreparedGraph>`
-//! (immutable after build, `Sync`). Sinks never cross threads: the
-//! coordinator delivers every walk on the caller's thread, so a sink only
-//! needs `Send` to live inside the [`Driver`] itself. CPU shards
-//! deliberately share the *seed value* `cpu_seed` (plain `u64` copies, no
-//! RNG state aliasing): software backends key randomness by `(seed, query
-//! id)`, which is what makes a query's path independent of which CPU
-//! shard — and therefore which thread — serves it.
+//! `ReferenceBackend` and its per-worker sampler runtimes (a multi-worker
+//! poll lends them to scoped threads that end with the poll), and the one
+//! piece of genuinely shared state — the prepared graph — travels as
+//! `Arc<PreparedGraph>` (immutable after build, `Sync`). Sinks never
+//! cross threads: the coordinator delivers every walk on the caller's
+//! thread, so a sink only needs `Send` to live inside the [`Driver`]
+//! itself. CPU shards deliberately share the *seed value* `cpu_seed`
+//! (plain `u64` copies, no RNG state aliasing): software backends key
+//! randomness by `(seed, query id)`, which is what makes a query's path
+//! independent of which CPU shard — and therefore which thread — serves
+//! it.
 
 use crate::{Driver, ServiceConfig};
-use grw_algo::{ParallelBackend, PreparedGraph, WalkBackend, WalkSpec};
+use grw_algo::{PreparedGraph, ReferenceBackend, WalkBackend, WalkSpec};
 use ridgewalker::Accelerator;
 use std::sync::Arc;
 
@@ -75,11 +77,12 @@ pub fn fleet_shard_seed(base_seed: u64, shard: usize) -> u64 {
 pub enum ShardSpec {
     /// A cycle-level accelerator shard in the given execution mode.
     Accel(AccelShardMode),
-    /// A software shard on `threads` worker threads. `poll_chunk` bounds
-    /// the queries each worker executes per service tick, which sets the
-    /// shard's tick-time service rate (`threads × poll_chunk` per tick) —
-    /// the knob that makes CPU shards meaningfully slower (or faster)
-    /// than accelerator shards in simulated time.
+    /// A software shard: a [`ReferenceBackend`] on `threads` workers.
+    /// `poll_chunk` bounds the queries each worker executes per service
+    /// tick, which sets the shard's tick-time service rate (`threads ×
+    /// poll_chunk` per tick) — the knob that makes CPU shards
+    /// meaningfully slower (or faster) than accelerator shards in
+    /// simulated time.
     Cpu {
         /// Worker threads.
         threads: usize,
@@ -92,7 +95,7 @@ pub enum ShardSpec {
 /// [`ServiceConfig::driver`] selects: shard `i` is whatever `plan[i]`
 /// says — accelerator shards (batch or incremental mode, seeds
 /// decorrelated by shard index exactly like [`accelerator_driver`]) mixed
-/// with CPU [`ParallelBackend`] shards. Shard composition, seeds and walk
+/// with CPU [`ReferenceBackend`] shards. Shard composition, seeds and walk
 /// output are identical under both executors (see the
 /// [thread-safety audit](self#thread-safety-audit-threads-executor)).
 ///
@@ -183,8 +186,9 @@ fn shard_backend_from(
             threads,
             poll_chunk,
         } => Box::new(
-            ParallelBackend::new(prepared, spec.clone(), cpu_seed, threads)
-                .chunk_per_thread(poll_chunk),
+            ReferenceBackend::new(prepared, spec.clone(), cpu_seed)
+                .threads(threads)
+                .poll_chunk(threads * poll_chunk),
         ) as DynWalkBackend,
     }
 }
@@ -348,5 +352,31 @@ mod tests {
         let b = run();
         assert_eq!(a.len(), 300);
         assert_eq!(a, b);
+    }
+
+    /// A CPU shard polls `threads × poll_chunk` queries per poll, in
+    /// submission order, whatever the split: this rate is the CPU shards'
+    /// tick service rate in a mixed fleet.
+    #[test]
+    fn cpu_shard_polls_threads_times_chunk_in_submission_order() {
+        let (prepared, spec) = setup();
+        let accel = Accelerator::new(AcceleratorConfig::new());
+        let qs = QuerySet::random(prepared.graph().vertex_count(), 18, 3);
+        let polls = |threads, poll_chunk| {
+            let cpu = ShardSpec::Cpu {
+                threads,
+                poll_chunk,
+            };
+            let mut b = shard_backend(&accel, prepared.clone(), &spec, cpu, 0, 11);
+            assert_eq!(b.submit(qs.queries()), 18);
+            (0..3).map(|_| b.poll()).collect::<Vec<_>>()
+        };
+        let split = polls(2, 3);
+        for (poll, ids) in split.iter().zip(qs.queries().chunks(6)) {
+            let got: Vec<u64> = poll.iter().map(|w| w.query).collect();
+            let want: Vec<u64> = ids.iter().map(|q| q.id).collect();
+            assert_eq!(got, want);
+        }
+        assert_eq!(split, polls(1, 6));
     }
 }

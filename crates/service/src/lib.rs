@@ -8,7 +8,7 @@
 //! * **Sharding** — N backend shards, each bound to the shared graph
 //!   (`Arc<PreparedGraph>` fits the backend's `Borrow` bound), with
 //!   queries partitioned by a hash of their start vertex. Any backend
-//!   works: software engines ([`grw_algo::ParallelBackend`]), the
+//!   works: the software executor ([`grw_algo::ReferenceBackend`]), the
 //!   cycle-level accelerator (`ridgewalker::AcceleratorBackend`), or a
 //!   mix via trait objects.
 //! * **Micro-batching** — a coalescing front-end parks incoming queries
@@ -52,7 +52,7 @@
 //! # Example
 //!
 //! ```
-//! use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
+//! use grw_algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 //! use grw_graph::CsrGraph;
 //! use grw_service::{Driver, ServiceConfig, TenantId};
 //! use std::sync::Arc;
@@ -61,7 +61,7 @@
 //! let spec = WalkSpec::urw(6);
 //! let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
 //! let mut service = Driver::new(ServiceConfig::new(2), |shard| {
-//!     ParallelBackend::new(prepared.clone(), spec.clone(), 0xFEED ^ shard as u64, 2)
+//!     ReferenceBackend::new(prepared.clone(), spec.clone(), 0xFEED ^ shard as u64).threads(2)
 //! });
 //!
 //! let queries = QuerySet::random(8, 100, 1);
@@ -331,9 +331,7 @@ impl ShardSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_algo::{
-        ParallelBackend, PreparedGraph, QuerySet, ReferenceBackend, WalkQuery, WalkSpec,
-    };
+    use grw_algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkQuery, WalkSpec};
     use grw_graph::generators::{Dataset, ScaleFactor};
     use std::sync::Arc;
 
@@ -347,13 +345,13 @@ mod tests {
         shards: usize,
         cfg: ServiceConfig,
     ) -> (
-        Driver<ParallelBackend<Arc<PreparedGraph>>>,
+        Driver<ReferenceBackend<Arc<PreparedGraph>>>,
         Arc<PreparedGraph>,
     ) {
         let (p, spec) = shared();
         let prepared = p.clone();
         let svc = Driver::new(cfg.max_batch(32), move |shard| {
-            ParallelBackend::new(prepared.clone(), spec.clone(), 0xBEEF ^ shard as u64, 2)
+            ReferenceBackend::new(prepared.clone(), spec.clone(), 0xBEEF ^ shard as u64).threads(2)
         });
         assert_eq!(svc.stats().shards, shards);
         (svc, p)

@@ -10,9 +10,6 @@
 //!   pushed during a cycle become visible only after [`Fifo::commit`], so
 //!   intra-cycle evaluation order cannot leak data forward, exactly like a
 //!   registered FIFO.
-//! * [`LatencyPipe`] — a fully pipelined module with fixed latency and an
-//!   initiation interval of one (II=1), the paper's model for every
-//!   processing module (Fig. 5b).
 //! * [`MemoryChannel`] — a DRAM/HBM channel issuing random 64-bit
 //!   transactions at the effective `f_mem / t_RRD` rate of Eq. (1), with a
 //!   bounded outstanding window, fixed round-trip latency and bank-dependent
@@ -20,18 +17,14 @@
 //! * [`FpgaPlatform`] — presets for the five boards of the evaluation
 //!   (U50, U250, U280, U55C, VCK5000), calibrated per `DESIGN.md`.
 //! * [`stats`] — utilization/bubble/throughput meters used by every engine.
-//! * [`bandwidth`] — the Eq. (1) peak-bandwidth calculator and unit helpers.
 
-pub mod bandwidth;
 mod fifo;
 mod memory;
-mod pipe;
 mod platform;
 pub mod stats;
 
 pub use fifo::Fifo;
 pub use memory::{ChannelStats, MemoryChannel, MemoryChannelSpec};
-pub use pipe::LatencyPipe;
 pub use platform::{FpgaPlatform, MemoryTech, PlatformSpec};
 
 /// Simulation time, measured in core-clock cycles.

@@ -196,6 +196,22 @@ mod tests {
     }
 
     #[test]
+    fn random_peak_is_far_below_sequential() {
+        // The central premise of the paper: random-access peak is a small
+        // fraction of the quoted sequential bandwidth.
+        for p in FpgaPlatform::all() {
+            let spec = p.spec();
+            assert!(
+                spec.peak_random_bandwidth_gbs() < 0.55 * spec.seq_bandwidth_gbs,
+                "{}: random {} vs seq {}",
+                spec.name,
+                spec.peak_random_bandwidth_gbs(),
+                spec.seq_bandwidth_gbs
+            );
+        }
+    }
+
+    #[test]
     fn platform_ordering_matches_table_iii() {
         // Table III throughput ordering VCK5000 (202) < U250 (258) <
         // U50 (1463) < U55C (2098) must be implied by the peak step rates.

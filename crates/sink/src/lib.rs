@@ -38,7 +38,7 @@
 //! # Example
 //!
 //! ```
-//! use grw_algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
+//! use grw_algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 //! use grw_graph::CsrGraph;
 //! use grw_service::{Driver, ServiceConfig, TenantId};
 //! use grw_sink::{CorpusSink, WalkSink};
@@ -48,7 +48,7 @@
 //! let spec = WalkSpec::urw(6);
 //! let prepared = Arc::new(PreparedGraph::new(g, &spec).unwrap());
 //! let mut service = Driver::new(ServiceConfig::new(2), |shard| {
-//!     ParallelBackend::new(prepared.clone(), spec.clone(), 0xFEED ^ shard as u64, 2)
+//!     ReferenceBackend::new(prepared.clone(), spec.clone(), 0xFEED ^ shard as u64).threads(2)
 //! });
 //!
 //! let mut pairs = 0u64;

@@ -3,7 +3,8 @@
 //!
 //! Three tenants (a PPR-style recommender, an embedding-corpus builder
 //! and an ad-hoc analytics client) stream queries into one `Driver`
-//! backed by four `ParallelEngine` shards over a shared prepared graph.
+//! backed by four two-worker `ReferenceBackend` shards over a shared
+//! prepared graph.
 //! Queries coalesce into size/deadline-bounded micro-batches, results
 //! route back to the tenant that asked, and the service prints its
 //! `ServiceStats` at the end.
@@ -12,7 +13,7 @@
 //! cargo run --release --example serving
 //! ```
 
-use ridgewalker_suite::algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
+use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
 use std::collections::HashMap;
@@ -29,17 +30,17 @@ fn main() {
         prepared.graph().edge_count()
     );
 
-    // Four shards, each a 2-thread in-memory walker over the shared graph.
+    // Four shards, each a 2-worker in-memory walker over the shared graph.
     let cfg = ServiceConfig::new(4).max_batch(128).max_delay_ticks(2);
     let backend_graph = prepared.clone();
     let backend_spec = spec.clone();
     let mut service = Driver::new(cfg, move |shard| {
-        ParallelBackend::new(
+        ReferenceBackend::new(
             backend_graph.clone(),
             backend_spec.clone(),
             0x5EED ^ shard as u64,
-            2,
         )
+        .threads(2)
     });
 
     // A mixed-tenant workload: 10k queries across three tenants, arriving

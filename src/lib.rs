@@ -6,8 +6,9 @@
 //! package:
 //!
 //! * [`graph`] — CSR graphs, generators, channel-aware layouts ([`grw_graph`]).
-//! * [`rng`] — ThundeRiNG-style multi-stream RNG ([`grw_rng`]).
-//! * [`algo`] — sampling + walk algorithms and reference engines ([`grw_algo`]).
+//! * [`rng`] — counter-based and per-query RNG streams ([`grw_rng`]).
+//! * [`algo`] — sampling + walk algorithms and the software walk executor
+//!   ([`grw_algo`]).
 //! * [`sim`] — cycle-level hardware simulation substrate ([`grw_sim`]).
 //! * [`queueing`] — `M/M/1[N]` theory, arrival processes and the
 //!   zero-bubble buffer bound ([`grw_queueing`]).

@@ -2,9 +2,7 @@
 //! serialization round-trips preserve graphs exactly.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
-use ridgewalker_suite::algo::{
-    ParallelEngine, PreparedGraph, QuerySet, ReferenceEngine, WalkEngine, WalkSpec,
-};
+use ridgewalker_suite::algo::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::baselines::GSampler;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::graph::io;
@@ -23,12 +21,21 @@ fn engines_are_seed_deterministic() {
     let p = PreparedGraph::new(g.clone(), &spec).unwrap();
     let qs = QuerySet::random(g.vertex_count(), 128, 7);
 
-    let r1 = ReferenceEngine::new(9).run(&p, &spec, qs.queries());
-    let r2 = ReferenceEngine::new(9).run(&p, &spec, qs.queries());
+    let r1 = run_streamed(
+        &mut ReferenceBackend::new(&p, spec.clone(), 9),
+        qs.queries(),
+    );
+    let r2 = run_streamed(
+        &mut ReferenceBackend::new(&p, spec.clone(), 9),
+        qs.queries(),
+    );
     assert_eq!(r1, r2);
 
-    let p1 = ParallelEngine::new(9, 4).run(&p, &spec, qs.queries());
-    assert_eq!(r1, p1, "parallel engine must equal the reference bitwise");
+    let p1 = run_streamed(
+        &mut ReferenceBackend::new(&p, spec.clone(), 9).threads(4),
+        qs.queries(),
+    );
+    assert_eq!(r1, p1, "four workers must equal one bitwise");
 
     let a1 = Accelerator::new(AcceleratorConfig::new().pipelines(4).seed(5)).run(
         &p,

@@ -2,7 +2,7 @@
 //! processes, per-query latency accounting, and the latency-vs-load
 //! harness invariants the CI acceptance criteria rest on.
 
-use ridgewalker_suite::algo::{ParallelBackend, PreparedGraph, QuerySet, WalkSpec};
+use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::bench::load::{run_latency_load, LoadConfig, LoadDelivery, LoadWorkload};
 use ridgewalker_suite::bench::Json;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
@@ -58,7 +58,9 @@ fn per_query_latency_bounds_batching_delay() {
     let shared = prepared.clone();
     let mut svc = Driver::new(
         ServiceConfig::new(2).max_batch(16).max_delay_ticks(3),
-        move |shard| ParallelBackend::new(shared.clone(), spec.clone(), 0xD0 ^ shard as u64, 2),
+        move |shard| {
+            ReferenceBackend::new(shared.clone(), spec.clone(), 0xD0 ^ shard as u64).threads(2)
+        },
     );
     let qs = QuerySet::random(nv, 400, 11);
     let mut arrivals = ArrivalProcess::poisson(7.0, 5);

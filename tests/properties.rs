@@ -6,9 +6,9 @@
 //! with a hand-rolled generator: many seeded random cases per property,
 //! deterministic across runs (every case derives from a fixed master seed).
 
-use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceEngine, WalkEngine, WalkSpec};
+use ridgewalker_suite::algo::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::graph::{io, AliasTables, CsrGraph, GraphBuilder};
-use ridgewalker_suite::rng::{Lcg64, RandomSource, SplitMix64};
+use ridgewalker_suite::rng::{RandomSource, SplitMix64};
 use ridgewalker_suite::sim::Fifo;
 use std::collections::VecDeque;
 
@@ -123,22 +123,6 @@ fn lemire_bounded_sampling_stays_in_range() {
 }
 
 #[test]
-fn lcg_jump_equals_stepping() {
-    for case in 0..CASES {
-        let mut meta = SplitMix64::new(0x1C6 ^ case);
-        let seed = meta.next_u64();
-        let steps = meta.next_below(512);
-        let mut a = Lcg64::new(seed);
-        for _ in 0..steps {
-            a.next_u64();
-        }
-        let mut b = Lcg64::new(seed);
-        b.jump(steps);
-        assert_eq!(a.peek_state(), b.peek_state(), "case {case}: {steps} steps");
-    }
-}
-
-#[test]
 fn fifo_behaves_like_a_queue_with_one_cycle_delay() {
     for case in 0..CASES {
         let mut rng = SplitMix64::new(0xF1F0 ^ case);
@@ -181,7 +165,10 @@ fn walks_are_always_valid_paths() {
         let n = g.vertex_count();
         let p = PreparedGraph::new(g, &spec).unwrap();
         let qs = QuerySet::random(n, 16, seed);
-        let paths = ReferenceEngine::new(seed).run(&p, &spec, qs.queries());
+        let paths = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), seed),
+            qs.queries(),
+        );
         for w in &paths {
             assert!(w.steps() <= u64::from(len));
             for pair in w.vertices.windows(2) {

@@ -4,12 +4,12 @@
 //! the forced strategy it selects per bucket, and the second-order edge
 //! cache is *pure acceleration* — walk content is invariant across cache
 //! budgets (off, thrashing-tiny, comfortable) through the reference
-//! engine, both accelerator shard modes, and routed mixed fleets.
+//! backend, both accelerator shard modes, and routed mixed fleets.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
     distribution, run_streamed, strategy::degree_bucket, Node2VecMethod, PreparedGraph, QuerySet,
-    ReferenceEngine, SamplerConfig, SamplerStrategy, SamplingCounters, WalkBackend, WalkPath,
+    ReferenceBackend, SamplerConfig, SamplerStrategy, SamplingCounters, WalkBackend, WalkPath,
     WalkSpec,
 };
 use ridgewalker_suite::graph::generators::RmatConfig;
@@ -238,7 +238,7 @@ fn sampling_config(budget: usize) -> SamplerConfig {
 /// Satellite 2a: the edge cache is pure acceleration — the exact same
 /// weighted node2vec paths come out with the cache disabled, with a
 /// thrashing-tiny budget (every insert evicts), and with a comfortable
-/// budget, through the reference engine.
+/// budget, through the reference backend.
 #[test]
 fn cache_budget_never_changes_a_weighted_node2vec_walk() {
     let g = RmatConfig::graph500(9, 8)
@@ -254,8 +254,7 @@ fn cache_budget_never_changes_a_weighted_node2vec_walk() {
             prepared.strategies().uses_second_order(),
             "the fixture must route hub buckets to the cached kernel"
         );
-        let mut backend = ReferenceEngine::new(0xF00D)
-            .backend(&prepared, &spec)
+        let mut backend = ReferenceBackend::new(&prepared, spec.clone(), 0xF00D)
             .queue_capacity(queries.len())
             .poll_chunk(queries.len());
         let paths = run_streamed(&mut backend, queries.queries());

@@ -1,11 +1,10 @@
 //! The streaming execution spine, end to end: `WalkBackend` determinism
-//! against the legacy batch API, and the sharded multi-tenant
-//! `Driver` built on top of it.
+//! against a bulk `run_streamed`, and the sharded multi-tenant `Driver`
+//! built on top of it.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
-    run_streamed, ParallelBackend, ParallelEngine, PreparedGraph, QuerySet, ReferenceEngine,
-    WalkBackend, WalkEngine, WalkSpec,
+    run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkBackend, WalkSpec,
 };
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
@@ -13,18 +12,22 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 #[test]
-fn parallel_backend_submit_poll_is_bit_identical_to_legacy_run() {
+fn multi_worker_submit_poll_is_bit_identical_to_a_bulk_run() {
     let g = Dataset::CitPatents.generate(ScaleFactor::Tiny);
     let spec = WalkSpec::urw(16);
     let p = PreparedGraph::new(g.clone(), &spec).unwrap();
     let qs = QuerySet::random(g.vertex_count(), 500, 7);
-    let legacy = ParallelEngine::new(9, 4).run(&p, &spec, qs.queries());
+    let bulk = run_streamed(
+        &mut ReferenceBackend::new(&p, spec.clone(), 9).threads(4),
+        qs.queries(),
+    );
 
     // Stream the same workload through the backend in adversarial little
     // pieces: tiny queue, odd chunking, interleaved submit/poll.
-    let mut backend = ParallelBackend::new(&p, spec.clone(), 9, 4)
+    let mut backend = ReferenceBackend::new(&p, spec.clone(), 9)
+        .threads(4)
         .queue_capacity(37)
-        .chunk_per_thread(5);
+        .poll_chunk(20);
     let mut collected = Vec::new();
     let queries = qs.queries();
     let mut offset = 0;
@@ -43,14 +46,16 @@ fn parallel_backend_submit_poll_is_bit_identical_to_legacy_run() {
     collected.extend(backend.drain());
     collected.sort_by_key(|w| w.query);
     assert_eq!(
-        legacy, collected,
-        "streaming must be bit-identical to run()"
+        bulk, collected,
+        "streaming must be bit-identical to a bulk run"
     );
 
-    // And the engine's own run() (now a shim over the backend) agrees with
-    // the sequential reference.
-    let reference = ReferenceEngine::new(9).run(&p, &spec, qs.queries());
-    assert_eq!(legacy, reference);
+    // And one worker walks exactly what four do.
+    let one = run_streamed(
+        &mut ReferenceBackend::new(&p, spec.clone(), 9),
+        qs.queries(),
+    );
+    assert_eq!(bulk, one);
 }
 
 #[test]
@@ -162,7 +167,7 @@ fn service_answers_every_query_exactly_once_and_routes_tenants() {
         let prepared = prepared.clone();
         let spec = spec.clone();
         move |shard: usize| {
-            ParallelBackend::new(prepared.clone(), spec.clone(), 0xABAD ^ shard as u64, 2)
+            ReferenceBackend::new(prepared.clone(), spec.clone(), 0xABAD ^ shard as u64).threads(2)
         }
     };
     let mut service = Driver::new(ServiceConfig::new(3).max_batch(64).max_delay_ticks(2), make);
@@ -301,7 +306,8 @@ fn service_is_deterministic_for_a_fixed_submission_sequence() {
         let mut service = Driver::new(
             ServiceConfig::new(2).max_batch(32).max_delay_ticks(1),
             move |shard| {
-                ParallelBackend::new(prepared.clone(), spec.clone(), 0xD15C ^ shard as u64, 3)
+                ReferenceBackend::new(prepared.clone(), spec.clone(), 0xD15C ^ shard as u64)
+                    .threads(3)
             },
         );
         let mut out = Vec::new();

@@ -1,11 +1,11 @@
 //! Cross-engine functional equivalence: every execution back-end (software
-//! reference, parallel CPU, simulated accelerator, GPU model) must produce
-//! statistically identical walks for every algorithm.
+//! reference on one and on several workers, simulated accelerator, GPU
+//! model) must produce statistically identical walks for every algorithm.
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
-    distribution, Node2VecMethod, ParallelEngine, PreparedGraph, QuerySet, ReferenceEngine,
-    WalkEngine, WalkPath, WalkSpec,
+    distribution, run_streamed, Node2VecMethod, PreparedGraph, QuerySet, ReferenceBackend,
+    WalkPath, WalkSpec,
 };
 use ridgewalker_suite::baselines::GSampler;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
@@ -45,9 +45,15 @@ fn every_engine_emits_only_real_edges_for_every_algorithm() {
     for spec in all_specs() {
         let p = PreparedGraph::new(g.clone(), &spec).unwrap();
         let qs = QuerySet::random(g.vertex_count(), 48, 3);
-        let reference = ReferenceEngine::new(1).run(&p, &spec, qs.queries());
+        let reference = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), 1),
+            qs.queries(),
+        );
         assert_paths_valid(&reference, &p, &spec, "reference");
-        let parallel = ParallelEngine::new(1, 3).run(&p, &spec, qs.queries());
+        let parallel = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), 1).threads(3),
+            qs.queries(),
+        );
         assert_paths_valid(&parallel, &p, &spec, "parallel");
         let accel =
             Accelerator::new(AcceleratorConfig::new().pipelines(4)).run(&p, &spec, qs.queries());
@@ -74,7 +80,10 @@ fn accelerator_matches_reference_hub_distribution() {
     for (tag, paths) in [
         (
             "reference",
-            ReferenceEngine::new(2).run(&p, &spec, qs.queries()),
+            run_streamed(
+                &mut ReferenceBackend::new(&p, spec.clone(), 2),
+                qs.queries(),
+            ),
         ),
         (
             "accelerator",
@@ -105,7 +114,10 @@ fn ppr_termination_statistics_agree_across_engines() {
     let mean = |paths: &[WalkPath]| {
         paths.iter().map(|w| w.steps() as f64).sum::<f64>() / paths.len() as f64
     };
-    let m_ref = mean(&ReferenceEngine::new(3).run(&p, &spec, qs.queries()));
+    let m_ref = mean(&run_streamed(
+        &mut ReferenceBackend::new(&p, spec.clone(), 3),
+        qs.queries(),
+    ));
     let m_acc = mean(
         &Accelerator::new(AcceleratorConfig::new().pipelines(4))
             .run(&p, &spec, qs.queries())
