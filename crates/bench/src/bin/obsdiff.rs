@@ -15,25 +15,13 @@
 //! `.jsonl` trace or a `.json` bench record (both inputs must be the
 //! same kind); with no output path the markdown goes to stdout.
 
+use grw_bench::json::{phase_summary, Json};
 use grw_obs::{PhaseSummary, TraceDiff};
 
-/// Extracts the phase summary from a bench record by scanning every
-/// braced `"phases": {...}` object (flat, so each ends at the first
-/// `}`) and keeping the first that carries the full summary schema.
-/// Records also hold a `gate.phases` tolerance block under the same
-/// key — it lacks the p99/max fields, so the schema check skips it
-/// regardless of which block the record serialises first.
-fn phase_summary(record: &str) -> Option<PhaseSummary> {
-    let mut rest = record;
-    while let Some(start) = rest.find("\"phases\": {") {
-        let obj = &rest[start + "\"phases\": ".len()..];
-        let end = obj.find('}')?;
-        if let Some(sum) = PhaseSummary::from_flat_json(&obj[..=end]) {
-            return Some(sum);
-        }
-        rest = &obj[end..];
-    }
-    None
+/// The `phases` block of a bench record's text, if the text parses and
+/// carries a complete one.
+fn record_phases(record: &str) -> Option<PhaseSummary> {
+    phase_summary(&Json::parse(record).ok()?)
 }
 
 /// Loads one input as a phase-diffable side: a raw trace (any line
@@ -52,7 +40,7 @@ fn load(path: &str) -> Result<Side, String> {
     {
         return Ok(Side::Trace(content));
     }
-    phase_summary(&content).map(Side::Record).ok_or_else(|| {
+    record_phases(&content).map(Side::Record).ok_or_else(|| {
         format!("{path} is neither a trace nor a bench record with a \"phases\" block")
     })
 }
@@ -102,7 +90,7 @@ mod tests {
             "\"sink_wait_p99\": 2, \"total_sum\": 14, \"total_p99\": 5, \"total_max\": 6},\n",
             "  \"summary\": {\"x\": 1}\n}\n"
         );
-        let sum = phase_summary(record).unwrap();
+        let sum = record_phases(record).unwrap();
         assert_eq!(sum.count, 4);
         assert_eq!(sum.phase_sums, [2, 8, 4]);
         assert_eq!(sum.total_sum, 14);
@@ -110,25 +98,25 @@ mod tests {
 
     #[test]
     fn gate_tolerance_block_before_the_summary_is_skipped() {
-        // The qps record serialises its gate block (which nests a
-        // "phases" tolerance object with no p99 fields) *before* the
-        // data block; extraction must scan past it.
+        // A gate list that names the phase sums, written before the
+        // block itself, must not be mistaken for it.
         let record = concat!(
             "{\n  \"bench\": \"qps\",\n",
-            "  \"gate\": {\"summary\": {\"completed\": 0.0}, ",
-            "\"phases\": {\"count\": 0.0, \"total_sum\": 0.0, \"batch_wait_sum\": 0.0, ",
-            "\"backend_sum\": 0.0, \"sink_wait_sum\": 0.0}},\n",
+            "  \"gate\": [{\"path\": \"phases.count\", \"better\": \"higher\", ",
+            "\"band\": 0.0, \"floor\": 0.0}],\n",
             "  \"phases\": {\"count\": 4, \"batch_wait_sum\": 2, \"batch_wait_p99\": 1, ",
             "\"backend_sum\": 8, \"backend_p99\": 3, \"sink_wait_sum\": 4, ",
             "\"sink_wait_p99\": 2, \"total_sum\": 14, \"total_p99\": 5, \"total_max\": 6}\n}\n"
         );
-        let sum = phase_summary(record).unwrap();
+        let sum = record_phases(record).unwrap();
         assert_eq!(sum.count, 4);
         assert_eq!(sum.total_sum, 14);
     }
 
     #[test]
     fn records_without_phases_are_rejected_not_zeroed() {
-        assert!(phase_summary("{\"bench\": \"sampling\"}").is_none());
+        assert!(record_phases("{\"bench\": \"sampling\"}").is_none());
+        assert!(record_phases("{\"phases\": {\"count\": 3}}").is_none());
+        assert!(record_phases("not json").is_none());
     }
 }

@@ -2,196 +2,47 @@
 //!
 //! Compares the current smoke-run bench records against the committed
 //! baselines in `benchmarks/baselines/` and fails (exit code 1) when any
-//! gated metric regresses beyond the tolerance band, naming every
-//! offending metric. Only *deterministic* metrics are gated — simulated
-//! cycles, tick latencies, saturation in queries/tick — never wall-clock
-//! rates, so the gate is stable across CI runner hardware. Improvements
-//! beyond the band pass but are flagged so the baseline gets refreshed.
+//! gated metric regresses beyond its band, naming every offending
+//! metric. Improvements beyond the band pass but are flagged so the
+//! baseline gets refreshed.
 //!
 //! ```text
-//! perf_gate <baseline_dir> <current_dir> [--tolerance 0.2]
+//! perf_gate <baseline_dir> <current_dir>
 //! ```
 //!
-//! `--tolerance` is only the *default* band. A baseline may carry
-//! per-metric overrides in a `gate` block mirroring the metric paths —
-//! throughput metrics tight, latency tails loose:
+//! Each baseline says what is gated: its `gate` list holds one entry per
+//! gated metric, with the metric's path, which way is better, a relative
+//! band and an absolute floor (see [`grw_bench::json`]). The gate judges
+//! exactly that list. The bench writers declare each entry in the call
+//! that writes the metric, so refreshing a baseline keeps its bands.
 //!
-//! ```json
-//! {"gate": {"summary": {"saturation_qpt": 0.15,
-//!                       "high_load_mean_latency_ticks": 0.35}}, ...}
-//! ```
+//! Most gated metrics are deterministic: simulated cycles, tick
+//! latencies, saturation in queries per tick, exact counts. A few are
+//! wall-clock ratios measured within one run, where machine speed
+//! cancels: the sampling bench's two arm-vs-arm speedups (wide bands)
+//! and the qps bench's `obs_overhead` (an absolute 3% ceiling).
 //!
-//! The bench generators emit these blocks themselves, so refreshing a
-//! baseline (re-running the bench and copying its output) keeps the
-//! bands.
-//!
-//! Baselines are regenerated by running the smoke benches and copying
-//! their output:
+//! Baselines are regenerated by running the seven smoke benches and
+//! copying their output:
 //!
 //! ```text
 //! SERVING_SMOKE=1 cargo run --release --example serving_accel
-//! LOAD_SMOKE=1 cargo run --release --example latency_load
-//! cp BENCH_serving.json BENCH_load_*.json benchmarks/baselines/
+//! for w in urw ppr deepwalk node2vec; do
+//!   LOAD_SMOKE=1 cargo run --release --example latency_load -- --workload "$w"
+//! done
+//! SINKS_SMOKE=1 cargo run --release --example sink_stream
+//! ROUTING_SMOKE=1 cargo run --release --example routing
+//! SAMPLING_SMOKE=1 cargo run --release --example sampling
+//! QPS_SMOKE=1 cargo run --release --example qps
+//! AUTOSCALE_SMOKE=1 cargo run --release --example autoscale
+//! cp BENCH_*.json benchmarks/baselines/
 //! ```
 
+use grw_bench::json::{gates, phase_summary, Band};
 use grw_bench::Json;
-use grw_obs::{PhaseSummary, TraceDiff};
+use grw_obs::TraceDiff;
 use std::path::Path;
 use std::process::ExitCode;
-
-/// Which way "better" points for a gated metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    HigherIsBetter,
-    LowerIsBetter,
-}
-
-/// One gated metric: a dotted JSON path plus its tolerance floor.
-struct Metric {
-    path: &'static str,
-    direction: Direction,
-    /// Absolute slack added on top of the relative band — keeps
-    /// near-zero baselines (bubble ratios, small tick counts) from
-    /// failing on ±1 noise.
-    abs_floor: f64,
-}
-
-const fn higher(path: &'static str) -> Metric {
-    Metric {
-        path,
-        direction: Direction::HigherIsBetter,
-        abs_floor: 0.0,
-    }
-}
-
-const fn lower(path: &'static str, abs_floor: f64) -> Metric {
-    Metric {
-        path,
-        direction: Direction::LowerIsBetter,
-        abs_floor,
-    }
-}
-
-/// Gated metrics for `BENCH_serving.json`.
-const SERVING_METRICS: &[Metric] = &[
-    higher("batch.msteps_simulated"),
-    higher("incremental.msteps_simulated"),
-    lower("batch.simulated_cycles", 0.0),
-    lower("incremental.simulated_cycles", 0.0),
-    lower("batch.bubble_ratio", 0.05),
-    lower("incremental.bubble_ratio", 0.05),
-    lower("incremental.p99_batch_latency_ticks", 2.0),
-];
-
-/// Gated metrics for every `BENCH_load_<workload>.json`.
-const LOAD_METRICS: &[Metric] = &[
-    higher("summary.saturation_qpt"),
-    lower("calibration.solo_latency_ticks", 2.0),
-    lower("summary.low_load_mean_latency_ticks", 2.0),
-    lower("summary.high_load_mean_latency_ticks", 2.0),
-    lower("summary.low_load_model_error", 0.05),
-    higher("phases.count"),
-    lower("phases.total_sum", 64.0),
-    lower("phases.batch_wait_sum", 64.0),
-    lower("phases.backend_sum", 64.0),
-    lower("phases.sink_wait_sum", 64.0),
-];
-
-/// Gated metrics for `BENCH_sinks.json` — all deterministic (logical
-/// ticks and exact counts, no wall clock).
-const SINK_METRICS: &[Metric] = &[
-    higher("summary.walks_delivered"),
-    higher("summary.pairs_emitted"),
-    lower("summary.sink_peak_resident", 16.0),
-    lower("summary.ticks", 8.0),
-    higher("phases.count"),
-    lower("phases.total_sum", 64.0),
-    lower("phases.batch_wait_sum", 64.0),
-    lower("phases.backend_sum", 64.0),
-    lower("phases.sink_wait_sum", 64.0),
-];
-
-/// Gated metrics for `BENCH_routing.json` — worst-case p99 per policy
-/// across the workload matrix, the adaptive policy's migration count
-/// (flap bound) and its fast-class routing share. All logical ticks and
-/// exact counts.
-// `summary.p99_improvement` is recorded but deliberately NOT gated: it
-// is derived from the two gated p99s, and gating the ratio would fail
-// CI when the *baseline* arm improves (static p99 drops, ratio shrinks,
-// nothing got worse).
-const ROUTING_METRICS: &[Metric] = &[
-    lower("summary.p99_adaptive", 8.0),
-    lower("summary.p99_least_loaded", 8.0),
-    lower("summary.p99_static", 16.0),
-    lower("summary.migrations_adaptive", 16.0),
-    higher("summary.routed_accel_adaptive"),
-];
-
-/// Gated metrics for `BENCH_sampling.json`. The sampler counters
-/// (cache hits, alias builds, reservoir scan words, total steps) are
-/// seed-deterministic and gated tight; the two speedups are wall-clock
-/// *ratios* of the two arms on the same machine in the same run — the
-/// absolute rates cancel, so they are stable enough to gate, but they
-/// carry the wide bands the bench emits in its `gate` block.
-const SAMPLING_METRICS: &[Metric] = &[
-    higher("summary.node2vec_speedup_skewed"),
-    higher("summary.min_speedup"),
-    higher("summary.cache_hit_ratio"),
-    higher("summary.cache_hits"),
-    lower("summary.alias_builds", 0.0),
-    lower("summary.legacy_scanned_words", 0.0),
-    higher("summary.total_steps"),
-];
-
-/// Gated metrics for `BENCH_qps.json` — only the cross-driver
-/// determinism counters. The bench's whole point is a wall-clock QPS and
-/// speedup comparison, but those numbers depend on the runner's core
-/// count, so none of them is gated; what CI pins is that both execution
-/// regimes keep completing the identical walk multiset (`checksum_match`
-/// is 1 when the digests, walk counts, and step counts all agree).
-// `obs_overhead` is the one wall-clock-derived number gated here: it is
-// a same-machine same-run ratio (absolute ±3% floor, 0% relative band
-// from the bench's own gate block), pinning the claim that full
-// observability costs under 3% of deterministic-regime throughput.
-const QPS_METRICS: &[Metric] = &[
-    higher("summary.completed"),
-    higher("summary.steps"),
-    higher("summary.checksum_match"),
-    lower("summary.obs_overhead", 0.03),
-    // The deterministic regime's phase attribution is pure logical
-    // ticks: the bench gates it at ±0% like `completed`/`steps`.
-    higher("phases.count"),
-    lower("phases.total_sum", 0.0),
-    lower("phases.batch_wait_sum", 0.0),
-    lower("phases.backend_sum", 0.0),
-    lower("phases.sink_wait_sum", 0.0),
-];
-
-/// Gated metrics for `BENCH_autoscale.json` — all deterministic (logical
-/// fleet-ticks, CRN arrival streams, seeded policy stagger). The two
-/// SLO-held booleans pin the bench's headline claims: the autoscaled arm
-/// must keep holding the SLO (1 stays 1) and the under-provisioned
-/// control must keep breaching it (0 stays 0). `scale_downs` is gated
-/// higher-is-better: losing the fleet's ability to shrink is the
-/// regression this bench exists to catch, extra shrinks on a cheaper
-/// policy are an improvement. `summary.cost_vs_over` is recorded but NOT
-/// gated — it is the ratio of the two gated fleet-tick counts, and
-/// gating a derived ratio fails CI when only the baseline arm moves.
-const AUTOSCALE_METRICS: &[Metric] = &[
-    lower("summary.p99_autoscaled", 8.0),
-    lower("summary.p99_static_over", 8.0),
-    lower("summary.fleet_ticks_autoscaled", 64.0),
-    lower("summary.fleet_ticks_static_over", 64.0),
-    lower("summary.scale_ups", 2.0),
-    higher("summary.scale_downs"),
-    higher("summary.slo_held_autoscaled"),
-    lower("summary.slo_held_static_under", 0.0),
-    higher("phases.count"),
-    lower("phases.total_sum", 64.0),
-    lower("phases.batch_wait_sum", 64.0),
-    lower("phases.backend_sum", 64.0),
-    lower("phases.sink_wait_sum", 64.0),
-];
 
 /// Outcome of one metric comparison.
 #[derive(Debug, PartialEq)]
@@ -203,150 +54,118 @@ enum Verdict {
     MissingCurrent,
     /// Baseline value is null — nothing to gate.
     SkippedNull,
-    /// The metric exists in the current record but not in the baseline:
-    /// a bench gained a metric since the baseline was captured. Not a
+    /// A bench gained a metric since the baseline was captured. Not a
     /// failure, but called out loudly so the baseline gets refreshed —
     /// until then the new metric is flying without a gate.
     UngatedNew,
 }
 
-/// Compares one metric value pair under the tolerance band.
-fn judge(metric: &Metric, base: f64, current: f64, tolerance: f64) -> Verdict {
-    let band = (tolerance * base.abs()).max(metric.abs_floor);
-    let worse = match metric.direction {
-        Direction::HigherIsBetter => base - current,
-        Direction::LowerIsBetter => current - base,
+const UNGATED_NEW: &str = "ungated (new) - refresh baseline to gate it";
+
+/// Compares one metric value pair under its band.
+fn judge(band: &Band, base: f64, current: f64) -> Verdict {
+    let slack = (band.rel * base.abs()).max(band.floor);
+    let worse = if band.higher_is_better {
+        base - current
+    } else {
+        current - base
     };
-    if worse > band {
+    if worse > slack {
         Verdict::Regressed
-    } else if worse < -band {
+    } else if worse < -slack {
         Verdict::Improved
     } else {
         Verdict::Ok
     }
 }
 
-/// Rebuilds a record's `"phases"` block as a [`PhaseSummary`], if the
-/// record carries one. Integer sums round-trip exactly through the JSON.
-fn phase_summary_of(record: &Json) -> Option<PhaseSummary> {
-    let num = |k: &str| {
-        record
-            .get(&format!("phases.{k}"))
-            .and_then(Json::as_f64)
-            .map(|v| v as u64)
-    };
-    Some(PhaseSummary {
-        count: num("count")?,
-        phase_sums: [
-            num("batch_wait_sum")?,
-            num("backend_sum")?,
-            num("sink_wait_sum")?,
-        ],
-        phase_p99: [
-            num("batch_wait_p99")?,
-            num("backend_p99")?,
-            num("sink_wait_p99")?,
-        ],
-        total_sum: num("total_sum")?,
-        total_p99: num("total_p99")?,
-        total_max: num("total_max")?,
-    })
-}
-
-/// The tolerance band for one metric: the baseline's per-metric override
-/// from its `gate` block when present, the CLI default otherwise.
-fn tolerance_for(base: &Json, metric: &Metric, default: f64) -> f64 {
-    base.get(&format!("gate.{}", metric.path))
-        .and_then(Json::as_f64)
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(default)
-}
-
-/// Compares every gated metric of one bench file pair; appends
-/// `file:metric` for each regression to `offenders` and returns how many
-/// were found.
-fn gate_file(
-    name: &str,
-    base: &Json,
-    current: &Json,
-    default_tolerance: f64,
-    offenders: &mut Vec<String>,
-) -> usize {
-    let metrics: &[Metric] = if name.starts_with("BENCH_load_") {
-        LOAD_METRICS
-    } else if name.starts_with("BENCH_sinks") {
-        SINK_METRICS
-    } else if name.starts_with("BENCH_routing") {
-        ROUTING_METRICS
-    } else if name.starts_with("BENCH_sampling") {
-        SAMPLING_METRICS
-    } else if name.starts_with("BENCH_qps") {
-        QPS_METRICS
-    } else if name.starts_with("BENCH_autoscale") {
-        AUTOSCALE_METRICS
-    } else {
-        SERVING_METRICS
-    };
-    let mut regressions = 0;
-    let mut gated = 0;
-    for m in metrics {
-        let base_v = base.get(m.path).and_then(Json::as_f64);
-        let cur_v = current.get(m.path).and_then(Json::as_f64);
-        let tolerance = tolerance_for(base, m, default_tolerance);
-        let verdict = match (base_v, cur_v) {
-            (None, None) => Verdict::SkippedNull,
-            (None, Some(_)) => Verdict::UngatedNew,
-            (Some(_), None) => Verdict::MissingCurrent,
-            (Some(b), Some(c)) => judge(m, b, c, tolerance),
-        };
-        if base_v.is_some() {
-            gated += 1;
+/// Compares every metric the baseline declares; appends `file:metric`
+/// for each regression to `offenders`.
+fn gate_file(name: &str, base: &Json, current: &Json, offenders: &mut Vec<String>) {
+    let start = offenders.len();
+    let (declared, current_declared) = match (gates(base), gates(current)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => {
+            println!("  malformed gate list: {e}");
+            offenders.push(format!("{name}:<malformed gate list: {e}>"));
+            return;
         }
-        let fmt_v = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.4}"));
+    };
+    let fmt_v = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.4}"));
+    let line = |path: &str, base_v: Option<f64>, cur_v: Option<f64>, band: &Band, tag: &str| {
         let delta = match (base_v, cur_v) {
             (Some(b), Some(c)) if b != 0.0 => format!("{:+.1}%", (c - b) / b.abs() * 100.0),
             _ => "-".to_string(),
         };
+        println!(
+            "  {:<44} base {:>12} -> cur {:>12}  {:>7}  ±{:>2.0}%  {}",
+            path,
+            fmt_v(base_v),
+            fmt_v(cur_v),
+            delta,
+            band.rel * 100.0,
+            tag
+        );
+    };
+    let mut gated = 0;
+    for g in &declared {
+        let base_v = match base.get(&g.path) {
+            Some(Json::Num(v)) => Some(*v),
+            Some(Json::Null) => None,
+            // A declaration with no value behind it gates nothing; that
+            // is a broken baseline, not a skipped metric.
+            _ => {
+                println!("  {:<44} not a number in the baseline", g.path);
+                offenders.push(format!("{name}:{} (not in baseline)", g.path));
+                continue;
+            }
+        };
+        let cur_v = current.get(&g.path).and_then(Json::as_f64);
+        let verdict = match (base_v, cur_v) {
+            (None, None) => Verdict::SkippedNull,
+            (None, Some(_)) => Verdict::UngatedNew,
+            (Some(_), None) => Verdict::MissingCurrent,
+            (Some(b), Some(c)) => judge(&g.band, b, c),
+        };
+        if base_v.is_some() {
+            gated += 1;
+        }
         let tag = match verdict {
             Verdict::Ok => "ok",
             Verdict::Improved => "IMPROVED (refresh baseline?)",
             Verdict::Regressed => "REGRESSED",
             Verdict::MissingCurrent => "MISSING IN CURRENT",
             Verdict::SkippedNull => "skipped (null baseline)",
-            Verdict::UngatedNew => "ungated (new) - refresh baseline to gate it",
+            Verdict::UngatedNew => UNGATED_NEW,
         };
-        println!(
-            "  {:<44} base {:>12} -> cur {:>12}  {:>7}  ±{:>2.0}%  {}",
-            m.path,
-            fmt_v(base_v),
-            fmt_v(cur_v),
-            delta,
-            tolerance * 100.0,
-            tag
-        );
+        line(&g.path, base_v, cur_v, &g.band, tag);
         if matches!(verdict, Verdict::Regressed | Verdict::MissingCurrent) {
-            offenders.push(format!("{name}:{}", m.path));
-            regressions += 1;
+            offenders.push(format!("{name}:{}", g.path));
         }
+    }
+    for g in current_declared
+        .iter()
+        .filter(|g| declared.iter().all(|d| d.path != g.path))
+    {
+        let cur_v = current.get(&g.path).and_then(Json::as_f64);
+        line(&g.path, None, cur_v, &g.band, UNGATED_NEW);
     }
     // A baseline where *every* gated metric is null protects nothing —
     // the file would silently wave any regression through. That is a
     // broken baseline, not a clean pass.
     if gated == 0 {
         offenders.push(format!("{name}:<no gated metrics in baseline>"));
-        regressions += 1;
     }
     // A failing file with phase attribution on both sides gets its delta
     // explained, not just measured: the exact per-phase decomposition
     // names where the regressed latency lives (the same verdict
     // `obsdiff` renders in full from the two records).
-    if regressions > 0 {
-        if let (Some(b), Some(c)) = (phase_summary_of(base), phase_summary_of(current)) {
+    if offenders.len() > start {
+        if let (Some(b), Some(c)) = (phase_summary(base), phase_summary(current)) {
             let diff = TraceDiff::from_summaries(b, c);
             println!("  phase attribution: {}", diff.verdict());
         }
     }
-    regressions
 }
 
 fn load_json(path: &Path) -> Result<Json, String> {
@@ -355,54 +174,26 @@ fn load_json(path: &Path) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let mut tolerance = 0.2;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        if arg == "--tolerance" {
-            tolerance = it
-                .next()
-                .and_then(|t| t.parse::<f64>().ok())
-                .expect("--tolerance needs a numeric value");
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag {arg}");
-            return ExitCode::from(2);
-        } else {
-            positional.push(arg);
-        }
-    }
-    if positional.len() != 2 {
-        eprintln!("usage: perf_gate <baseline_dir> <current_dir> [--tolerance 0.2]");
-        return ExitCode::from(2);
-    }
-    let baseline_dir = Path::new(positional[0]);
-    let current_dir = Path::new(positional[1]);
-
-    let mut names: Vec<String> = match std::fs::read_dir(baseline_dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot list {}: {e}", baseline_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+/// Gates every `BENCH_*.json` baseline in `baseline_dir` against the
+/// record of the same name in `current_dir`; returns the offenders.
+fn gate_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<Vec<String>, String> {
+    let mut names: Vec<String> = std::fs::read_dir(baseline_dir)
+        .map_err(|e| format!("cannot list {}: {e}", baseline_dir.display()))?
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect();
     names.sort();
     if names.is_empty() {
-        eprintln!("no BENCH_*.json baselines in {}", baseline_dir.display());
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "no BENCH_* baselines in {}",
+            baseline_dir.display()
+        ));
     }
-
     println!(
-        "perf gate: {} baseline(s), default tolerance ±{:.0}% (baselines may override per metric)\n",
-        names.len(),
-        tolerance * 100.0
+        "perf gate: {} baseline(s), each judged on the metrics its gate list declares\n",
+        names.len()
     );
-    let mut regressions = 0;
     let mut offenders: Vec<String> = Vec::new();
     for name in &names {
         println!("{name}:");
@@ -411,7 +202,6 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("  {e}");
                 offenders.push(format!("{name}:<unreadable baseline>"));
-                regressions += 1;
                 continue;
             }
         };
@@ -420,160 +210,194 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("  {e} (did the bench step run?)");
                 offenders.push(format!("{name}:<missing current record>"));
-                regressions += 1;
                 continue;
             }
         };
-        regressions += gate_file(name, &base, &current, tolerance, &mut offenders);
+        gate_file(name, &base, &current, &mut offenders);
         println!();
     }
+    Ok(offenders)
+}
 
-    if regressions > 0 {
-        eprintln!("perf gate FAILED: {regressions} regression(s) beyond the tolerance band:");
-        for o in &offenders {
-            eprintln!("  - {o}");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline_dir, current_dir] = args.as_slice() else {
+        eprintln!("usage: perf_gate <baseline_dir> <current_dir>");
+        return ExitCode::from(2);
+    };
+    match gate_dirs(Path::new(baseline_dir), Path::new(current_dir)) {
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
-        ExitCode::FAILURE
-    } else {
-        println!("perf gate passed");
-        ExitCode::SUCCESS
+        Ok(offenders) if offenders.is_empty() => {
+            println!("perf gate passed");
+            ExitCode::SUCCESS
+        }
+        Ok(offenders) => {
+            eprintln!(
+                "perf gate FAILED: {} regression(s) beyond the tolerance band:",
+                offenders.len()
+            );
+            for o in &offenders {
+                eprintln!("  - {o}");
+            }
+            ExitCode::FAILURE
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grw_bench::json::{higher, lower};
 
-    const M_HI: Metric = higher("x");
-    const M_LO: Metric = lower("x", 0.0);
-    const M_LO_FLOOR: Metric = lower("x", 0.05);
+    const HI: Band = higher(0.2);
+    const LO: Band = lower(0.2, 0.0);
+    const LO_FLOOR: Band = lower(0.2, 0.05);
 
     #[test]
     fn within_band_passes_both_directions() {
-        assert_eq!(judge(&M_HI, 100.0, 90.0, 0.2), Verdict::Ok);
-        assert_eq!(judge(&M_HI, 100.0, 110.0, 0.2), Verdict::Ok);
-        assert_eq!(judge(&M_LO, 100.0, 110.0, 0.2), Verdict::Ok);
+        assert_eq!(judge(&HI, 100.0, 90.0), Verdict::Ok);
+        assert_eq!(judge(&HI, 100.0, 110.0), Verdict::Ok);
+        assert_eq!(judge(&LO, 100.0, 110.0), Verdict::Ok);
     }
 
     #[test]
     fn regressions_fail_in_the_worse_direction_only() {
-        assert_eq!(judge(&M_HI, 100.0, 70.0, 0.2), Verdict::Regressed);
-        assert_eq!(judge(&M_HI, 100.0, 130.0, 0.2), Verdict::Improved);
-        assert_eq!(judge(&M_LO, 100.0, 130.0, 0.2), Verdict::Regressed);
-        assert_eq!(judge(&M_LO, 100.0, 70.0, 0.2), Verdict::Improved);
+        assert_eq!(judge(&HI, 100.0, 70.0), Verdict::Regressed);
+        assert_eq!(judge(&HI, 100.0, 130.0), Verdict::Improved);
+        assert_eq!(judge(&LO, 100.0, 130.0), Verdict::Regressed);
+        assert_eq!(judge(&LO, 100.0, 70.0), Verdict::Improved);
     }
 
     #[test]
     fn absolute_floor_shields_near_zero_baselines() {
         // A 0.01 -> 0.04 bubble-ratio change is +300% relative but within
         // the 0.05 absolute floor.
-        assert_eq!(judge(&M_LO_FLOOR, 0.01, 0.04, 0.2), Verdict::Ok);
-        assert_eq!(judge(&M_LO_FLOOR, 0.01, 0.10, 0.2), Verdict::Regressed);
+        assert_eq!(judge(&LO_FLOOR, 0.01, 0.04), Verdict::Ok);
+        assert_eq!(judge(&LO_FLOOR, 0.01, 0.10), Verdict::Regressed);
     }
 
-    fn gate(name: &str, base: &Json, cur: &Json, tol: f64) -> (usize, Vec<String>) {
+    fn gate(name: &str, base: &Json, cur: &Json) -> (usize, Vec<String>) {
         let mut offenders = Vec::new();
-        let n = gate_file(name, base, cur, tol, &mut offenders);
-        (n, offenders)
+        gate_file(name, base, cur, &mut offenders);
+        (offenders.len(), offenders)
     }
 
+    fn doc(text: &str) -> Json {
+        Json::parse(text).unwrap()
+    }
+
+    const SATURATION_GATE: &str =
+        r#"[{"path": "summary.saturation_qpt", "better": "higher", "band": 0.1, "floor": 0.0}]"#;
+
     #[test]
-    fn sink_benches_pick_the_sink_metric_set() {
-        let base =
-            Json::parse(r#"{"summary": {"walks_delivered": 100, "sink_peak_resident": 10}}"#)
-                .unwrap();
-        // A halved delivery count regresses; a residency jump past both
-        // the band and the absolute floor regresses too.
-        let bad = Json::parse(r#"{"summary": {"walks_delivered": 50, "sink_peak_resident": 40}}"#)
-            .unwrap();
-        let (n, offenders) = gate("BENCH_sinks.json", &base, &bad, 0.2);
-        assert_eq!(n, 2);
+    fn gate_file_counts_missing_metrics() {
+        let base = doc(&format!(
+            r#"{{"summary": {{"saturation_qpt": 1.0}}, "gate": {SATURATION_GATE}}}"#
+        ));
+        let cur = doc(r#"{"summary": {}}"#);
+        let (n, offenders) = gate("BENCH_load_urw.json", &base, &cur);
+        assert_eq!(n, 1, "present baseline + missing current = regression");
         assert_eq!(
             offenders,
-            vec![
-                "BENCH_sinks.json:summary.walks_delivered",
-                "BENCH_sinks.json:summary.sink_peak_resident"
-            ],
-            "failures name the offending metrics"
+            vec!["BENCH_load_urw.json:summary.saturation_qpt"]
         );
-        assert_eq!(gate("BENCH_sinks.json", &base, &base, 0.2).0, 0);
+        // A metric the current record declares but the baseline does not
+        // is reported ("ungated (new)") but never fails, however it moved.
+        let richer = doc(r#"{"summary": {"saturation_qpt": 1.0, "p99": 300},
+                "gate": [{"path": "summary.p99", "better": "lower", "band": 0.0, "floor": 0.0}]}"#);
+        let (n, _) = gate("BENCH_load_urw.json", &base, &richer);
+        assert_eq!(n, 0, "new metrics are ungated, not regressions");
     }
 
     #[test]
-    fn routing_benches_pick_the_routing_metric_set() {
-        let base = Json::parse(
-            r#"{"summary": {"p99_adaptive": 100, "migrations_adaptive": 500, "routed_accel_adaptive": 8000}}"#,
-        )
-        .unwrap();
-        let bad = Json::parse(
-            r#"{"summary": {"p99_adaptive": 160, "migrations_adaptive": 500, "routed_accel_adaptive": 8000}}"#,
-        )
-        .unwrap();
-        let (n, offenders) = gate("BENCH_routing.json", &base, &bad, 0.2);
-        assert_eq!(n, 1);
-        assert_eq!(offenders, vec!["BENCH_routing.json:summary.p99_adaptive"]);
-        assert_eq!(gate("BENCH_routing.json", &base, &base, 0.2).0, 0);
+    fn baselines_gating_nothing_fail_instead_of_passing_silently() {
+        let cur = doc(&format!(
+            r#"{{"summary": {{"saturation_qpt": 1.0}}, "gate": {SATURATION_GATE}}}"#
+        ));
+        for empty in [
+            r#"{"summary": {}}"#.to_string(),
+            format!(r#"{{"summary": {{"saturation_qpt": null}}, "gate": {SATURATION_GATE}}}"#),
+        ] {
+            let (n, offenders) = gate("BENCH_load_urw.json", &doc(&empty), &cur);
+            assert_eq!(n, 1, "{empty}");
+            assert_eq!(
+                offenders,
+                vec!["BENCH_load_urw.json:<no gated metrics in baseline>"]
+            );
+        }
     }
 
     #[test]
-    fn sampling_benches_pick_the_sampling_metric_set() {
-        // The bench emits its own gate block: wide bands on the
-        // wall-clock speedup ratios, tight bands on the deterministic
-        // sampler counters.
-        let base = Json::parse(
-            r#"{"gate": {"summary": {"node2vec_speedup_skewed": 0.50, "cache_hits": 0.05,
-                                     "total_steps": 0.0}},
-                "summary": {"node2vec_speedup_skewed": 2.6, "cache_hits": 4500,
-                            "total_steps": 160000}}"#,
-        )
-        .unwrap();
-        // Speedup halved (outside even the 50% band), hit count drifted
-        // past the 5% band, and the deterministic step count changed at
-        // all: three regressions.
-        let bad = Json::parse(
-            r#"{"summary": {"node2vec_speedup_skewed": 1.1, "cache_hits": 4000,
-                            "total_steps": 159000}}"#,
-        )
-        .unwrap();
-        let (n, offenders) = gate("BENCH_sampling.json", &base, &bad, 0.2);
-        assert_eq!(n, 3);
+    fn malformed_gate_entries_are_offenders_not_skips() {
+        let cur = doc(r#"{"summary": {"saturation_qpt": 1.0}}"#);
+        for bad in [
+            // Unknown direction.
+            r#"{"summary": {"saturation_qpt": 1.0},
+                "gate": [{"path": "summary.saturation_qpt", "better": "up", "band": 0.1, "floor": 0.0}]}"#,
+            // Negative band.
+            r#"{"summary": {"saturation_qpt": 1.0},
+                "gate": [{"path": "summary.saturation_qpt", "better": "higher", "band": -0.1, "floor": 0.0}]}"#,
+            // The old nested band block is not read.
+            r#"{"summary": {"saturation_qpt": 1.0}, "gate": {"summary": {"saturation_qpt": 0.1}}}"#,
+        ] {
+            let (n, offenders) = gate("BENCH_x.json", &doc(bad), &cur);
+            assert_eq!(n, 1, "{bad}");
+            assert!(offenders[0].starts_with("BENCH_x.json:<malformed gate list"));
+        }
+        // A declared path with no value in the baseline gates nothing.
+        let absent = doc(&format!(
+            r#"{{"summary": {{}}, "gate": {SATURATION_GATE}}}"#
+        ));
+        let (_, offenders) = gate("BENCH_x.json", &absent, &cur);
+        assert!(offenders.contains(&"BENCH_x.json:summary.saturation_qpt (not in baseline)".into()));
+    }
+
+    #[test]
+    fn the_baseline_list_is_judged_not_the_current_one() {
+        // 1.0 -> 0.84 saturation is -16%: regressed under the baseline's
+        // 10% band, though the current record declares a loose 30% band.
+        let base = doc(&format!(
+            r#"{{"summary": {{"saturation_qpt": 1.0}}, "gate": {SATURATION_GATE}}}"#
+        ));
+        let cur = doc(r#"{"summary": {"saturation_qpt": 0.84},
+                "gate": [{"path": "summary.saturation_qpt", "better": "higher", "band": 0.3, "floor": 0.0}]}"#);
+        let (n, offenders) = gate("BENCH_load_urw.json", &base, &cur);
+        assert_eq!(n, 1, "the baseline's tight band must fire");
         assert_eq!(
             offenders,
-            vec![
-                "BENCH_sampling.json:summary.node2vec_speedup_skewed",
-                "BENCH_sampling.json:summary.cache_hits",
-                "BENCH_sampling.json:summary.total_steps",
-            ]
+            vec!["BENCH_load_urw.json:summary.saturation_qpt"]
         );
-        assert_eq!(gate("BENCH_sampling.json", &base, &base, 0.2).0, 0);
+        // With the roles swapped, the baseline's loose band passes it.
+        assert_eq!(gate("BENCH_load_urw.json", &cur, &base).0, 0);
     }
 
     #[test]
     fn qps_benches_gate_determinism_but_never_the_wall_clock() {
-        // The bench emits ±0% bands on its counters. A 10x wall-clock
-        // swing passes untouched; a checksum mismatch (1 -> 0) or any
-        // drift in the deterministic counters fails.
-        let base = Json::parse(
-            r#"{"gate": {"summary": {"completed": 0.0, "steps": 0.0, "checksum_match": 0.0}},
-                "summary": {"completed": 4096, "steps": 240000, "checksum_match": 1,
-                            "threaded_qps_wall": 50000.0, "speedup_wall": 2.4}}"#,
-        )
-        .unwrap();
-        let slower_but_same_walks = Json::parse(
+        // The bench declares ±0% bands on its counters and nothing on
+        // its wall-clock fields. A 10x wall-clock swing passes untouched;
+        // a checksum mismatch (1 -> 0) or any drift in the deterministic
+        // counters fails.
+        let base = doc(
+            r#"{"summary": {"completed": 4096, "steps": 240000, "checksum_match": 1,
+                            "threaded_qps_wall": 50000.0, "speedup_wall": 2.4},
+                "gate": [
+                  {"path": "summary.completed", "better": "higher", "band": 0.0, "floor": 0.0},
+                  {"path": "summary.steps", "better": "higher", "band": 0.0, "floor": 0.0},
+                  {"path": "summary.checksum_match", "better": "higher", "band": 0.0, "floor": 0.0}]}"#,
+        );
+        let slower_but_same_walks = doc(
             r#"{"summary": {"completed": 4096, "steps": 240000, "checksum_match": 1,
                             "threaded_qps_wall": 5000.0, "speedup_wall": 0.9}}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            gate("BENCH_qps.json", &base, &slower_but_same_walks, 0.2).0,
-            0
         );
-        let diverged = Json::parse(
+        assert_eq!(gate("BENCH_qps.json", &base, &slower_but_same_walks).0, 0);
+        let diverged = doc(
             r#"{"summary": {"completed": 4096, "steps": 239000, "checksum_match": 0,
                             "threaded_qps_wall": 50000.0, "speedup_wall": 2.4}}"#,
-        )
-        .unwrap();
-        let (n, offenders) = gate("BENCH_qps.json", &base, &diverged, 0.2);
+        );
+        let (n, offenders) = gate("BENCH_qps.json", &base, &diverged);
         assert_eq!(n, 2);
         assert_eq!(
             offenders,
@@ -585,34 +409,127 @@ mod tests {
     }
 
     #[test]
-    fn gate_file_counts_missing_metrics() {
-        let base = Json::parse(r#"{"summary": {"saturation_qpt": 1.0}}"#).unwrap();
-        let cur = Json::parse(r#"{"summary": {}}"#).unwrap();
-        let (n, offenders) = gate("BENCH_load_urw.json", &base, &cur, 0.2);
-        assert_eq!(n, 1, "present baseline + missing current = regression");
+    fn phase_blocks_are_gated_and_their_diff_names_the_phase() {
+        let phase_gate = r#""gate": [
+            {"path": "phases.sink_wait_sum", "better": "lower", "band": 0.5, "floor": 64.0},
+            {"path": "phases.total_sum", "better": "lower", "band": 0.3, "floor": 64.0}]"#;
+        let base = doc(&format!(
+            r#"{{"summary": {{"walks_delivered": 100}},
+                "phases": {{"count": 100, "batch_wait_sum": 100, "batch_wait_p99": 2,
+                           "backend_sum": 300, "backend_p99": 5,
+                           "sink_wait_sum": 0, "sink_wait_p99": 0,
+                           "total_sum": 400, "total_p99": 8, "total_max": 10}},
+                {phase_gate}}}"#
+        ));
+        // Injected regression: the same spans now spend 8 extra ticks
+        // each waiting for the sink — past the 64-tick absolute floor
+        // and the relative band on both the phase and the total.
+        let cur = doc(r#"{"summary": {"walks_delivered": 100},
+                "phases": {"count": 100, "batch_wait_sum": 100, "batch_wait_p99": 2,
+                           "backend_sum": 300, "backend_p99": 5,
+                           "sink_wait_sum": 800, "sink_wait_p99": 12,
+                           "total_sum": 1200, "total_p99": 20, "total_max": 24}}"#);
+        let (_, offenders) = gate("BENCH_sinks.json", &base, &cur);
         assert_eq!(
             offenders,
-            vec!["BENCH_load_urw.json:summary.saturation_qpt"]
+            vec![
+                "BENCH_sinks.json:phases.sink_wait_sum",
+                "BENCH_sinks.json:phases.total_sum"
+            ]
         );
-        // A metric the current record gained since the baseline was
-        // captured is reported ("ungated (new)") but never fails.
-        let richer = Json::parse(
-            r#"{"summary": {"saturation_qpt": 1.0, "low_load_mean_latency_ticks": 3.0}}"#,
-        )
-        .unwrap();
-        let (n, _) = gate("BENCH_load_urw.json", &base, &richer, 0.2);
-        assert_eq!(n, 0, "new metrics are ungated, not regressions");
+        // The attribution the gate prints on failure names the phase and
+        // decomposes the delta additively.
+        let diff =
+            TraceDiff::from_summaries(phase_summary(&base).unwrap(), phase_summary(&cur).unwrap());
+        assert_eq!(diff.top_regressed_phase(), Some("sink-wait"));
+        assert!(diff.verdict().contains("sink-wait"), "{}", diff.verdict());
+        let mean_delta: f64 = diff.phase_mean_deltas().iter().sum();
+        assert!((mean_delta - 8.0).abs() < 1e-9, "additive: {mean_delta}");
+        // Identical records stay clean.
+        assert_eq!(gate("BENCH_sinks.json", &base, &base).0, 0);
+        assert!(phase_summary(&doc(r#"{"summary": {}}"#)).is_none());
+    }
+
+    const BASELINES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/baselines");
+
+    /// Gates a committed baseline against a copy of itself with the
+    /// values at `edits` replaced; returns the offenders.
+    fn gate_edited(name: &str, edits: &[(&str, f64)]) -> Vec<String> {
+        fn set(doc: &mut Json, path: &str, value: f64) {
+            let (head, rest) = path.split_once('.').unwrap_or((path, ""));
+            let Json::Obj(fields) = doc else {
+                panic!("{path} crosses a non-object")
+            };
+            let (_, child) = fields.iter_mut().find(|(k, _)| k == head).unwrap();
+            if rest.is_empty() {
+                *child = Json::Num(value);
+            } else {
+                set(child, rest, value);
+            }
+        }
+        let base = load_json(&Path::new(BASELINES).join(name)).unwrap();
+        let mut cur = base.clone();
+        for (path, value) in edits {
+            set(&mut cur, path, *value);
+        }
+        gate(name, &base, &cur).1
     }
 
     #[test]
-    fn baselines_gating_nothing_fail_instead_of_passing_silently() {
-        let empty = Json::parse(r#"{"summary": {}}"#).unwrap();
-        let cur = Json::parse(r#"{"summary": {"saturation_qpt": 1.0}}"#).unwrap();
-        let (n, offenders) = gate("BENCH_load_urw.json", &empty, &cur, 0.2);
-        assert_eq!(n, 1);
+    fn sink_benches_pick_the_sink_metric_set() {
+        // A halved delivery count regresses; a residency jump past both
+        // the band and the absolute floor regresses too.
         assert_eq!(
-            offenders,
-            vec!["BENCH_load_urw.json:<no gated metrics in baseline>"]
+            gate_edited(
+                "BENCH_sinks.json",
+                &[
+                    ("summary.walks_delivered", 3072.0),
+                    ("summary.sink_peak_resident", 400.0)
+                ]
+            ),
+            vec![
+                "BENCH_sinks.json:summary.walks_delivered",
+                "BENCH_sinks.json:summary.sink_peak_resident"
+            ],
+            "failures name the offending metrics"
+        );
+    }
+
+    #[test]
+    fn routing_benches_pick_the_routing_metric_set() {
+        // The adaptive p99 grows 60%; the ungated derived ratio moving
+        // with it is not an offence.
+        assert_eq!(
+            gate_edited(
+                "BENCH_routing.json",
+                &[
+                    ("summary.p99_adaptive", 243.0),
+                    ("summary.p99_improvement", 2.144)
+                ]
+            ),
+            vec!["BENCH_routing.json:summary.p99_adaptive"]
+        );
+    }
+
+    #[test]
+    fn sampling_benches_pick_the_sampling_metric_set() {
+        // Speedup more than halved (outside even the 50% band), hit count
+        // drifted past the 5% band, and the deterministic step count
+        // changed at all: three regressions.
+        assert_eq!(
+            gate_edited(
+                "BENCH_sampling.json",
+                &[
+                    ("summary.node2vec_speedup_skewed", 1.1),
+                    ("summary.cache_hits", 4000.0),
+                    ("summary.total_steps", 197_361.0)
+                ]
+            ),
+            vec![
+                "BENCH_sampling.json:summary.node2vec_speedup_skewed",
+                "BENCH_sampling.json:summary.cache_hits",
+                "BENCH_sampling.json:summary.total_steps",
+            ]
         );
     }
 
@@ -622,103 +539,46 @@ mod tests {
         // holding the SLO (1 -> 0) and the under-provisioned control
         // starts holding it (0 -> 1, the bench lost its contrast), and
         // the fleet forgets how to shrink (1 -> 0 scale-downs).
-        let base = Json::parse(
-            r#"{"gate": {"summary": {"slo_held_autoscaled": 0.0}},
-                "summary": {"p99_autoscaled": 70, "fleet_ticks_autoscaled": 3695,
-                            "scale_ups": 3, "scale_downs": 1,
-                            "slo_held_autoscaled": 1, "slo_held_static_under": 0}}"#,
-        )
-        .unwrap();
-        let bad = Json::parse(
-            r#"{"summary": {"p99_autoscaled": 70, "fleet_ticks_autoscaled": 3695,
-                            "scale_ups": 3, "scale_downs": 0,
-                            "slo_held_autoscaled": 0, "slo_held_static_under": 1}}"#,
-        )
-        .unwrap();
-        let (n, offenders) = gate("BENCH_autoscale.json", &base, &bad, 0.2);
-        assert_eq!(n, 3);
         assert_eq!(
-            offenders,
+            gate_edited(
+                "BENCH_autoscale.json",
+                &[
+                    ("summary.scale_downs", 0.0),
+                    ("summary.slo_held_autoscaled", 0.0),
+                    ("summary.slo_held_static_under", 1.0)
+                ]
+            ),
             vec![
                 "BENCH_autoscale.json:summary.scale_downs",
                 "BENCH_autoscale.json:summary.slo_held_autoscaled",
                 "BENCH_autoscale.json:summary.slo_held_static_under",
             ]
         );
-        assert_eq!(gate("BENCH_autoscale.json", &base, &base, 0.2).0, 0);
     }
 
     #[test]
-    fn phase_blocks_are_gated_and_their_diff_names_the_phase() {
-        let base = Json::parse(
-            r#"{"summary": {"walks_delivered": 100},
-                "phases": {"count": 100, "batch_wait_sum": 100, "batch_wait_p99": 2,
-                           "backend_sum": 300, "backend_p99": 5,
-                           "sink_wait_sum": 0, "sink_wait_p99": 0,
-                           "total_sum": 400, "total_p99": 8, "total_max": 10}}"#,
-        )
-        .unwrap();
-        // Injected regression: the same spans now spend 8 extra ticks
-        // each waiting for the sink — past the 64-tick absolute floor
-        // and the relative band on both the phase and the total.
-        let cur = Json::parse(
-            r#"{"summary": {"walks_delivered": 100},
-                "phases": {"count": 100, "batch_wait_sum": 100, "batch_wait_p99": 2,
-                           "backend_sum": 300, "backend_p99": 5,
-                           "sink_wait_sum": 800, "sink_wait_p99": 12,
-                           "total_sum": 1200, "total_p99": 20, "total_max": 24}}"#,
-        )
-        .unwrap();
-        let (_, offenders) = gate("BENCH_sinks.json", &base, &cur, 0.2);
-        assert!(offenders.contains(&"BENCH_sinks.json:phases.sink_wait_sum".to_string()));
-        assert!(offenders.contains(&"BENCH_sinks.json:phases.total_sum".to_string()));
-        // The attribution the gate prints on failure names the phase and
-        // decomposes the delta additively.
-        let diff = TraceDiff::from_summaries(
-            phase_summary_of(&base).unwrap(),
-            phase_summary_of(&cur).unwrap(),
-        );
-        assert_eq!(diff.top_regressed_phase(), Some("sink-wait"));
-        assert!(diff.verdict().contains("sink-wait"), "{}", diff.verdict());
-        let mean_delta: f64 = diff.phase_mean_deltas().iter().sum();
-        assert!((mean_delta - 8.0).abs() < 1e-9, "additive: {mean_delta}");
-        // Identical records stay clean.
-        assert_eq!(gate("BENCH_sinks.json", &base, &base, 0.2).0, 0);
-        // Records without a phases block skip the phase gates silently.
-        let bare = Json::parse(r#"{"summary": {"walks_delivered": 100}}"#).unwrap();
-        assert_eq!(gate("BENCH_sinks.json", &bare, &bare, 0.2).0, 0);
-        assert!(phase_summary_of(&bare).is_none());
-    }
-
-    #[test]
-    fn baseline_gate_block_overrides_the_default_band() {
-        // 1.0 -> 0.84 saturation is -16%: regressed under the metric's
-        // own 10% band even though the CLI default of 20% would pass it.
-        let base = Json::parse(
-            r#"{"gate": {"summary": {"saturation_qpt": 0.10}},
-                "summary": {"saturation_qpt": 1.0}}"#,
-        )
-        .unwrap();
-        let cur = Json::parse(r#"{"summary": {"saturation_qpt": 0.84}}"#).unwrap();
-        let (n, offenders) = gate("BENCH_load_urw.json", &base, &cur, 0.2);
-        assert_eq!(n, 1, "tight per-metric band must fire");
-        assert_eq!(
-            offenders,
-            vec!["BENCH_load_urw.json:summary.saturation_qpt"]
-        );
-        // The same drift with a loose 30% override passes.
-        let loose = Json::parse(
-            r#"{"gate": {"summary": {"saturation_qpt": 0.30}},
-                "summary": {"saturation_qpt": 1.0}}"#,
-        )
-        .unwrap();
-        assert_eq!(gate("BENCH_load_urw.json", &loose, &cur, 0.2).0, 0);
-        // Metrics without an override keep the CLI default.
-        let m = &LOAD_METRICS[0];
-        assert_eq!(tolerance_for(&base, m, 0.2), 0.10);
-        assert_eq!(
-            tolerance_for(&Json::parse(r#"{"summary": {}}"#).unwrap(), m, 0.2),
-            0.2
-        );
+    fn committed_baselines_declare_resolvable_metrics_and_gate_clean_against_themselves() {
+        let dir = Path::new(BASELINES);
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let record = load_json(&path).unwrap();
+            let declared = gates(&record).unwrap();
+            assert!(!declared.is_empty(), "{} gates nothing", path.display());
+            for g in &declared {
+                assert!(
+                    record.get(&g.path).and_then(Json::as_f64).is_some(),
+                    "{}: {} is not a number",
+                    path.display(),
+                    g.path
+                );
+            }
+            files += 1;
+        }
+        assert!(files >= 10, "only {files} committed baselines");
+        assert_eq!(gate_dirs(dir, dir), Ok(Vec::new()));
     }
 }

@@ -11,9 +11,12 @@
 //! repro fig8a fig11          # two experiments at the default (small) scale
 //! repro --scale standard all # the full paper sweep
 //! ```
+//!
+//! `--scale` selects a whole [`HarnessConfig`] preset (graph scale, query
+//! count and walk length); `--queries` and `--len` then override the
+//! preset, whatever the flag order.
 
 use grw_bench::{experiments, HarnessConfig};
-use grw_graph::generators::ScaleFactor;
 use std::process::ExitCode;
 
 fn usage() -> String {
@@ -27,31 +30,29 @@ fn usage() -> String {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = HarnessConfig::small();
+    let (mut queries, mut walk_len) = (None, None);
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => match it.next().map(String::as_str) {
-                Some("tiny") => cfg.scale = ScaleFactor::Tiny,
-                Some("small") => cfg.scale = ScaleFactor::Small,
-                Some("standard") => {
-                    cfg.scale = ScaleFactor::Standard;
-                    cfg.queries = HarnessConfig::standard().queries;
-                }
+                Some("tiny") => cfg = HarnessConfig::tiny(),
+                Some("small") => cfg = HarnessConfig::small(),
+                Some("standard") => cfg = HarnessConfig::standard(),
                 other => {
                     eprintln!("bad --scale {other:?}\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
             "--queries" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => cfg.queries = n,
+                Some(n) if n > 0 => queries = Some(n),
                 _ => {
                     eprintln!("bad --queries\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
             "--len" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => cfg.walk_len = n,
+                Some(n) if n > 0 => walk_len = Some(n),
                 _ => {
                     eprintln!("bad --len\n{}", usage());
                     return ExitCode::FAILURE;
@@ -64,6 +65,8 @@ fn main() -> ExitCode {
             other => ids.push(other.to_string()),
         }
     }
+    cfg.queries = queries.unwrap_or(cfg.queries);
+    cfg.walk_len = walk_len.unwrap_or(cfg.walk_len);
     if ids.is_empty() {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;

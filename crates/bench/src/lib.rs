@@ -29,10 +29,12 @@
 //! serving drivers over one wall-clock stream (writing `BENCH_qps.json`),
 //! [`autoscale`] replays a diurnal-plus-bursts multi-tenant stream
 //! through an SLO-driven elastic fleet and two static controls (writing
-//! `BENCH_autoscale.json`), and [`json`] is the minimal parser the
-//! `perf_gate` CI regression checker reads those records with. The
-//! `report` binary renders every committed `BENCH_*.json` baseline into
-//! one Table III-style markdown comparison (`benchmarks/TABLE.md`).
+//! `BENCH_autoscale.json`). [`json`] is the record format: the writer
+//! that declares each gated metric where it writes it, and the parser
+//! the `perf_gate` CI regression checker and `obsdiff` read records
+//! with. The `report` binary renders every committed `BENCH_*.json`
+//! baseline into one Table III-style markdown comparison
+//! (`benchmarks/TABLE.md`).
 //!
 //! # Example
 //!

@@ -21,6 +21,7 @@
 //! tick latency stays flat while their *cycles per query* exposes the
 //! per-batch fill/drain cost.
 
+use crate::json::{self, higher, lower, Obj};
 use grw_algo::{Node2VecMethod, PreparedGraph, QuerySet, WalkQuery, WalkSpec};
 use grw_graph::generators::{Dataset, ScaleFactor};
 use grw_graph::CsrGraph;
@@ -388,125 +389,108 @@ impl WorkloadLoadReport {
         Some((p.mean_latency_ticks - predicted).abs() / predicted)
     }
 
-    /// Renders the report as a `BENCH_load_<workload>.json` document —
-    /// a stable, hand-rolled JSON object (no serializer dependency) with
-    /// a flat `summary` block for the CI regression gate.
+    /// Renders the report as a `BENCH_load_<workload>.json` record:
+    /// calibration, a flat `summary`, the phase attribution of the
+    /// highest-load point, and both curves. Saturation throughput is
+    /// gated tight, loaded-regime latency loose.
     pub fn to_json(&self) -> String {
         let point = |p: &LoadPoint| {
-            format!(
-                concat!(
-                    "{{\"rho\": {:.3}, \"lambda_per_tick\": {:.6}, ",
-                    "\"completed\": {}, \"ticks\": {}, ",
-                    "\"mean_latency_ticks\": {:.3}, \"p50_latency_ticks\": {}, ",
-                    "\"p95_latency_ticks\": {}, \"p99_latency_ticks\": {}, ",
-                    "\"max_latency_ticks\": {}, ",
-                    "\"mean_batching_delay_ticks\": {:.3}, ",
-                    "\"mean_queue_depth\": {:.3}, ",
-                    "\"achieved_throughput\": {:.6}, ",
-                    "\"simulated_cycles\": {}, \"cycles_per_query\": {:.2}, ",
-                    "\"bubble_ratio\": {}, ",
-                    "\"predicted_mmn_latency_ticks\": {}, ",
-                    "\"predicted_bulk_latency_ticks\": {}, ",
-                    "\"sink_spilled\": {}, \"sink_forced_flushes\": {}}}"
-                ),
-                p.rho,
-                p.lambda_per_tick,
-                p.completed,
-                p.ticks,
-                p.mean_latency_ticks,
-                p.p50_latency_ticks,
-                p.p95_latency_ticks,
-                p.p99_latency_ticks,
-                p.max_latency_ticks,
-                p.mean_batching_delay_ticks,
-                p.mean_queue_depth,
-                p.achieved_throughput,
-                p.simulated_cycles,
-                p.cycles_per_query,
-                opt_json(p.bubble_ratio, 6),
-                opt_json(p.predicted_mmn_latency_ticks, 3),
-                opt_json(p.predicted_bulk_latency_ticks, 3),
-                p.sink_spilled,
-                p.sink_forced_flushes,
-            )
+            Obj::new()
+                .num("rho", p.rho, 3)
+                .num("lambda_per_tick", p.lambda_per_tick, 6)
+                .int("completed", p.completed as u64)
+                .int("ticks", p.ticks)
+                .num("mean_latency_ticks", p.mean_latency_ticks, 3)
+                .int("p50_latency_ticks", p.p50_latency_ticks)
+                .int("p95_latency_ticks", p.p95_latency_ticks)
+                .int("p99_latency_ticks", p.p99_latency_ticks)
+                .int("max_latency_ticks", p.max_latency_ticks)
+                .num("mean_batching_delay_ticks", p.mean_batching_delay_ticks, 3)
+                .num("mean_queue_depth", p.mean_queue_depth, 3)
+                .num("achieved_throughput", p.achieved_throughput, 6)
+                .int("simulated_cycles", p.simulated_cycles)
+                .num("cycles_per_query", p.cycles_per_query, 2)
+                .opt("bubble_ratio", p.bubble_ratio, 6)
+                .opt(
+                    "predicted_mmn_latency_ticks",
+                    p.predicted_mmn_latency_ticks,
+                    3,
+                )
+                .opt(
+                    "predicted_bulk_latency_ticks",
+                    p.predicted_bulk_latency_ticks,
+                    3,
+                )
+                .int("sink_spilled", p.sink_spilled)
+                .int("sink_forced_flushes", p.sink_forced_flushes)
         };
-        let curve = |points: &[LoadPoint]| {
-            points
-                .iter()
-                .map(|p| format!("    {}", point(p)))
-                .collect::<Vec<_>>()
-                .join(",\n")
-        };
+        let c = &self.config;
         let low = self.incremental.first();
         let high = self.incremental.last();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"load\",\n",
-                "  \"workload\": \"{}\",\n",
-                "  \"arrival\": \"{}\",\n",
-                "  \"delivery\": \"{}\",\n",
-                "  \"config\": {{\"scale\": \"{:?}\", \"walk_len\": {}, ",
-                "\"shards\": {}, \"pipelines\": {}, \"max_batch\": {}, ",
-                "\"poll_quantum\": {}, \"queries_per_point\": {}}},\n",
-                "  \"parallelism\": {},\n",
-                "  \"calibration\": {{\"saturation_qpt\": {:.6}, ",
-                "\"solo_latency_ticks\": {:.3}, \"servers_estimate\": {}}},\n",
-                "  \"summary\": {{\"saturation_qpt\": {:.6}, ",
-                "\"low_load_mean_latency_ticks\": {}, ",
-                "\"low_load_predicted_latency_ticks\": {}, ",
-                "\"low_load_model_error\": {}, ",
-                "\"high_load_mean_latency_ticks\": {}}},\n",
-                // Phase attribution of the highest-load incremental
-                // point, so an `obsdiff` of two records can say *where*
-                // a latency regression on this curve lives.
-                "  \"phases\": {},\n",
-                // Per-metric CI bands (perf_gate `gate` block): saturation
-                // throughput tight, loaded-regime latency loose — emitted
-                // by the generator so baseline refreshes keep the bands.
-                "  \"gate\": {{\"summary\": {{\"saturation_qpt\": 0.15, ",
-                "\"low_load_mean_latency_ticks\": 0.25, ",
-                "\"low_load_model_error\": 0.30, ",
-                "\"high_load_mean_latency_ticks\": 0.35}}, ",
-                "\"calibration\": {{\"solo_latency_ticks\": 0.20}}, ",
-                "\"phases\": {{\"count\": 0.0, \"total_sum\": 0.35, ",
-                "\"batch_wait_sum\": 0.50, \"backend_sum\": 0.35, ",
-                "\"sink_wait_sum\": 0.50}}}},\n",
-                "  \"incremental\": [\n{}\n  ],\n",
-                "  \"batch\": [\n{}\n  ]\n",
-                "}}\n"
-            ),
-            self.workload,
-            self.arrival,
-            self.config.delivery.name(),
-            self.config.scale,
-            self.config.walk_len,
-            self.config.shards,
-            self.config.pipelines,
-            self.config.max_batch,
-            self.config.poll_quantum,
-            self.config.queries_per_point,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            self.saturation_qpt,
-            self.solo_latency_ticks,
-            self.servers_estimate,
-            self.saturation_qpt,
-            opt_json(low.map(|p| p.mean_latency_ticks), 3),
-            opt_json(low.and_then(|p| p.predicted_mmn_latency_ticks), 3),
-            opt_json(self.low_load_model_error(), 4),
-            opt_json(high.map(|p| p.mean_latency_ticks), 3),
-            self.high_load_phases.to_json(),
-            curve(&self.incremental),
-            curve(&self.batch),
-        )
-    }
-}
-
-/// Formats an optional finite float for JSON (`null` otherwise).
-fn opt_json(v: Option<f64>, decimals: usize) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.decimals$}"),
-        _ => "null".to_string(),
+        Obj::new()
+            .str("bench", "load")
+            .str("workload", &self.workload)
+            .str("arrival", &self.arrival)
+            .str("delivery", c.delivery.name())
+            .obj(
+                "config",
+                Obj::new()
+                    .str("scale", &format!("{:?}", c.scale))
+                    .int("walk_len", c.walk_len.into())
+                    .int("shards", c.shards as u64)
+                    .int("pipelines", c.pipelines.into())
+                    .int("max_batch", c.max_batch as u64)
+                    .int("poll_quantum", c.poll_quantum)
+                    .int("queries_per_point", c.queries_per_point as u64),
+            )
+            .int("parallelism", json::parallelism() as u64)
+            .obj(
+                "calibration",
+                Obj::new()
+                    .num("saturation_qpt", self.saturation_qpt, 6)
+                    .gated(
+                        "solo_latency_ticks",
+                        self.solo_latency_ticks,
+                        3,
+                        lower(0.20, 2.0),
+                    )
+                    .int("servers_estimate", self.servers_estimate as u64),
+            )
+            .obj(
+                "summary",
+                Obj::new()
+                    .gated("saturation_qpt", self.saturation_qpt, 6, higher(0.15))
+                    .gated(
+                        "low_load_mean_latency_ticks",
+                        low.map(|p| p.mean_latency_ticks),
+                        3,
+                        lower(0.25, 2.0),
+                    )
+                    .opt(
+                        "low_load_predicted_latency_ticks",
+                        low.and_then(|p| p.predicted_mmn_latency_ticks),
+                        3,
+                    )
+                    .gated(
+                        "low_load_model_error",
+                        self.low_load_model_error(),
+                        4,
+                        lower(0.30, 0.05),
+                    )
+                    .gated(
+                        "high_load_mean_latency_ticks",
+                        high.map(|p| p.mean_latency_ticks),
+                        3,
+                        lower(0.35, 2.0),
+                    ),
+            )
+            // Phase attribution of the highest-load incremental point, so
+            // an `obsdiff` of two records can say *where* a latency
+            // regression on this curve lives.
+            .phases(&self.high_load_phases, [0.35, 0.50, 0.35, 0.50], 64.0)
+            .arr("incremental", self.incremental.iter().map(point))
+            .arr("batch", self.batch.iter().map(point))
+            .record()
     }
 }
 
@@ -907,12 +891,5 @@ mod tests {
             .graph(ScaleFactor::Tiny)
             .is_weighted());
         assert!(!LoadWorkload::Urw.graph(ScaleFactor::Tiny).is_weighted());
-    }
-
-    #[test]
-    fn opt_json_renders_null_for_non_finite() {
-        assert_eq!(opt_json(None, 3), "null");
-        assert_eq!(opt_json(Some(f64::INFINITY), 3), "null");
-        assert_eq!(opt_json(Some(1.5), 2), "1.50");
     }
 }

@@ -30,6 +30,7 @@
 //!   threaded/deterministic speedup. Real on the machine that ran them,
 //!   meaningless to gate across machines; recorded but never gated.
 
+use crate::json::{self, higher, lower, Obj};
 use crate::ArrivalShape;
 use grw_algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkQuery, WalkSpec};
 use grw_graph::generators::{Dataset, ScaleFactor};
@@ -137,8 +138,8 @@ pub struct DriverQps {
 pub struct QpsReport {
     /// The run configuration.
     pub config: QpsConfig,
-    /// `std::thread::available_parallelism()` on the machine that ran
-    /// this — the context every wall-clock number must be read in.
+    /// [`json::parallelism`] on the machine that ran this — the context
+    /// every wall-clock number must be read in.
     pub parallelism: usize,
     /// The single-threaded regime's measurements.
     pub deterministic: DriverQps,
@@ -177,83 +178,63 @@ impl QpsReport {
         self.threaded.qps_wall / self.deterministic.qps_wall.max(1e-9)
     }
 
-    /// Renders the report as the `BENCH_qps.json` document. The `gate`
-    /// block pins only the deterministic counters to ±0%; every
-    /// wall-clock field is recorded but deliberately absent from the
-    /// gated metric set.
+    /// Renders the report as the `BENCH_qps.json` record. The
+    /// deterministic counters are gated at ±0%: any drift is a behaviour
+    /// change, not noise. Wall-clock fields are recorded but not gated,
+    /// except `obs_overhead`.
     pub fn to_json(&self) -> String {
         let regime = |d: &DriverQps| {
-            format!(
-                concat!(
-                    "{{\"completed\": {}, \"steps\": {}, \"walk_digest\": {}, ",
-                    "\"ticks\": {}, \"wall_seconds\": {:.6}, ",
-                    "\"qps_wall\": {:.1}, \"p50_latency_us\": {}, ",
-                    "\"p99_latency_us\": {}, \"max_latency_us\": {}}}"
-                ),
-                d.completed,
-                d.steps,
-                d.walk_digest,
-                d.ticks,
-                d.wall_seconds,
-                d.qps_wall,
-                d.p50_latency_us,
-                d.p99_latency_us,
-                d.max_latency_us,
-            )
+            Obj::new()
+                .int("completed", d.completed)
+                .int("steps", d.steps)
+                .int("walk_digest", d.walk_digest)
+                .int("ticks", d.ticks)
+                .num("wall_seconds", d.wall_seconds, 6)
+                .num("qps_wall", d.qps_wall, 1)
+                .int("p50_latency_us", d.p50_latency_us)
+                .int("p99_latency_us", d.p99_latency_us)
+                .int("max_latency_us", d.max_latency_us)
         };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"qps\",\n",
-                "  \"config\": {{\"scale\": \"{:?}\", \"walk_len\": {}, ",
-                "\"shards\": {}, \"max_batch\": {}, \"queries\": {}, ",
-                "\"arrivals_per_tick\": {:.3}, \"arrival\": \"{}\"}},\n",
-                "  \"parallelism\": {},\n",
-                "  \"summary\": {{\"completed\": {}, \"steps\": {}, ",
-                "\"checksum_match\": {}, \"walk_digest\": {}, ",
-                "\"deterministic_qps_wall\": {:.1}, ",
-                "\"threaded_qps_wall\": {:.1}, ",
-                "\"speedup_wall\": {:.3}, ",
-                "\"obs_overhead\": {:.4}}},\n",
-                // Per-metric CI bands (perf_gate `gate` block): the
-                // deterministic counters are exact — any drift is a
-                // behaviour change, not noise. Wall-clock numbers carry
-                // no gate entry on purpose — except `obs_overhead`,
-                // whose 0% relative band defers entirely to the gate's
-                // 0.03 absolute floor (an absolute ≤3% ceiling, stable
-                // across runner hardware because it is a same-machine
-                // same-run ratio).
-                "  \"gate\": {{\"summary\": {{\"completed\": 0.0, ",
-                "\"steps\": 0.0, \"checksum_match\": 0.0, ",
-                "\"obs_overhead\": 0.0}}, ",
-                "\"phases\": {{\"count\": 0.0, \"total_sum\": 0.0, ",
-                "\"batch_wait_sum\": 0.0, \"backend_sum\": 0.0, ",
-                "\"sink_wait_sum\": 0.0}}}},\n",
-                "  \"phases\": {},\n",
-                "  \"deterministic\": {},\n",
-                "  \"threaded\": {}\n",
-                "}}\n"
-            ),
-            self.config.scale,
-            self.config.walk_len,
-            self.config.shards,
-            self.config.max_batch,
-            self.config.queries,
-            self.config.arrivals_per_tick,
-            self.config.arrival.name(),
-            self.parallelism,
-            self.deterministic.completed,
-            self.deterministic.steps,
-            u64::from(self.checksum_match()),
-            self.deterministic.walk_digest,
-            self.deterministic.qps_wall,
-            self.threaded.qps_wall,
-            self.speedup_wall(),
-            self.obs_overhead,
-            self.phases.to_json(),
-            regime(&self.deterministic),
-            regime(&self.threaded),
-        )
+        let c = &self.config;
+        let d = &self.deterministic;
+        Obj::new()
+            .str("bench", "qps")
+            .obj(
+                "config",
+                Obj::new()
+                    .str("scale", &format!("{:?}", c.scale))
+                    .int("walk_len", c.walk_len.into())
+                    .int("shards", c.shards as u64)
+                    .int("max_batch", c.max_batch as u64)
+                    .int("queries", c.queries as u64)
+                    .num("arrivals_per_tick", c.arrivals_per_tick, 3)
+                    .str("arrival", c.arrival.name()),
+            )
+            .int("parallelism", self.parallelism as u64)
+            .obj(
+                "summary",
+                Obj::new()
+                    .gated("completed", d.completed as f64, 0, higher(0.0))
+                    .gated("steps", d.steps as f64, 0, higher(0.0))
+                    .gated(
+                        "checksum_match",
+                        f64::from(u8::from(self.checksum_match())),
+                        0,
+                        higher(0.0),
+                    )
+                    .int("walk_digest", d.walk_digest)
+                    .num("deterministic_qps_wall", d.qps_wall, 1)
+                    .num("threaded_qps_wall", self.threaded.qps_wall, 1)
+                    .num("speedup_wall", self.speedup_wall(), 3)
+                    // A same-machine, same-run ratio, so it is stable
+                    // across runner hardware: no relative band, an
+                    // absolute ceiling of 3% over the baseline.
+                    .gated("obs_overhead", self.obs_overhead, 4, lower(0.0, 0.03)),
+            )
+            .phases(&self.phases, [0.0; 4], 0.0)
+            .obj("deterministic", regime(d))
+            .obj("threaded", regime(&self.threaded))
+            .record()
     }
 }
 
@@ -435,9 +416,7 @@ pub fn run_qps_bench(cfg: &QpsConfig) -> QpsReport {
 
     let report = QpsReport {
         config: cfg.clone(),
-        parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        parallelism: json::parallelism(),
         deterministic,
         threaded,
         obs_overhead,
@@ -495,15 +474,21 @@ mod tests {
             num("summary.completed"),
             Some(report.deterministic.completed as f64)
         );
-        assert_eq!(num("gate.summary.steps"), Some(0.0));
-        // The obs-overhead fraction is recorded and gated (0% relative
-        // band; the gate binary supplies the absolute ceiling).
         assert!(num("summary.obs_overhead").is_some());
-        assert_eq!(num("gate.summary.obs_overhead"), Some(0.0));
         assert!((0.0..=1.0).contains(&report.obs_overhead));
-        // Wall-clock fields are present but carry no gate entry.
+        // Wall-clock fields are present but carry no gate entry; the
+        // counters and `obs_overhead` do.
         assert!(num("summary.speedup_wall").is_some());
-        assert!(num("gate.summary.speedup_wall").is_none());
+        let declared = crate::json::gates(&doc).unwrap();
+        assert!(declared.iter().all(|g| g.path != "summary.speedup_wall"));
+        let baseline =
+            crate::Json::parse(include_str!("../../../benchmarks/baselines/BENCH_qps.json"))
+                .unwrap();
+        assert_eq!(
+            Ok(declared),
+            crate::json::gates(&baseline),
+            "the record declares exactly its committed baseline's gates"
+        );
         assert_eq!(report.file_name(), "BENCH_qps.json");
     }
 

@@ -21,6 +21,7 @@
 //! and exact counts — deterministic, so `BENCH_routing.json`'s summary
 //! block is CI-gateable.
 
+use crate::json::{self, higher, lower, Obj};
 use crate::load::{calibrate_saturation, ArrivalShape, LoadWorkload};
 use grw_algo::{BackendClass, PreparedGraph, QuerySet, WalkQuery, WalkSpec};
 use grw_graph::generators::ScaleFactor;
@@ -249,110 +250,89 @@ impl RoutingBenchReport {
     }
 
     /// Renders `BENCH_routing.json`: per-workload blocks plus a flat
-    /// deterministic `summary` (worst-case p99 static vs adaptive,
-    /// migrations, queries routed per class) and the per-metric `gate`
-    /// tolerance block the CI regression gate reads.
+    /// deterministic `summary` (worst-case p99 per policy, migrations,
+    /// queries routed per class), which carries the gated metrics.
     pub fn to_json(&self) -> String {
         let outcome = |o: &PolicyOutcome| {
-            format!(
-                concat!(
-                    "{{\"policy\": \"{}\", \"completed\": {}, \"ticks\": {}, ",
-                    "\"mean_latency_ticks\": {:.3}, \"p50_latency_ticks\": {}, ",
-                    "\"p99_latency_ticks\": {}, \"max_latency_ticks\": {}, ",
-                    "\"migrations\": {}, \"routed_accel\": {}, ",
-                    "\"routed_cpu\": {}, \"mean_queue_depth\": {:.3}}}"
-                ),
-                o.policy,
-                o.completed,
-                o.ticks,
-                o.mean_latency_ticks,
-                o.p50_latency_ticks,
-                o.p99_latency_ticks,
-                o.max_latency_ticks,
-                o.migrations,
-                o.routed_accel,
-                o.routed_cpu,
-                o.mean_queue_depth,
-            )
+            Obj::new()
+                .str("policy", &o.policy)
+                .int("completed", o.completed as u64)
+                .int("ticks", o.ticks)
+                .num("mean_latency_ticks", o.mean_latency_ticks, 3)
+                .int("p50_latency_ticks", o.p50_latency_ticks)
+                .int("p99_latency_ticks", o.p99_latency_ticks)
+                .int("max_latency_ticks", o.max_latency_ticks)
+                .int("migrations", o.migrations)
+                .int("routed_accel", o.routed_accel)
+                .int("routed_cpu", o.routed_cpu)
+                .num("mean_queue_depth", o.mean_queue_depth, 3)
         };
         let workload = |w: &WorkloadRouting| {
-            format!(
-                concat!(
-                    "    {{\"workload\": \"{}\", \"accel_qpt\": {:.6}, ",
-                    "\"cpu_qpt\": {:.6}, \"lambda_per_tick\": {:.6},\n",
-                    "     \"outcomes\": [\n{}\n     ]}}"
-                ),
-                w.workload,
-                w.accel_qpt,
-                w.cpu_qpt,
-                w.lambda_per_tick,
-                w.outcomes
-                    .iter()
-                    .map(|o| format!("      {}", outcome(o)))
-                    .collect::<Vec<_>>()
-                    .join(",\n"),
-            )
+            Obj::new()
+                .str("workload", &w.workload)
+                .num("accel_qpt", w.accel_qpt, 6)
+                .num("cpu_qpt", w.cpu_qpt, 6)
+                .num("lambda_per_tick", w.lambda_per_tick, 6)
+                .arr("outcomes", w.outcomes.iter().map(outcome))
         };
         let c = &self.config;
         let (acc_a, cpu_a) = self.total_routed("adaptive");
         let p99_static = self.worst_p99("static-hash");
         let p99_adaptive = self.worst_p99("adaptive");
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"routing\",\n",
-                "  \"arrival\": \"{}\",\n",
-                "  \"config\": {{\"scale\": \"{:?}\", \"walk_len\": {}, ",
-                "\"accel_shards\": {}, \"cpu_shards\": {}, ",
-                "\"cpu_threads\": {}, \"cpu_poll_chunk\": {}, ",
-                "\"pipelines\": {}, \"poll_quantum\": {}, \"max_batch\": {}, ",
-                "\"tenants\": {}, \"queries\": {}, \"rho\": {:.3}}},\n",
-                "  \"parallelism\": {},\n",
-                "  \"summary\": {{\"workloads\": {}, ",
-                "\"p99_static\": {}, \"p99_adaptive\": {}, ",
-                "\"p99_improvement\": {:.3}, ",
-                "\"migrations_adaptive\": {}, ",
-                "\"routed_accel_adaptive\": {}, ",
-                "\"routed_cpu_adaptive\": {}, ",
-                "\"migrations_least_loaded\": {}, ",
-                "\"p99_least_loaded\": {}}},\n",
-                "  \"gate\": {{\"summary\": {{",
-                "\"p99_static\": 0.35, \"p99_adaptive\": 0.30, ",
-                "\"p99_least_loaded\": 0.30, ",
-                "\"migrations_adaptive\": 0.50, ",
-                "\"routed_accel_adaptive\": 0.25}}}},\n",
-                "  \"workloads\": [\n{}\n  ]\n",
-                "}}\n"
-            ),
-            self.config.arrival.name(),
-            c.scale,
-            c.walk_len,
-            c.accel_shards,
-            c.cpu_shards,
-            c.cpu_threads,
-            c.cpu_poll_chunk,
-            c.pipelines,
-            c.poll_quantum,
-            c.max_batch,
-            c.tenants,
-            c.queries,
-            c.rho,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            self.workloads.len(),
-            p99_static,
-            p99_adaptive,
-            p99_static as f64 / p99_adaptive.max(1) as f64,
-            self.total_migrations("adaptive"),
-            acc_a,
-            cpu_a,
-            self.total_migrations("least-loaded"),
-            self.worst_p99("least-loaded"),
-            self.workloads
-                .iter()
-                .map(workload)
-                .collect::<Vec<_>>()
-                .join(",\n"),
-        )
+        Obj::new()
+            .str("bench", "routing")
+            .str("arrival", c.arrival.name())
+            .obj(
+                "config",
+                Obj::new()
+                    .str("scale", &format!("{:?}", c.scale))
+                    .int("walk_len", c.walk_len.into())
+                    .int("accel_shards", c.accel_shards as u64)
+                    .int("cpu_shards", c.cpu_shards as u64)
+                    .int("cpu_threads", c.cpu_threads as u64)
+                    .int("cpu_poll_chunk", c.cpu_poll_chunk as u64)
+                    .int("pipelines", c.pipelines.into())
+                    .int("poll_quantum", c.poll_quantum)
+                    .int("max_batch", c.max_batch as u64)
+                    .int("tenants", c.tenants.into())
+                    .int("queries", c.queries as u64)
+                    .num("rho", c.rho, 3),
+            )
+            .int("parallelism", json::parallelism() as u64)
+            .obj(
+                "summary",
+                Obj::new()
+                    .int("workloads", self.workloads.len() as u64)
+                    .gated("p99_static", p99_static as f64, 0, lower(0.35, 16.0))
+                    .gated("p99_adaptive", p99_adaptive as f64, 0, lower(0.30, 8.0))
+                    // Derived from the two gated p99s and not gated itself:
+                    // it would fail when only the static arm improves.
+                    .num(
+                        "p99_improvement",
+                        p99_static as f64 / p99_adaptive.max(1) as f64,
+                        3,
+                    )
+                    .gated(
+                        "migrations_adaptive",
+                        self.total_migrations("adaptive") as f64,
+                        0,
+                        lower(0.50, 16.0),
+                    )
+                    .gated("routed_accel_adaptive", acc_a as f64, 0, higher(0.25))
+                    .int("routed_cpu_adaptive", cpu_a)
+                    .int(
+                        "migrations_least_loaded",
+                        self.total_migrations("least-loaded"),
+                    )
+                    .gated(
+                        "p99_least_loaded",
+                        self.worst_p99("least-loaded") as f64,
+                        0,
+                        lower(0.30, 8.0),
+                    ),
+            )
+            .arr("workloads", self.workloads.iter().map(workload))
+            .record()
     }
 }
 
@@ -572,7 +552,7 @@ pub fn run_routing_bench(cfg: &RoutingBenchConfig) -> RoutingBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Json;
+    use crate::json::{gates, Json};
 
     #[test]
     fn smoke_comparison_favours_adaptive_on_the_mixed_fleet() {
@@ -632,10 +612,14 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(cpu as f64)
         );
+        let baseline = Json::parse(include_str!(
+            "../../../benchmarks/baselines/BENCH_routing.json"
+        ))
+        .unwrap();
         assert_eq!(
-            json.get("gate.summary.p99_adaptive").and_then(Json::as_f64),
-            Some(0.30),
-            "per-metric tolerance ships inside the record"
+            gates(&json),
+            gates(&baseline),
+            "the record declares exactly its committed baseline's gates"
         );
         assert!(json.get("workloads").and_then(Json::as_arr).is_some());
     }

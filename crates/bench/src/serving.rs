@@ -12,6 +12,7 @@
 //! every micro-batch boundary, incremental shards keep one machine
 //! backlogged throughout.
 
+use crate::json::{self, higher, lower, Obj};
 use grw_algo::{PreparedGraph, QuerySet, WalkSpec};
 use grw_graph::generators::{Dataset, ScaleFactor};
 use grw_service::{accelerator_driver, AccelShardMode, Driver, ServiceConfig, TenantId};
@@ -131,73 +132,60 @@ impl ServingComparison {
         }
     }
 
-    /// Renders the comparison as a `BENCH_serving.json` document: one
-    /// stable, hand-rolled JSON object (no serializer dependency) for the
-    /// CI perf-trajectory recorder.
+    /// Renders the comparison as a `BENCH_serving.json` record.
+    /// Throughput and cycle counts are gated tight, bubble ratios and the
+    /// latency tail loose.
     pub fn to_json(&self) -> String {
         let w = &self.workload;
         let mode = |m: &ModeReport| {
-            format!(
-                concat!(
-                    "{{\"completed\": {}, \"steps\": {}, ",
-                    "\"msteps_wall\": {:.3}, \"msteps_simulated\": {:.3}, ",
-                    "\"simulated_cycles\": {}, \"bubble_ratio\": {:.6}, ",
-                    "\"machine_bubble_ratio\": {:.6}, ",
-                    "\"pipeline_utilization\": {:.6}, ",
-                    "\"p99_batch_latency_ticks\": {}}}"
-                ),
-                m.completed,
-                m.steps,
-                m.msteps_wall,
-                m.msteps_simulated,
-                m.simulated_cycles,
-                m.bubble_ratio,
-                m.machine_bubble_ratio,
-                m.utilization,
-                m.p99_batch_latency_ticks,
-            )
+            Obj::new()
+                .int("completed", m.completed)
+                .int("steps", m.steps)
+                .num("msteps_wall", m.msteps_wall, 3)
+                .gated("msteps_simulated", m.msteps_simulated, 3, higher(0.15))
+                .gated(
+                    "simulated_cycles",
+                    m.simulated_cycles as f64,
+                    0,
+                    lower(0.15, 0.0),
+                )
+                .gated("bubble_ratio", m.bubble_ratio, 6, lower(0.30, 0.05))
+                .num("machine_bubble_ratio", m.machine_bubble_ratio, 6)
+                .num("pipeline_utilization", m.utilization, 6)
         };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"serving\",\n",
-                "  \"workload\": {{\"queries\": {}, \"walk_len\": {}, ",
-                "\"arrivals_per_tick\": {}, \"shards\": {}, ",
-                "\"pipelines\": {}, \"max_batch\": {}, \"poll_quantum\": {}}},\n",
-                "  \"parallelism\": {},\n",
-                "  \"batch\": {},\n",
-                "  \"incremental\": {},\n",
-                // Per-metric CI bands (perf_gate `gate` block): throughput
-                // and cycle counts tight, bubble ratios and latency tails
-                // loose. Kept in the generator so baseline refreshes keep
-                // the bands.
-                "  \"gate\": {{",
-                "\"batch\": {{\"msteps_simulated\": 0.15, ",
-                "\"simulated_cycles\": 0.15, \"bubble_ratio\": 0.30}}, ",
-                "\"incremental\": {{\"msteps_simulated\": 0.15, ",
-                "\"simulated_cycles\": 0.15, \"bubble_ratio\": 0.30, ",
-                "\"p99_batch_latency_ticks\": 0.35}}}},\n",
-                "  \"bubble_improvement\": {}\n",
-                "}}\n"
-            ),
-            w.queries,
-            w.walk_len,
-            w.arrivals_per_tick,
-            w.shards,
-            w.pipelines,
-            w.max_batch,
-            w.poll_quantum,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            mode(&self.batch),
-            mode(&self.incremental),
-            // `{:.3}` would render an infinite ratio as bare `inf`, which
-            // is not JSON; a zero-bubble incremental run reports null.
-            if self.bubble_improvement().is_finite() {
-                format!("{:.3}", self.bubble_improvement())
-            } else {
-                "null".to_string()
-            },
-        )
+        Obj::new()
+            .str("bench", "serving")
+            .obj(
+                "workload",
+                Obj::new()
+                    .int("queries", w.queries as u64)
+                    .int("walk_len", w.walk_len.into())
+                    .int("arrivals_per_tick", w.arrivals_per_tick as u64)
+                    .int("shards", w.shards as u64)
+                    .int("pipelines", w.pipelines.into())
+                    .int("max_batch", w.max_batch as u64)
+                    .int("poll_quantum", w.poll_quantum),
+            )
+            .int("parallelism", json::parallelism() as u64)
+            .obj(
+                "batch",
+                mode(&self.batch).int(
+                    "p99_batch_latency_ticks",
+                    self.batch.p99_batch_latency_ticks,
+                ),
+            )
+            .obj(
+                "incremental",
+                mode(&self.incremental).gated(
+                    "p99_batch_latency_ticks",
+                    self.incremental.p99_batch_latency_ticks as f64,
+                    0,
+                    lower(0.35, 2.0),
+                ),
+            )
+            // A zero-bubble incremental run has an infinite ratio: null.
+            .num("bubble_improvement", self.bubble_improvement(), 3)
+            .record()
     }
 }
 

@@ -18,6 +18,7 @@
 //!
 //! [`Driver::tick_into`]: grw_service::Driver::tick_into
 
+use crate::json::{self, higher, lower, Obj};
 use grw_algo::{PreparedGraph, QuerySet, WalkQuery, WalkSpec};
 use grw_graph::generators::{Dataset, ScaleFactor};
 use grw_obs::{PhaseSummary, SpanSet};
@@ -180,87 +181,81 @@ impl SinkBenchReport {
         self.legacy.peak_resident_paths as f64 / self.sink.peak_resident_paths.max(1) as f64
     }
 
-    /// Renders the report as a `BENCH_sinks.json` document — a stable,
-    /// hand-rolled JSON object with a flat `summary` block of
-    /// deterministic metrics for the CI regression gate.
+    /// Renders the report as a `BENCH_sinks.json` record with a flat
+    /// `summary` of deterministic metrics. Exact conservation counts are
+    /// gated tight, residency and ticks loose.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let footprint = |f: &DeliveryFootprint| {
-            format!(
-                concat!(
-                    "{{\"completed\": {}, \"ticks\": {}, ",
-                    "\"peak_resident_paths\": {}, \"final_resident_paths\": {}, ",
-                    "\"wall_seconds\": {:.6}, \"walks_per_sec\": {:.1}}}"
-                ),
-                f.completed,
-                f.ticks,
-                f.peak_resident_paths,
-                f.final_resident_paths,
-                f.wall_seconds,
-                f.walks_per_sec(),
-            )
+            Obj::new()
+                .int("completed", f.completed)
+                .int("ticks", f.ticks)
+                .int("peak_resident_paths", f.peak_resident_paths as u64)
+                .int("final_resident_paths", f.final_resident_paths as u64)
+                .num("wall_seconds", f.wall_seconds, 6)
+                .num("walks_per_sec", f.walks_per_sec(), 1)
         };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"sinks\",\n",
-                "  \"config\": {{\"scale\": \"{:?}\", \"walk_len\": {}, ",
-                "\"queries\": {}, \"arrivals_per_tick\": {}, \"shards\": {}, ",
-                "\"pipelines\": {}, \"max_batch\": {}, \"poll_quantum\": {}, ",
-                "\"corpus_window\": {}, \"corpus_capacity\": {}, ",
-                "\"spill_capacity\": {}}},\n",
-                "  \"parallelism\": {},\n",
-                "  \"legacy\": {},\n",
-                "  \"sink\": {},\n",
-                "  \"corpus\": {{\"tokens\": {}, \"pairs_emitted\": {}, ",
-                "\"peak_buffered_pairs\": {}, \"flushes\": {}}},\n",
-                "  \"delivery\": {{\"accepted\": {}, \"backpressured\": {}, ",
-                "\"spilled\": {}, \"forced_flushes\": {}}},\n",
-                "  \"summary\": {{\"walks_delivered\": {}, \"pairs_emitted\": {}, ",
-                "\"legacy_peak_resident\": {}, \"sink_peak_resident\": {}, ",
-                "\"residency_ratio\": {:.2}, \"ticks\": {}}},\n",
-                "  \"phases\": {},\n",
-                // Per-metric CI bands (perf_gate `gate` block): exact
-                // conservation counts tight, residency/ticks loose —
-                // emitted by the generator so refreshes keep the bands.
-                "  \"gate\": {{\"summary\": {{\"walks_delivered\": 0.05, ",
-                "\"pairs_emitted\": 0.10, \"sink_peak_resident\": 0.30, ",
-                "\"ticks\": 0.25}}, ",
-                "\"phases\": {{\"count\": 0.0, \"total_sum\": 0.30, ",
-                "\"batch_wait_sum\": 0.40, \"backend_sum\": 0.30, ",
-                "\"sink_wait_sum\": 0.50}}}}\n",
-                "}}\n"
-            ),
-            c.scale,
-            c.walk_len,
-            c.queries,
-            c.arrivals_per_tick,
-            c.shards,
-            c.pipelines,
-            c.max_batch,
-            c.poll_quantum,
-            c.corpus_window,
-            c.corpus_capacity,
-            c.spill_capacity,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            footprint(&self.legacy),
-            footprint(&self.sink),
-            self.corpus_tokens,
-            self.pairs_emitted,
-            self.peak_buffered_pairs,
-            self.corpus_flushes,
-            self.sink_accepted,
-            self.sink_backpressured,
-            self.sink_spilled,
-            self.sink_forced_flushes,
-            self.sink.completed,
-            self.pairs_emitted,
-            self.legacy.peak_resident_paths,
-            self.sink.peak_resident_paths,
-            self.residency_ratio(),
-            self.sink.ticks,
-            self.phases.to_json(),
-        )
+        Obj::new()
+            .str("bench", "sinks")
+            .obj(
+                "config",
+                Obj::new()
+                    .str("scale", &format!("{:?}", c.scale))
+                    .int("walk_len", c.walk_len.into())
+                    .int("queries", c.queries as u64)
+                    .int("arrivals_per_tick", c.arrivals_per_tick as u64)
+                    .int("shards", c.shards as u64)
+                    .int("pipelines", c.pipelines.into())
+                    .int("max_batch", c.max_batch as u64)
+                    .int("poll_quantum", c.poll_quantum)
+                    .int("corpus_window", c.corpus_window as u64)
+                    .int("corpus_capacity", c.corpus_capacity as u64)
+                    .int("spill_capacity", c.spill_capacity as u64),
+            )
+            .int("parallelism", json::parallelism() as u64)
+            .obj("legacy", footprint(&self.legacy))
+            .obj("sink", footprint(&self.sink))
+            .obj(
+                "corpus",
+                Obj::new()
+                    .int("tokens", self.corpus_tokens)
+                    .int("pairs_emitted", self.pairs_emitted)
+                    .int("peak_buffered_pairs", self.peak_buffered_pairs as u64)
+                    .int("flushes", self.corpus_flushes),
+            )
+            .obj(
+                "delivery",
+                Obj::new()
+                    .int("accepted", self.sink_accepted)
+                    .int("backpressured", self.sink_backpressured)
+                    .int("spilled", self.sink_spilled)
+                    .int("forced_flushes", self.sink_forced_flushes),
+            )
+            .obj(
+                "summary",
+                Obj::new()
+                    .gated(
+                        "walks_delivered",
+                        self.sink.completed as f64,
+                        0,
+                        higher(0.05),
+                    )
+                    .gated("pairs_emitted", self.pairs_emitted as f64, 0, higher(0.10))
+                    .int(
+                        "legacy_peak_resident",
+                        self.legacy.peak_resident_paths as u64,
+                    )
+                    .gated(
+                        "sink_peak_resident",
+                        self.sink.peak_resident_paths as f64,
+                        0,
+                        lower(0.30, 16.0),
+                    )
+                    .num("residency_ratio", self.residency_ratio(), 2)
+                    .gated("ticks", self.sink.ticks as f64, 0, lower(0.25, 8.0)),
+            )
+            .phases(&self.phases, [0.30, 0.40, 0.30, 0.50], 64.0)
+            .record()
     }
 }
 
@@ -422,7 +417,7 @@ pub fn run_sink_bench(cfg: &SinkBenchConfig) -> SinkBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Json;
+    use crate::json::{gates, Json};
 
     #[test]
     fn sink_residency_is_bounded_where_legacy_grows_linearly() {
@@ -465,6 +460,15 @@ mod tests {
             Some(report.pairs_emitted as f64)
         );
         assert!(json.get("legacy.peak_resident_paths").is_some());
+        let baseline = Json::parse(include_str!(
+            "../../../benchmarks/baselines/BENCH_sinks.json"
+        ))
+        .unwrap();
+        assert_eq!(
+            gates(&json),
+            gates(&baseline),
+            "the record declares exactly its committed baseline's gates"
+        );
     }
 
     #[test]

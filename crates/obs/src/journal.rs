@@ -333,8 +333,9 @@ impl Event {
 
     /// Parses one canonical JSONL line (the output of
     /// [`jsonl`](Self::jsonl)) back into an [`Event`] — the reader half
-    /// of the trace format, used by `obsdiff` and the provenance layer
-    /// to reconstruct spans from an on-disk `TRACE_*.jsonl`. Returns
+    /// of the trace format, used by the provenance layer (and through it
+    /// by `grw_bench`'s `obsdiff` bin) to reconstruct spans from an
+    /// on-disk `TRACE_*.jsonl`. Returns
     /// `None` for junk lines, unknown event kinds, and the
     /// `journal_overflow` meta line.
     pub fn parse_jsonl(line: &str) -> Option<Event> {

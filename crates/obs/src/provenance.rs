@@ -23,8 +23,8 @@
 //! canonical trace is byte-identical across the deterministic and
 //! threaded drivers, so is every reconstructed span. That identity is
 //! what makes a phase-level diff ([`SpanSet::summary`] compared across
-//! two traces, see the `obsdiff` bin) a real behavioural explanation
-//! rather than scheduler noise.
+//! two traces, as `grw_bench`'s `obsdiff` bin does) a real behavioural
+//! explanation rather than scheduler noise.
 //!
 //! Everything here is a pure function of a trace: feed it a live
 //! journal (`Obs::journal()`) or a parsed on-disk `TRACE_*.jsonl`
@@ -109,9 +109,10 @@ impl QuerySpan {
     }
 }
 
-/// Aggregate phase statistics over a set of spans — the unit `obsdiff`
-/// compares between two traces. All tick-valued aggregates are exact
-/// integer sums; means are derived.
+/// Aggregate phase statistics over a set of spans — the unit a
+/// [`TraceDiff`] compares between two runs. All tick-valued aggregates
+/// are exact integer sums; means are derived. Bench records carry one as
+/// their `"phases"` block, written and read by `grw_bench::json`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseSummary {
     /// Spans aggregated.
@@ -150,57 +151,6 @@ impl PhaseSummary {
         } else {
             self.total_sum as f64 / self.count as f64
         }
-    }
-
-    /// Renders the summary as the flat one-line JSON object the bench
-    /// records embed as their `"phases"` block. Exact integer sums (not
-    /// derived means) are emitted so [`from_flat_json`](Self::from_flat_json)
-    /// round-trips losslessly and `obsdiff` can attribute a regression
-    /// between two records without their traces.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"count\": {}, ",
-                "\"batch_wait_sum\": {}, \"batch_wait_p99\": {}, ",
-                "\"backend_sum\": {}, \"backend_p99\": {}, ",
-                "\"sink_wait_sum\": {}, \"sink_wait_p99\": {}, ",
-                "\"total_sum\": {}, \"total_p99\": {}, \"total_max\": {}}}"
-            ),
-            self.count,
-            self.phase_sums[0],
-            self.phase_p99[0],
-            self.phase_sums[1],
-            self.phase_p99[1],
-            self.phase_sums[2],
-            self.phase_p99[2],
-            self.total_sum,
-            self.total_p99,
-            self.total_max,
-        )
-    }
-
-    /// Parses a `"phases"` block produced by [`to_json`](Self::to_json)
-    /// (pass the braced object substring). Returns `None` when any field
-    /// is missing — a record without a phases block diffs as absent, not
-    /// as zeros.
-    pub fn from_flat_json(obj: &str) -> Option<Self> {
-        let num = |k: &str| jsonl_num(obj, k).map(|v| v as u64);
-        Some(Self {
-            count: num("count")?,
-            phase_sums: [
-                num("batch_wait_sum")?,
-                num("backend_sum")?,
-                num("sink_wait_sum")?,
-            ],
-            phase_p99: [
-                num("batch_wait_p99")?,
-                num("backend_p99")?,
-                num("sink_wait_p99")?,
-            ],
-            total_sum: num("total_sum")?,
-            total_p99: num("total_p99")?,
-            total_max: num("total_max")?,
-        })
     }
 }
 
@@ -409,8 +359,9 @@ impl SpanSet {
     }
 }
 
-/// A phase-attributed comparison of two runs — the engine behind the
-/// `obsdiff` bin and the perf gate's regression explanation.
+/// A phase-attributed comparison of two runs — the engine behind
+/// `grw_bench`'s `obsdiff` bin and the perf gate's regression
+/// explanation.
 ///
 /// Built either from two full traces ([`TraceDiff::from_traces`], which
 /// also diffs the event census) or from two bench records' `"phases"`
@@ -822,15 +773,6 @@ mod tests {
             "admitted @120 ──(batch-wait 2)── flushed @122 ──(backend 5)── \
              completed @127 ──(sink-wait 2)── accepted @129"
         );
-    }
-
-    #[test]
-    fn phase_summary_json_round_trips() {
-        let events = vec![delivered(7, 0, 0, 10, 2, 4), accepted(9, 100, 10, 2, 7)];
-        let sum = SpanSet::reconstruct(&events).summary();
-        let parsed = PhaseSummary::from_flat_json(&sum.to_json()).expect("parses");
-        assert_eq!(parsed, sum);
-        assert_eq!(PhaseSummary::from_flat_json("{\"count\": 3}"), None);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! harness invariants the CI acceptance criteria rest on.
 
 use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
+use ridgewalker_suite::bench::json::{gates, Json};
 use ridgewalker_suite::bench::load::{run_latency_load, LoadConfig, LoadDelivery, LoadWorkload};
-use ridgewalker_suite::bench::Json;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::queueing::ArrivalProcess;
 use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
@@ -161,6 +161,16 @@ fn load_sweep_is_monotone_and_matches_queueing_theory() {
         doc.get("incremental").unwrap().as_arr().unwrap().len(),
         report.config.load_grid.len()
     );
+    // Every workload's record declares the same gates, exactly as its
+    // committed baseline does.
+    for baseline in [
+        include_str!("../benchmarks/baselines/BENCH_load_urw.json"),
+        include_str!("../benchmarks/baselines/BENCH_load_ppr.json"),
+        include_str!("../benchmarks/baselines/BENCH_load_deepwalk.json"),
+        include_str!("../benchmarks/baselines/BENCH_load_node2vec.json"),
+    ] {
+        assert_eq!(gates(&doc), gates(&Json::parse(baseline).unwrap()));
+    }
 
     // The highest-load incremental point carries its exact phase
     // attribution: one span per query, phases telescoping to the total,

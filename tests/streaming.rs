@@ -6,6 +6,7 @@ use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig};
 use ridgewalker_suite::algo::{
     run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkBackend, WalkSpec,
 };
+use ridgewalker_suite::bench::json::{gates, Json};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::service::{Driver, ServiceConfig, TenantId};
 use std::collections::{HashMap, HashSet};
@@ -149,11 +150,17 @@ fn incremental_service_shards_beat_batch_shards_on_bubbles() {
         cmp.incremental.msteps_simulated > cmp.batch.msteps_simulated,
         "a fuller pipeline must also be a faster one"
     );
-    // The CI perf record built from this comparison must stay parseable.
+    // The CI perf record built from this comparison must stay parseable
+    // and declare exactly its committed baseline's gates.
     let json = cmp.to_json();
     assert!(json.contains("\"bench\": \"serving\""), "{json}");
     assert!(json.contains("bubble_improvement"), "{json}");
     assert!(!json.contains("inf"), "non-finite ratio leaked: {json}");
+    let baseline = include_str!("../benchmarks/baselines/BENCH_serving.json");
+    assert_eq!(
+        gates(&Json::parse(&json).unwrap()),
+        gates(&Json::parse(baseline).unwrap())
+    );
 }
 
 #[test]
