@@ -222,10 +222,6 @@ pub struct AutoscaleBenchReport {
     pub lambda_mid: f64,
     /// One outcome per arm, in the order they ran.
     pub arms: Vec<ArmOutcome>,
-    /// Unified metrics snapshot of the autoscaled arm (the `grw_obs`
-    /// registry's JSON rendering) — deterministic: every value is a
-    /// logical-tick counter, gauge, or histogram, never wall clock.
-    pub metrics_snapshot: String,
     /// The autoscaled arm's event journal in canonical sorted JSONL —
     /// bit-identical for a fixed seed, so it participates in the
     /// report's determinism equality.
@@ -614,7 +610,6 @@ pub fn run_autoscale_bench(cfg: &AutoscaleBenchConfig) -> AutoscaleBenchReport {
         slo_target_ticks,
         lambda_mid,
         arms,
-        metrics_snapshot: obs.registry().snapshot_json(),
         trace_jsonl: obs.trace_jsonl(),
     }
 }
@@ -663,11 +658,10 @@ mod tests {
         let cfg = AutoscaleBenchConfig::test_tiny();
         let a = run_autoscale_bench(&cfg);
         let b = run_autoscale_bench(&cfg);
-        // Report equality covers the metrics snapshot and the event
-        // journal too — the trace itself must be bit-reproducible.
+        // Report equality covers the event journal too — the trace
+        // itself must be bit-reproducible.
         assert_eq!(a, b);
         assert!(!a.trace_jsonl.is_empty());
-        assert!(!a.metrics_snapshot.is_empty());
     }
 
     #[test]

@@ -145,8 +145,8 @@ pub struct QpsReport {
     pub deterministic: DriverQps,
     /// The thread-per-shard regime's measurements.
     pub threaded: DriverQps,
-    /// Fractional wall-clock cost of full observability (enabled
-    /// registry + event journal) on the deterministic regime, measured
+    /// Fractional wall-clock cost of full observability (an enabled
+    /// event journal) on the deterministic regime, measured
     /// as `1 − qps_instrumented / qps_disabled` over repeated pairs on
     /// the same CRN stream, best pair kept (noise floor), clamped at 0.
     /// Gated in CI at an absolute ≤3% ceiling — the "observability is

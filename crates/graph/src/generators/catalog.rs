@@ -3,10 +3,14 @@
 //! The paper evaluates on six SNAP/WebGraph datasets up to 0.8 B edges.
 //! Those graphs (and the machines that fit them) are not available here, so
 //! each dataset is replaced by an RMAT-generated stand-in whose *category
-//! shape* is preserved: degree skew, directedness, dead-end availability and
-//! the relative size ordering WG < CP < AS < LJ < AB < UK. The substitution
-//! is recorded in `DESIGN.md`; [`DatasetSpec`] keeps the paper-reported
-//! numbers next to the stand-in parameters so reports can show both.
+//! shape* is preserved: degree skew, directedness and dead-end
+//! availability. The size ordering is kept only in part: the paper's edge
+//! counts rise WG < CP < AS < LJ < AB < UK, while `repro --scale <s>
+//! table2` measures WG < CP < AS < AB < UK < LJ at every scale (the LJ
+//! stand-in has the most edges). The substitution and the measured sizes
+//! are recorded in `DESIGN.md`'s "Dataset stand-ins" tables; [`DatasetSpec`]
+//! keeps the paper-reported numbers next to the stand-in parameters so
+//! reports can show both.
 
 use crate::generators::rmat::RmatConfig;
 use crate::{weights, CsrGraph};

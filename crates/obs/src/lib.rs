@@ -1,20 +1,18 @@
-//! # grw_obs — unified metrics + deterministic event tracing
+//! # grw_obs — deterministic event tracing
 //!
-//! The serving stack grew five layers that each invented their own
-//! telemetry (`ServiceStats`, `ShardSnapshot`, backend sampling
-//! telemetry, `SinkReport`, the scale policy's internal streaks). This
-//! crate is the one place they all record into:
+//! The serving stack's counts live once, in the report structs each
+//! layer returns (`ServiceStats`, `SinkReport`, `RouteReport`). What they
+//! cannot say is *when* and *in what order* things happened to each
+//! query; this crate records that:
 //!
-//! * [`MetricsRegistry`] — cheap atomic counters, gauges and
-//!   log2-bucketed histograms addressed by static name + label set
-//!   (tenant, shard, walk class), with Prometheus-style text exposition
-//!   and a JSON snapshot in the `BENCH_*.json` conventions.
 //! * [`Journal`] / [`Event`] — a bounded ring of structured events
 //!   (query admitted / flushed / delivered, micro-batch boundaries,
 //!   router migrations, every scale verdict with the control-law inputs
 //!   that produced it, sink spills, alias-cache epochs) stamped with
 //!   the logical machine tick, never the wall clock — a fixed seed
 //!   reproduces the identical trace.
+//! * [`provenance`] — turns a trace into exact per-query phases
+//!   (batch-wait, backend-service, sink-wait).
 //! * `obsdump` (a bin in this crate) — renders a trace into per-tenant
 //!   / per-shard timelines and a span-style phase breakdown in
 //!   markdown.
@@ -23,30 +21,26 @@
 //!
 //! [`Obs`] is the shared hub (cheap to clone — one `Arc`). Each
 //! recording source — a `ShardRunner`, a worker's spill-delivery path —
-//! holds a [`ShardObs`]: a *local* event buffer plus pre-bound metric
-//! handles, so the hot path takes no lock and worker threads never
-//! contend. Buffers flow back to the hub at the same barriers the stats
-//! collectors already use (reports, drains, retirement, `finish`), and
-//! the hub's journal sorts canonically by `(tick, shard, seq)` — which
-//! is what makes the exported trace identical across the deterministic
-//! and threaded serving regimes for a fixed seed and schedule. A buffer
-//! holds at most the journal's capacity however long a run goes between
-//! barriers: older events could not survive the ring anyway, so it keeps
-//! only their metric side (see [`ShardObs`]).
+//! holds a [`ShardObs`]: a *local* event buffer, so the hot path takes
+//! no lock and worker threads never contend. Buffers flow back to the
+//! hub at the same barriers the stats collectors already use (reports,
+//! drains, retirement, `finish`), and the hub's journal sorts
+//! canonically by `(tick, shard, seq)` — which is what makes the
+//! exported trace identical across the deterministic and threaded
+//! serving regimes for a fixed seed and schedule. A buffer holds at most
+//! the journal's capacity however long a run goes between barriers:
+//! older events could not survive the ring anyway, so it only counts
+//! them (see [`ShardObs`]).
 //!
 //! Everything is `std`-only, like the rest of the workspace.
 
 mod journal;
 pub mod provenance;
-mod registry;
 
 pub use journal::{jsonl_field, jsonl_num, Event, EventKind, Journal, ScaleInputs, GLOBAL_SHARD};
 pub use provenance::{parse_trace, PhaseSummary, QuerySpan, SpanSet, TraceDiff, PHASE_NAMES};
-pub use registry::{
-    log2_bucket, Counter, Gauge, Histogram, Labels, MetricsRegistry, HISTOGRAM_BUCKETS,
-};
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -77,15 +71,15 @@ pub const SEQ_BASE_HUB: u64 = 1 << 49;
 
 #[derive(Debug)]
 struct ObsInner {
-    registry: MetricsRegistry,
+    enabled: bool,
     journal: Mutex<Journal>,
     /// Sequence source for events recorded directly on the hub (router
     /// and policy events — coordinator-thread only, so deterministic).
     seq: AtomicU64,
 }
 
-/// The shared observability hub: one registry + one journal. Clone it
-/// freely — clones share the same state.
+/// The shared observability hub: one journal. Clone it freely — clones
+/// share the same state.
 #[derive(Debug, Clone)]
 pub struct Obs {
     inner: Arc<ObsInner>,
@@ -107,19 +101,19 @@ impl Obs {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: Arc::new(ObsInner {
-                registry: MetricsRegistry::new(),
+                enabled: true,
                 journal: Mutex::new(Journal::new(capacity)),
                 seq: AtomicU64::new(SEQ_BASE_HUB),
             }),
         }
     }
 
-    /// A disabled hub: every handle is a no-op and nothing is journaled
+    /// A disabled hub: every recorder is a no-op and nothing is journaled
     /// — the baseline arm of the instrumentation-overhead comparison.
     pub fn disabled() -> Self {
         Self {
             inner: Arc::new(ObsInner {
-                registry: MetricsRegistry::disabled(),
+                enabled: false,
                 journal: Mutex::new(Journal::new(1)),
                 seq: AtomicU64::new(SEQ_BASE_HUB),
             }),
@@ -128,12 +122,7 @@ impl Obs {
 
     /// Whether this hub records anything.
     pub fn is_enabled(&self) -> bool {
-        self.inner.registry.is_enabled()
-    }
-
-    /// The metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.inner.registry
+        self.inner.enabled
     }
 
     /// Records one event directly on the hub (sequence assigned here).
@@ -205,11 +194,9 @@ impl Obs {
         out
     }
 
-    /// A per-shard recording source bound to this hub: local event
-    /// buffer (lock-free hot path) plus pre-bound metric handles.
+    /// A per-shard recording source bound to this hub: a local event
+    /// buffer, so the hot path takes no lock.
     pub fn shard_obs(&self, shard: u32) -> ShardObs {
-        let r = &self.inner.registry;
-        let labels = Labels::shard(shard);
         // Pre-fault the local buffer for the same reason the hub ring
         // is pre-faulted in `Journal::new`: first-touch page faults
         // belong at attach time, not in the recording hot path.
@@ -227,143 +214,25 @@ impl Obs {
             },
             shard,
             seq: 0,
-            folded: Folded::default(),
             dropped: 0,
             hub: Some(self.clone()),
-            admitted: r.counter("grw_queries_admitted_total", labels),
-            delivered: r.counter("grw_queries_delivered_total", labels),
-            batches: r.counter("grw_batches_flushed_total", labels),
-            latency: r.histogram("grw_query_latency_ticks", labels),
-            phase_batch_wait: r.histogram("grw_phase_batch_wait_ticks", labels),
-            phase_backend: r.histogram("grw_phase_backend_service_ticks", labels),
-            phase_sink_wait: r.histogram("grw_phase_sink_wait_ticks", labels),
-            spilled: r.counter("grw_sink_spilled_total", labels),
-            forced_flushes: r.counter("grw_sink_forced_flushes_total", labels),
-            spill_depth: r.gauge("grw_sink_spill_depth", labels),
-            tenant_delivered: BTreeMap::new(),
-            tenant_phases: BTreeMap::new(),
             last_alias_epoch: None,
         }
     }
 }
 
-/// One locally pre-binned histogram accumulation (buckets, count, sum) —
-/// the unit [`Folded`] batches per phase before [`ShardObs::settle`]
-/// makes a handful of `absorb_prebinned` calls.
-#[derive(Clone, Debug)]
-struct PreBinned {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for PreBinned {
-    fn default() -> Self {
-        Self {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-impl PreBinned {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.buckets[log2_bucket(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    fn settle_into(&self, h: &Histogram) {
-        h.absorb_prebinned(&self.buckets, self.count, self.sum);
-    }
-}
-
-/// The metric side of recorded events, summed locally until
-/// [`ShardObs::settle`] hands it to the registry: folding an event costs
-/// a few adds and no atomics.
-#[derive(Debug, Default)]
-struct Folded {
-    admitted: u64,
-    batches: u64,
-    /// End-to-end latency of delivered walks; its count is the walks
-    /// delivered.
-    latency: PreBinned,
-    /// [batch-wait, backend-service, sink-wait] — the index order of the
-    /// `tenant_phases` handle arrays.
-    phases: [PreBinned; 3],
-    /// The same phases per tenant, in first-seen order; batch-wait's
-    /// count is the tenant's walks delivered.
-    tenants: Vec<(u16, [PreBinned; 3])>,
-    /// Each tenant id's index into `tenants` plus one (0: not seen yet),
-    /// so folding an event looks its tenant up without a search.
-    slots: Vec<u32>,
-}
-
-impl Folded {
-    #[inline]
-    fn tenant(&mut self, tenant: u16) -> &mut [PreBinned; 3] {
-        let t = usize::from(tenant);
-        if t >= self.slots.len() {
-            self.slots.resize(t + 1, 0);
-        }
-        if self.slots[t] == 0 {
-            self.tenants.push((tenant, Default::default()));
-            self.slots[t] = self.tenants.len() as u32;
-        }
-        &mut self.tenants[self.slots[t] as usize - 1].1
-    }
-
-    #[inline]
-    fn fold(&mut self, tick: u64, kind: &EventKind) {
-        match *kind {
-            EventKind::QueryAdmitted { .. } => self.admitted += 1,
-            EventKind::BatchFlushed { .. } => self.batches += 1,
-            EventKind::QueryDelivered {
-                tenant,
-                arrival_tick,
-                flushed_tick,
-                ..
-            } => {
-                self.latency.add(tick.saturating_sub(arrival_tick));
-                let batch_wait = flushed_tick.saturating_sub(arrival_tick);
-                let backend = tick.saturating_sub(flushed_tick);
-                self.phases[0].add(batch_wait);
-                self.phases[1].add(backend);
-                let tp = self.tenant(tenant);
-                tp[0].add(batch_wait);
-                tp[1].add(backend);
-            }
-            EventKind::SinkAccepted {
-                tenant,
-                completed_tick,
-                ..
-            } => {
-                let sink_wait = tick.saturating_sub(completed_tick);
-                self.phases[2].add(sink_wait);
-                self.tenant(tenant)[2].add(sink_wait);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// A per-shard (or per-source) recorder: the admission/delivery hot
-/// path is a single local buffer push — no locks, no atomics — and the
-/// pre-bound registry handles settle in one bulk pass when the buffer
-/// is exported. Ship the buffer back to the hub
-/// with [`flush`](Self::flush) (same-thread) or
+/// path is a single local buffer push — no locks, no atomics. Ship the
+/// buffer back to the hub with [`flush`](Self::flush) (same-thread) or
 /// [`take_events`](Self::take_events) (across a report channel, merged
 /// at the coordinator with [`Obs::absorb`]).
 ///
 /// The buffer holds at most the hub journal's capacity, however long a
 /// run goes between barriers. A push into a full buffer first drops the
-/// oldest event, folding its metric side into local sums and counting it
-/// as a journal drop at the next export. Absorbing an unbounded buffer
-/// would have pushed at least a capacity's worth of events after it, so
-/// the ring would have evicted it anyway: the journal, its drop count
-/// and the metrics come out exactly as without the bound.
+/// oldest event, counting it as a journal drop at the next export.
+/// Absorbing an unbounded buffer would have pushed at least a capacity's
+/// worth of events after it, so the ring would have evicted it anyway:
+/// the journal and its drop count come out exactly as without the bound.
 #[derive(Debug)]
 pub struct ShardObs {
     hot: Hot,
@@ -371,26 +240,9 @@ pub struct ShardObs {
     /// Sequence number of the oldest buffered event, or of the next one
     /// recorded while the buffer is empty.
     seq: u64,
-    /// Metric side of the events dropped from the buffer since the last
-    /// export.
-    folded: Folded,
     /// Events dropped from the buffer since the last export.
     dropped: u64,
     hub: Option<Obs>,
-    admitted: Counter,
-    delivered: Counter,
-    batches: Counter,
-    latency: Histogram,
-    phase_batch_wait: Histogram,
-    phase_backend: Histogram,
-    phase_sink_wait: Histogram,
-    spilled: Counter,
-    forced_flushes: Counter,
-    spill_depth: Gauge,
-    tenant_delivered: BTreeMap<u16, Counter>,
-    /// Per-tenant phase histograms (batch-wait, backend-service,
-    /// sink-wait), registered lazily like `tenant_delivered`.
-    tenant_phases: BTreeMap<u16, [Histogram; 3]>,
     last_alias_epoch: Option<(u64, u64, u64)>,
 }
 
@@ -430,21 +282,8 @@ impl ShardObs {
             },
             shard: GLOBAL_SHARD,
             seq: 0,
-            folded: Folded::default(),
             dropped: 0,
             hub: None,
-            admitted: Counter::noop(),
-            delivered: Counter::noop(),
-            batches: Counter::noop(),
-            latency: Histogram::noop(),
-            phase_batch_wait: Histogram::noop(),
-            phase_backend: Histogram::noop(),
-            phase_sink_wait: Histogram::noop(),
-            spilled: Counter::noop(),
-            forced_flushes: Counter::noop(),
-            spill_depth: Gauge::noop(),
-            tenant_delivered: BTreeMap::new(),
-            tenant_phases: BTreeMap::new(),
             last_alias_epoch: None,
         }
     }
@@ -473,20 +312,16 @@ impl ShardObs {
     }
 
     /// Drops the oldest buffered event, which the ring would evict on
-    /// absorption anyway (see the type docs), keeping only its metric
-    /// side. Out of line so the push it guards stays small enough to
-    /// inline into the recording sites.
+    /// absorption anyway (see the type docs). Out of line so the push it
+    /// guards stays small enough to inline into the recording sites.
     #[inline(never)]
     fn drop_oldest(&mut self) {
-        let (tick, kind) = self.hot.buf.pop_front().expect("a full buffer");
-        self.folded.fold(tick, &kind);
+        self.hot.buf.pop_front();
         self.dropped += 1;
         self.seq += 1;
     }
 
-    /// A query was accepted into the micro-batcher. Buffer-push only —
-    /// the admitted counter settles in bulk at the next export barrier
-    /// (see [`settle`](Self::flush)).
+    /// A query was accepted into the micro-batcher.
     #[inline]
     pub fn query_admitted(&mut self, tick: u64, tenant: u16, query: u64) {
         if !self.hot.enabled {
@@ -495,8 +330,7 @@ impl ShardObs {
         self.push(tick, EventKind::QueryAdmitted { tenant, query });
     }
 
-    /// A micro-batch boundary. Buffer-push only; counters settle at the
-    /// next export barrier.
+    /// A micro-batch boundary.
     #[inline]
     pub fn batch_flushed(&mut self, tick: u64, batch: u64, taken: usize, reason: &'static str) {
         if !self.hot.enabled {
@@ -512,9 +346,7 @@ impl ShardObs {
         );
     }
 
-    /// A walk was delivered at `tick`. Buffer-push only; the delivery
-    /// counters and the latency histogram settle in bulk at the next
-    /// export barrier.
+    /// A walk was delivered at `tick`.
     #[inline]
     pub fn query_delivered(
         &mut self,
@@ -566,71 +398,12 @@ impl ShardObs {
         );
     }
 
-    /// Settles the metric side of every event recorded since the last
-    /// export — dropped ones already folded, buffered ones folded here —
-    /// in one pass: local sums, then a handful of atomic adds. Runs
-    /// exactly once per event, at the export barrier, which keeps the
-    /// per-event recording cost at a single buffer push (the
-    /// admission/delivery hot path cannot afford three atomics per walk).
-    /// Also counts the dropped events at the hub's journal.
-    fn settle(&mut self) {
-        let mut f = std::mem::take(&mut self.folded);
-        for (tick, kind) in &self.hot.buf {
-            f.fold(*tick, kind);
-        }
-        if f.admitted > 0 {
-            self.admitted.add(f.admitted);
-        }
-        if f.batches > 0 {
-            self.batches.add(f.batches);
-        }
-        if f.latency.count > 0 {
-            self.delivered.add(f.latency.count);
-            f.latency.settle_into(&self.latency);
-        }
-        f.phases[0].settle_into(&self.phase_batch_wait);
-        f.phases[1].settle_into(&self.phase_backend);
-        f.phases[2].settle_into(&self.phase_sink_wait);
-        if let Some(hub) = &self.hub {
-            if self.dropped > 0 {
-                let mut journal = hub.inner.journal.lock().expect("journal lock");
-                journal.count_dropped(std::mem::take(&mut self.dropped));
-            }
-            for (tenant, tp) in f.tenants {
-                let delivered = tp[0].count;
-                if delivered > 0 {
-                    self.tenant_delivered
-                        .entry(tenant)
-                        .or_insert_with(|| {
-                            hub.registry()
-                                .counter("grw_tenant_delivered_total", Labels::tenant(tenant))
-                        })
-                        .add(delivered);
-                }
-                let handles = self.tenant_phases.entry(tenant).or_insert_with(|| {
-                    let r = hub.registry();
-                    let l = Labels::tenant(tenant);
-                    [
-                        r.histogram("grw_phase_batch_wait_ticks", l),
-                        r.histogram("grw_phase_backend_service_ticks", l),
-                        r.histogram("grw_phase_sink_wait_ticks", l),
-                    ]
-                });
-                for (acc, h) in tp.iter().zip(handles.iter()) {
-                    acc.settle_into(h);
-                }
-            }
-        }
-    }
-
     /// A sink refused a walk; it was parked at spill depth `depth`.
     #[inline]
     pub fn sink_spilled(&mut self, tick: u64, depth: usize) {
         if !self.hot.enabled {
             return;
         }
-        self.spilled.inc();
-        self.spill_depth.set(depth as i64);
         self.push(
             tick,
             EventKind::SinkSpilled {
@@ -645,17 +418,7 @@ impl ShardObs {
         if !self.hot.enabled {
             return;
         }
-        self.forced_flushes.inc();
         self.push(tick, EventKind::SinkForcedFlush);
-    }
-
-    /// Updates the spill-depth gauge without journaling an event (the
-    /// drain path emptying the buffer).
-    #[inline]
-    pub fn set_spill_depth(&mut self, depth: usize) {
-        if self.hot.enabled {
-            self.spill_depth.set(depth as i64);
-        }
     }
 
     /// Records the shard's cumulative alias-cache telemetry at an
@@ -680,12 +443,16 @@ impl ShardObs {
         );
     }
 
-    /// Empties the local buffer, settling the buffered events' metric
-    /// side first, and yields its events with their shard and sequence
-    /// numbers restored.
+    /// Empties the local buffer, counting the events it dropped at the
+    /// hub's journal, and yields its events with their shard and
+    /// sequence numbers restored.
     fn drain_events(&mut self) -> impl Iterator<Item = Event> {
-        if !self.hot.buf.is_empty() {
-            self.settle();
+        let dropped = std::mem::take(&mut self.dropped);
+        if dropped > 0 {
+            if let Some(hub) = &self.hub {
+                let mut journal = hub.inner.journal.lock().expect("journal lock");
+                journal.count_dropped(dropped);
+            }
         }
         let shard = self.shard;
         let first = self.seq;
@@ -702,14 +469,12 @@ impl ShardObs {
     }
 
     /// Drains the local buffer (for shipping across a report channel;
-    /// merge at the coordinator with [`Obs::absorb`]), settling the
-    /// buffered events' metric side first.
+    /// merge at the coordinator with [`Obs::absorb`]).
     pub fn take_events(&mut self) -> Vec<Event> {
         self.drain_events().collect()
     }
 
-    /// Pushes the local buffer into the hub (same-thread sources),
-    /// settling the buffered events' metric side first.
+    /// Pushes the local buffer into the hub (same-thread sources).
     pub fn flush(&mut self) {
         if self.hot.buf.is_empty() {
             return;
@@ -742,20 +507,6 @@ mod tests {
         assert_eq!(journal[0].key(), (1, 0, 0));
         assert_eq!(journal[1].key(), (1, 1, 0));
         assert_eq!(journal[2].key(), (3, 0, 1));
-        // Metrics settled at the export barriers above.
-        let r = obs.registry();
-        assert_eq!(
-            r.counter_value("grw_queries_admitted_total", Labels::shard(0)),
-            Some(1)
-        );
-        assert_eq!(
-            r.counter_value("grw_queries_delivered_total", Labels::shard(0)),
-            Some(1)
-        );
-        assert_eq!(
-            r.counter_value("grw_tenant_delivered_total", Labels::tenant(7)),
-            Some(1)
-        );
     }
 
     /// Two sources record through 60 ticks with export barriers at ticks
@@ -799,10 +550,6 @@ mod tests {
         assert!(reference.dropped() > 0, "the schedule overflows the ring");
         assert_eq!(bounded.dropped(), reference.dropped());
         assert_eq!(bounded.trace_jsonl(), reference.trace_jsonl());
-        assert_eq!(
-            bounded.registry().snapshot_json(),
-            unbounded.registry().snapshot_json()
-        );
     }
 
     #[test]
@@ -818,7 +565,6 @@ mod tests {
         obs.record(4, GLOBAL_SHARD, EventKind::RetireBegun);
         assert!(obs.journal().is_empty());
         assert!(obs.trace_jsonl().is_empty());
-        assert!(obs.registry().render_prometheus().is_empty());
     }
 
     #[test]

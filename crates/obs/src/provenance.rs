@@ -33,8 +33,7 @@
 use crate::journal::{jsonl_num, Event, EventKind};
 
 /// Phase index order used everywhere in this module: the names for
-/// [`QuerySpan::phases`], [`PhaseSummary::phase_sums`], and the
-/// per-phase metric families in the registry.
+/// [`QuerySpan::phases`] and [`PhaseSummary::phase_sums`].
 pub const PHASE_NAMES: [&str; 3] = ["batch-wait", "backend-service", "sink-wait"];
 
 /// One delivered query's reconstructed span: every stamp of its

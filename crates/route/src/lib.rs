@@ -81,7 +81,7 @@ pub use scale::{ScaleDecision, ScaleObservation, ScalePolicy, SloConfig, TargetS
 pub use signals::{cost_hint_rate, ClassRates, FleetView};
 
 use grw_algo::{BackendClass, WalkQuery};
-use grw_obs::{Counter, EventKind, Gauge, Labels, Obs, GLOBAL_SHARD};
+use grw_obs::{EventKind, Obs, GLOBAL_SHARD};
 use grw_rng::SplitMix64;
 use grw_service::{
     CompletedWalk, Driver, DynWalkBackend, ServiceStats, ShardSnapshot, TenantId, WalkSink,
@@ -193,11 +193,6 @@ pub struct Router<P: RoutePolicy> {
     /// the routing tier journals migrations, scale verdicts, and fleet
     /// membership changes into it, alongside the driver's own events.
     obs: Obs,
-    /// Registry handles, resolved once at attach time (no-ops before).
-    obs_migrations: Counter,
-    obs_scale_ups: Counter,
-    obs_scale_downs: Counter,
-    obs_fleet_shards: Gauge,
 }
 
 impl<P: RoutePolicy> Router<P> {
@@ -219,10 +214,6 @@ impl<P: RoutePolicy> Router<P> {
             routed_per_shard: vec![0; shards],
             routed_retired: 0,
             obs: Obs::disabled(),
-            obs_migrations: Counter::noop(),
-            obs_scale_ups: Counter::noop(),
-            obs_scale_downs: Counter::noop(),
-            obs_fleet_shards: Gauge::noop(),
         }
     }
 
@@ -234,12 +225,6 @@ impl<P: RoutePolicy> Router<P> {
     /// traffic so the trace covers the whole run.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.driver.attach_obs(obs.clone());
-        let reg = obs.registry();
-        self.obs_migrations = reg.counter("grw_migrations_total", Labels::none());
-        self.obs_scale_ups = reg.counter("grw_scale_ups_total", Labels::none());
-        self.obs_scale_downs = reg.counter("grw_scale_downs_total", Labels::none());
-        self.obs_fleet_shards = reg.gauge("grw_fleet_shards", Labels::none());
-        self.obs_fleet_shards.set(self.driver.shard_count() as i64);
         self.obs = obs;
     }
 
@@ -342,8 +327,6 @@ impl<P: RoutePolicy> Router<P> {
         }
         let dropped = dropped_bindings.len();
         self.migrations += dropped as u64;
-        self.obs_migrations.add(dropped as u64);
-        self.obs_fleet_shards.set(shards as i64);
         if self.obs.is_enabled() && !dropped_bindings.is_empty() {
             let now = self.driver.now();
             for (t, s) in dropped_bindings {
@@ -380,7 +363,6 @@ impl<P: RoutePolicy> Router<P> {
                 EventKind::ShardAppended { reactivated: false },
             );
         }
-        self.obs_scale_ups.inc();
         self.replan();
         shard
     }
@@ -433,7 +415,6 @@ impl<P: RoutePolicy> Router<P> {
                 },
             );
         }
-        self.obs_scale_downs.inc();
         self.replan();
         Some((last, walks))
     }
@@ -500,7 +481,6 @@ impl<P: RoutePolicy> Router<P> {
                             EventKind::ShardAppended { reactivated: true },
                         );
                     }
-                    self.obs_scale_ups.inc();
                     step.reactivated = Some(last);
                 } else {
                     let shard = self.append_shard(make_backend(self.eligible.len()));
@@ -568,7 +548,6 @@ impl<P: RoutePolicy> Router<P> {
                 let prev = self.bindings[slot].replace(shard);
                 if let Some(p) = prev.filter(|&p| p != shard) {
                     self.migrations += 1;
-                    self.obs_migrations.inc();
                     if self.obs.is_enabled() {
                         // Cost of the move = the micro-batch that landed
                         // on the new shard at this boundary.

@@ -214,8 +214,8 @@ impl AdaptivePolicy {
     fn score(&self, fleet: &FleetView<'_>, s: &grw_service::ShardSnapshot, incoming: usize) -> f64 {
         let mut score = fleet.drain_time(s, incoming)
             + self.cfg.ewma_weight * s.ewma_latency_ticks.unwrap_or(0.0);
-        if let Some(bubble) = s.bubble_ratio {
-            score *= 1.0 + self.cfg.bubble_penalty * bubble;
+        if let Some(pipeline) = s.telemetry.pipeline {
+            score *= 1.0 + self.cfg.bubble_penalty * pipeline.bubble_ratio();
         }
         score
     }
@@ -436,9 +436,11 @@ mod tests {
         let rates = ClassRates::none().with(BackendClass::Accelerator, 1.0);
         let eligible = vec![true];
         let mut clean = snap(0, BackendClass::Accelerator, 10);
-        clean.bubble_ratio = Some(0.0);
+        // One busy cycle: no bubbles. One more, a bubble: 50% bubbles.
+        let meter = clean.telemetry.pipeline.insert(Default::default());
+        meter.record_busy();
         let mut bubbly = clean.clone();
-        bubbly.bubble_ratio = Some(0.5);
+        bubbly.telemetry.pipeline.as_mut().unwrap().record_bubble();
         let shards = vec![clean.clone()];
         let view = FleetView {
             now: 0,

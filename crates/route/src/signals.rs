@@ -139,12 +139,9 @@ pub(crate) mod tests {
             },
             queued: backlog,
             in_flight: 0,
-            awaiting_injection: None,
-            executing: None,
             submitted: 0,
             completed: 0,
             ewma_latency_ticks: None,
-            bubble_ratio: None,
             telemetry: Default::default(),
         }
     }

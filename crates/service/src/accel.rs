@@ -281,7 +281,7 @@ mod tests {
         assert_eq!(snaps[1].class, BackendClass::Accelerator);
         assert_eq!(snaps[2].class, BackendClass::Cpu);
         assert!(
-            snaps[0].awaiting_injection.is_some(),
+            snaps[0].telemetry.occupancy_split.is_some(),
             "incremental shard reports its occupancy split"
         );
         for s in &snaps {

@@ -153,7 +153,7 @@ impl<B: WalkBackend> Driver<B> {
 
     /// Attaches an observability hub: every shard runner gets a
     /// per-shard recorder (queries admitted/delivered, micro-batch
-    /// boundaries, latency histograms) and the spill gets one under
+    /// boundaries, alias-cache epochs) and the spill gets one under
     /// [`GLOBAL_SHARD`]. Recording is buffered per source and merged into
     /// the hub, in shard order, at export barriers ([`drain`](Self::drain),
     /// [`retire_shard`](Self::retire_shard), [`flush_obs`](Self::flush_obs)).

@@ -283,10 +283,10 @@ impl CompletedWalk {
 
 /// A point-in-time, per-shard view of the live signals a routing tier
 /// places tenants with: what the shard is (class, static cost prior),
-/// how loaded it is (coalescing-buffer depth, backend residency and its
-/// awaiting/executing split where reported), and how it has been
-/// performing (per-shard latency EWMA, pipeline bubble ratio, the
-/// backend's raw telemetry).
+/// how loaded it is (coalescing-buffer depth, backend residency), and
+/// how it has been performing (per-shard latency EWMA, the backend's
+/// telemetry, which also carries the awaiting/executing residency split
+/// and the pipeline-cycle breakdown where the backend reports them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     /// Shard index within the service.
@@ -299,12 +299,6 @@ pub struct ShardSnapshot {
     pub queued: usize,
     /// Queries resident inside the backend (accepted, not yet returned).
     pub in_flight: usize,
-    /// Backend-internal admission backlog (the accelerator machine's
-    /// awaiting-injection count), when the backend reports the split.
-    pub awaiting_injection: Option<usize>,
-    /// Queries actually executing in the backend's compute (the machine's
-    /// in-pipeline count), when reported.
-    pub executing: Option<usize>,
     /// Queries routed to this shard since the service started.
     pub submitted: u64,
     /// Walks this shard has delivered.
@@ -312,11 +306,9 @@ pub struct ShardSnapshot {
     /// EWMA of per-query end-to-end latency delivered by this shard, in
     /// ticks; `None` until the first delivery.
     pub ewma_latency_ticks: Option<f64>,
-    /// The shard backend's cumulative pipeline bubble ratio, when it
-    /// reports a pipeline-cycle breakdown.
-    pub bubble_ratio: Option<f64>,
     /// The shard backend's cumulative telemetry: steps, simulated cycles
-    /// and clock, pipeline breakdown, sampling-kernel counters.
+    /// and clock, pipeline breakdown, occupancy split, sampling-kernel
+    /// counters.
     pub telemetry: BackendTelemetry,
 }
 

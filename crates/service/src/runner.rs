@@ -140,20 +140,16 @@ impl<B: WalkBackend> ShardRunner<B> {
 
     /// Live signals of this shard for placement and stats.
     pub(crate) fn snapshot(&self, shard: usize) -> ShardSnapshot {
-        let t = self.backend.telemetry();
         ShardSnapshot {
             shard,
             class: self.backend.backend_class(),
             cost_hint: self.backend.cost_hint(),
             queued: self.queued(),
             in_flight: self.backend.in_flight(),
-            awaiting_injection: t.occupancy_split.map(|(a, _)| a),
-            executing: t.occupancy_split.map(|(_, e)| e),
             submitted: self.collector.submitted,
             completed: self.collector.completed,
             ewma_latency_ticks: self.ewma_latency_ticks,
-            bubble_ratio: t.pipeline.map(|m| m.bubble_ratio()),
-            telemetry: t,
+            telemetry: self.backend.telemetry(),
         }
     }
 

@@ -193,7 +193,6 @@ impl SpillDelivery {
     /// Hands every parked walk back to the caller (oldest first) — the
     /// escape hatch when delivery switches from sink to `Vec` mode.
     pub(crate) fn take_all(&mut self) -> Vec<CompletedWalk> {
-        self.obs.set_spill_depth(0);
         self.spill.drain(..).collect()
     }
 
@@ -250,12 +249,10 @@ impl SpillDelivery {
                 }
                 SinkAck::Backpressured => {
                     c.sink_backpressured += 1;
-                    self.obs.set_spill_depth(self.spill.len());
                     return;
                 }
             }
         }
-        self.obs.set_spill_depth(0);
     }
 
     /// Parks one refused walk in the spill buffer, forcing a sink flush

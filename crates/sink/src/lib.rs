@@ -24,9 +24,6 @@
 //! * [`SinkRouter`] — per-tenant fan-out: each walk is dispatched to the
 //!   sink registered for its tenant (or the default route), preserving
 //!   the service's conservation guarantee end to end.
-//! * [`ObservedSink`] — a transparent wrapper mirroring any sink's
-//!   accepts, refusals, and flushes into a `grw_obs` metrics registry,
-//!   so sink-side delivery shows up in the unified exposition.
 //! * [`CollectingSink`] / [`CountingSink`] — the degenerate ends of the
 //!   spectrum, for tests and for measuring the bounded-memory claim
 //!   against the legacy drain-to-`Vec` behaviour.
@@ -68,7 +65,6 @@
 mod collect;
 mod corpus;
 mod histogram;
-mod observe;
 mod ppr;
 mod router;
 
@@ -76,6 +72,5 @@ pub use collect::{CollectingSink, CountingSink};
 pub use corpus::{CorpusSink, SkipGramPair};
 pub use grw_service::{CompletedWalk, SinkAck, SinkReport, WalkSink};
 pub use histogram::HistogramSink;
-pub use observe::ObservedSink;
 pub use ppr::PprAggregator;
 pub use router::SinkRouter;

@@ -9,9 +9,8 @@
 //! (`min_shards` throughout). Reports per-arm p99 latency and
 //! fleet-ticks (the cost proxy: one unit per live shard per tick), and
 //! writes `BENCH_autoscale.json` for the CI perf-regression gate plus
-//! the autoscaled arm's observability artifacts: `OBS_autoscale.json`
-//! (unified metrics snapshot) and `TRACE_autoscale.jsonl` (the
-//! deterministic event journal — render it with `obsdump`).
+//! the autoscaled arm's deterministic event journal,
+//! `TRACE_autoscale.jsonl` (render it with `obsdump`).
 //!
 //! The run asserts the tentpole claim on the spot: the autoscaled arm
 //! must hold the p99 SLO at strictly fewer fleet-ticks than static
@@ -119,16 +118,13 @@ fn main() {
 
     let json = report.to_json();
     std::fs::write("BENCH_autoscale.json", &json).expect("write BENCH_autoscale.json");
-    // The observability artifacts of the autoscaled arm: the unified
-    // metrics snapshot and the deterministic event journal. The trace
-    // renders to a markdown timeline with
+    // The autoscaled arm's deterministic event journal. It renders to a
+    // markdown timeline with
     // `cargo run --release -p grw_obs --bin obsdump -- TRACE_autoscale.jsonl`.
-    std::fs::write("OBS_autoscale.json", &report.metrics_snapshot)
-        .expect("write OBS_autoscale.json");
     std::fs::write("TRACE_autoscale.jsonl", &report.trace_jsonl)
         .expect("write TRACE_autoscale.jsonl");
     println!(
-        "wrote BENCH_autoscale.json, OBS_autoscale.json, TRACE_autoscale.jsonl ({} events)",
+        "wrote BENCH_autoscale.json, TRACE_autoscale.jsonl ({} events)",
         report.trace_jsonl.lines().count()
     );
 }

@@ -22,9 +22,9 @@
 //! * [`sink`] — bounded streaming result consumers (skip-gram corpora,
 //!   PPR aggregation, histograms, per-tenant fan-out) over the service's
 //!   `WalkSink` delivery API ([`grw_sink`]).
-//! * [`obs`] — unified observability: atomic metrics registry plus the
-//!   deterministic tick-stamped event journal and `obsdump` trace
-//!   renderer ([`grw_obs`]).
+//! * [`obs`] — the deterministic tick-stamped event journal, exact
+//!   per-query phase provenance and the `obsdump` trace renderer
+//!   ([`grw_obs`]).
 //! * [`mod@bench`] — the experiment harness regenerating every paper
 //!   figure and table, plus the serving and latency-vs-load benches
 //!   ([`grw_bench`]).

@@ -12,12 +12,17 @@
 //! is exactly the drift this test exists to catch. And `drain()` is an
 //! export barrier in both regimes: right after it returns, the journal
 //! holds every delivery.
+//!
+//! Counts live in the report structs and events in the journal, each
+//! once; the journal's event counts must equal those exact counters.
 
 use ridgewalker_suite::algo::{PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
 use ridgewalker_suite::obs::{jsonl_field, jsonl_num, Obs, SpanSet};
+use ridgewalker_suite::route::{LeastLoadedPolicy, Router};
 use ridgewalker_suite::service::{
-    CompletedWalk, Driver, DriverMode, ServiceConfig, SinkAck, SinkReport, TenantId, WalkSink,
+    CompletedWalk, Driver, DriverMode, DynWalkBackend, ServiceConfig, SinkAck, SinkReport,
+    TenantId, WalkSink,
 };
 use std::sync::Arc;
 
@@ -362,5 +367,90 @@ fn journal_overflow_is_counted_never_silent() {
     assert_eq!(trace.lines().count(), 65, "64 events + 1 meta line");
     for s in &spans.spans {
         assert_eq!(s.phases().iter().sum::<u64>(), s.total());
+    }
+}
+
+/// The journal and the exact counters agree event for event: a
+/// least-loaded router moves three tenants over a fleet that grows by
+/// one shard and retires it again, into a 5-walk sink, and every event
+/// count in the trace equals the `ServiceStats` or `RouteReport` counter
+/// of the same fact, in both regimes.
+#[test]
+fn journal_event_counts_equal_the_exact_counters_in_both_regimes() {
+    for mode in [DriverMode::Deterministic, DriverMode::Threaded] {
+        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::urw(8);
+        let p = Arc::new(PreparedGraph::new(g, &spec).unwrap());
+        let make = |shard: usize| -> DynWalkBackend {
+            Box::new(ReferenceBackend::new(
+                p.clone(),
+                spec.clone(),
+                0xC047 ^ shard as u64,
+            ))
+        };
+        let cfg = ServiceConfig::new(2)
+            .max_batch(8)
+            .max_delay_ticks(1)
+            .driver_mode(mode);
+        let mut router = Router::new(Driver::new(cfg, make), LeastLoadedPolicy);
+        let obs = router.attach_fresh_obs();
+        router.attach_sinks(|_| Box::new(GatedSink::new(5)));
+        let tenants = [TenantId(1), TenantId(2), TenantId(3)];
+        let qs = QuerySet::random(200, 360, 13);
+        let chunks: Vec<_> = qs.queries().chunks(20).collect();
+        // Each round every tenant submits once, in an order that rotates
+        // from round to round, so the least-loaded shard a tenant lands
+        // on keeps changing: tenants migrate.
+        for (round, group) in chunks.chunks(tenants.len()).enumerate() {
+            for (j, chunk) in group.iter().enumerate() {
+                let tenant = tenants[(round + j) % tenants.len()];
+                assert_eq!(router.submit(tenant, chunk), chunk.len(), "{mode:?}");
+            }
+            assert!(router.tick().is_empty(), "{mode:?}: sunk");
+            match round {
+                1 => assert_eq!(router.append_shard(make(2)), 2, "{mode:?}"),
+                3 => {
+                    assert_eq!(router.begin_retire(), Some(2), "{mode:?}");
+                    while router.try_finish_retire().is_none() {
+                        router.tick();
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(router.drain().is_empty(), "{mode:?}");
+        let report = router.report();
+        let (rest, stats) = router.finish();
+        assert!(rest.is_empty(), "{mode:?}");
+        assert_eq!(stats.completed, 360, "{mode:?}: conservation");
+        assert_eq!(obs.dropped(), 0, "{mode:?}: the stream fits the ring");
+
+        let trace = obs.trace_jsonl();
+        let events = |ev: &'static str| {
+            trace
+                .lines()
+                .filter(move |l| jsonl_field(l, "ev") == Some(ev))
+        };
+        let count = |ev: &'static str| events(ev).count() as u64;
+        assert_eq!(count("query_admitted"), stats.submitted, "{mode:?}");
+        assert_eq!(stats.per_tenant.len(), tenants.len(), "{mode:?}");
+        for t in &stats.per_tenant {
+            let delivered = events("query_delivered")
+                .filter(|l| jsonl_num(l, "tenant") == Some(f64::from(t.tenant.0)))
+                .count() as u64;
+            assert_eq!(delivered, t.completed, "{mode:?}: {}", t.tenant);
+        }
+        assert!(stats.sink_spilled > 0, "{mode:?}: the 5-walk window spills");
+        assert_eq!(count("sink_spilled"), stats.sink_spilled, "{mode:?}");
+        assert!(stats.sink_forced_flushes > 0, "{mode:?}: at its bound");
+        assert_eq!(
+            count("sink_forced_flush"),
+            stats.sink_forced_flushes,
+            "{mode:?}"
+        );
+        assert!(report.migrations > 0, "{mode:?}: least-loaded rebinds");
+        assert_eq!(count("migration"), report.migrations, "{mode:?}");
+        assert_eq!(count("shard_appended"), 1, "{mode:?}");
+        assert_eq!(count("shard_retired"), 1, "{mode:?}");
     }
 }
