@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grw_algo::{
-    run_streamed, sampler, PreparedGraph, QuerySet, ReferenceBackend, WalkBackend, WalkPath,
-    WalkQuery, WalkSpec,
+    run_streamed, sampler, Node2VecMethod, PreparedGraph, QuerySet, ReferenceBackend,
+    SamplerConfig, WalkBackend, WalkPath, WalkQuery, WalkSpec,
 };
 use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
 use grw_graph::AliasTables;
@@ -124,6 +124,42 @@ fn bench_engines(c: &mut Criterion) {
         let acc = Accelerator::new(AcceleratorConfig::new().pipelines(4));
         b.iter(|| acc.run(&p, &spec, qs.queries()).steps)
     });
+
+    // One accelerator shard of the mixed Node2Vec serving workload: the
+    // weighted reservoir under the auto sampler on Tiny WebGoogle, 4
+    // pipelines, 64 queries in flight, 64-cycle polls, fed four bursts of
+    // the 128 highest-degree starts. A fresh machine per pass makes the
+    // simulated cycle count fixed; throughput counts those cycles, so the
+    // rate reads as Mcycles/s.
+    let n2v = WalkSpec::node2vec(16, Node2VecMethod::Reservoir);
+    let weighted = Dataset::WebGoogle.generate_weighted(ScaleFactor::Tiny);
+    let hub_p = PreparedGraph::with_sampler(weighted, &n2v, SamplerConfig::auto()).unwrap();
+    let g = hub_p.graph();
+    let mut by_degree: Vec<u32> = (0..g.vertex_count() as u32).collect();
+    by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+    let burst: Vec<WalkQuery> = by_degree[..128]
+        .iter()
+        .zip(0..)
+        .map(|(&start, id)| WalkQuery { id, start })
+        .collect();
+    let shard = Accelerator::new(
+        AcceleratorConfig::new()
+            .pipelines(4)
+            .max_inflight(64)
+            .poll_quantum(64),
+    );
+    let simulate_bursts = || {
+        let mut backend = shard.incremental_backend(&hub_p, &n2v);
+        for _ in 0..4 {
+            assert_eq!(backend.submit(&burst), burst.len());
+            while backend.in_flight() > 0 {
+                std::hint::black_box(backend.poll());
+            }
+        }
+        backend.cycles()
+    };
+    group.throughput(Throughput::Elements(simulate_bursts()));
+    group.bench_function("accelerator_n2v_hub_bursts_n4", |b| b.iter(simulate_bursts));
 
     // The walk kernel alone, in the backend's default 256-query polls:
     // ns/step out of cache (30 MB LiveJournal stand-in) and in cache.

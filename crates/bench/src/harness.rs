@@ -194,11 +194,14 @@ impl fmt::Display for Experiment {
         if self.series.is_empty() {
             return writeln!(f, "(no data)");
         }
-        let categories: Vec<String> = self.series[0]
-            .points
-            .iter()
-            .map(|(x, _)| x.clone())
-            .collect();
+        // One row per category of any series, in first-seen order: series
+        // may cover different points (the theorem sweep's depths per N).
+        let mut categories: Vec<String> = Vec::new();
+        for (x, _) in self.series.iter().flat_map(|s| &s.points) {
+            if !categories.contains(x) {
+                categories.push(x.clone());
+            }
+        }
         let mut headers = vec!["".to_string()];
         headers.extend(self.series.iter().map(|s| s.label.clone()));
         // Per-category speedup column when exactly two series of the same
@@ -206,7 +209,9 @@ impl fmt::Display for Experiment {
         // metric tables (e.g. throughput next to utilization) get none.
         let comparable = self.series.len() == 2
             && self.unit == "MStep/s"
-            && categories.iter().all(|x| self.series[1].value(x).is_some());
+            && categories
+                .iter()
+                .all(|x| self.series.iter().all(|s| s.value(x).is_some()));
         let speedup_pair = comparable.then(|| {
             headers.push("speedup".into());
             (self.series[1].label.clone(), self.series[0].label.clone())
@@ -276,6 +281,32 @@ mod tests {
         let s = sample().to_string();
         assert!(s.contains("2.2x"), "{s}");
         assert!(s.contains("70.0x"), "{s}");
+    }
+
+    #[test]
+    fn display_renders_the_union_of_series_labels() {
+        let mut e = Experiment::new("thm", "depth sweep", "bubble ratio");
+        let mut n4 = Series::new("N=4");
+        n4.push("D=1", 0.5).push("D=9", 0.0);
+        let mut n16 = Series::new("N=16");
+        n16.push("D=1", 0.75).push("D=8", 0.125).push("D=17", 0.0);
+        e.series = vec![n4, n16];
+        let s = e.to_string();
+        let rows: Vec<Vec<&str>> = s
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|cells| cells.first().is_some_and(|c| c.starts_with("D=")))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec!["D=1", "0.500", "0.750"],
+                vec!["D=9", "0.000", "-"],
+                vec!["D=8", "-", "0.125"],
+                vec!["D=17", "-", "0.000"],
+            ],
+            "{s}"
+        );
     }
 
     #[test]

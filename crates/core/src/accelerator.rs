@@ -74,7 +74,6 @@ struct Pipeline {
     /// Sampled hops awaiting the final column read.
     ca_ready: VecDeque<(Task, Option<VertexId>)>,
     ca_engine: AsyncAccessEngine<CaMeta>,
-    util: UtilizationMeter,
 }
 
 impl Pipeline {
@@ -89,7 +88,6 @@ impl Pipeline {
             sp_issue: VecDeque::new(),
             ca_ready: VecDeque::new(),
             ca_engine: AsyncAccessEngine::new(ca_spec, ca_spec.max_outstanding),
-            util: UtilizationMeter::new(),
         }
     }
 
@@ -102,6 +100,25 @@ impl Pipeline {
             (self.jobs.len() - 1) as u32
         }
     }
+}
+
+/// Tasks queued at each per-pipeline stage, summed over the pipelines.
+///
+/// A stage whose count is zero has nothing to do on any pipeline, so
+/// [`Machine::step_cycle`] skips its loop. Debug builds recount every
+/// queue at each clock edge ([`Machine::debug_check_loads`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StageLoads {
+    /// Entries of every `ra_fifo`, staged ones included.
+    ra_fifo: usize,
+    /// Entries of every `ra_out`.
+    ra_out: usize,
+    /// Entries of every `sp_fifo`, staged ones included.
+    sp_fifo: usize,
+    /// Entries of every `sp_issue`.
+    sp_issue: usize,
+    /// Entries of every `ca_ready`.
+    ca_ready: usize,
 }
 
 /// How a task fares at an admission point (injection or recirculation).
@@ -205,6 +222,9 @@ pub(crate) struct Machine {
     rng_tax_cost: f64,
 
     pipes: Vec<Pipeline>,
+    loads: StageLoads,
+    /// Pipeline-cycle classification, summed over the pipelines.
+    util: UtilizationMeter,
     ra_router: TaskRouter<Task>,
     cl_router: TaskRouter<Task>,
     /// Balancer-latency delay line in front of the RA router.
@@ -294,6 +314,8 @@ impl Machine {
             pipes: (0..n)
                 .map(|_| Pipeline::new(depth, ra_chan, ca_chan))
                 .collect(),
+            loads: StageLoads::default(),
+            util: UtilizationMeter::new(),
             ra_router: TaskRouter::new(n),
             cl_router: TaskRouter::new(n),
             sched_pipe: VecDeque::new(),
@@ -417,13 +439,9 @@ impl Machine {
         &self.cfg
     }
 
-    /// The merged pipeline occupancy meter.
+    /// The pipeline occupancy meter, summed over the pipelines.
     pub(crate) fn pipeline_meter(&self) -> UtilizationMeter {
-        let mut util = UtilizationMeter::new();
-        for p in &self.pipes {
-            util.merge(&p.util);
-        }
-        util
+        self.util
     }
 
     /// Advances the machine by at most `quantum` cycles, stopping early at
@@ -646,34 +664,46 @@ impl Machine {
         self.sampler_rt.counters()
     }
 
+    /// One clock cycle: the 14 stages of the pipeline in a fixed order.
+    /// A per-pipeline stage with nothing to take on any pipeline (its
+    /// [`StageLoads`] count or released completions are zero, or no
+    /// routed task has arrived) is skipped; skipping it changes no state.
     fn step_cycle(&mut self, prepared: &PreparedGraph) {
         let cycle = self.cycle;
-        // 1. Memory channels advance.
+        // 1. Memory channels advance. Every completion a channel releases
+        // is popped in stage 2 or 3 of the same cycle.
+        let mut ca_done = 0;
+        let mut ra_done = 0;
         for p in &mut self.pipes {
             p.ra_engine.begin_cycle(cycle);
             p.ca_engine.begin_cycle(cycle);
+            ra_done += p.ra_engine.pending_completions();
+            ca_done += p.ca_engine.pending_completions();
         }
 
         // 2. Column-Access completions: finish hops, recirculate tasks.
-        for pi in 0..self.n {
-            while let Some(meta) = self.pipes[pi].ca_engine.pop_completed() {
-                match meta {
-                    CaMeta::Sp { owner, job } => {
-                        let p = &mut self.pipes[owner as usize];
-                        let j = &mut p.jobs[job as usize];
-                        j.pending -= 1;
-                        if j.pending == 0 && j.random_left == 0 && j.seq_left == 0 {
-                            let done = *j;
-                            p.ca_ready.push_back((done.task, done.next));
-                            p.free_jobs.push(job);
+        if ca_done > 0 {
+            for pi in 0..self.n {
+                while let Some(meta) = self.pipes[pi].ca_engine.pop_completed() {
+                    match meta {
+                        CaMeta::Sp { owner, job } => {
+                            let p = &mut self.pipes[owner as usize];
+                            let j = &mut p.jobs[job as usize];
+                            j.pending -= 1;
+                            if j.pending == 0 && j.random_left == 0 && j.seq_left == 0 {
+                                let done = *j;
+                                p.ca_ready.push_back((done.task, done.next));
+                                p.free_jobs.push(job);
+                                self.loads.ca_ready += 1;
+                            }
                         }
-                    }
-                    CaMeta::Final(task, next) => {
-                        self.steps += 1;
-                        self.slots[task.query as usize].vertices.push(next);
-                        match self.admit(task.advance(next)) {
-                            Admit::Go(t) => self.recirc.push_back(t),
-                            Admit::Complete(r) => self.finish(task.query, r),
+                        CaMeta::Final(task, next) => {
+                            self.steps += 1;
+                            self.slots[task.query as usize].vertices.push(next);
+                            match self.admit(task.advance(next)) {
+                                Admit::Go(t) => self.recirc.push_back(t),
+                                Admit::Complete(r) => self.finish(task.query, r),
+                            }
                         }
                     }
                 }
@@ -681,24 +711,31 @@ impl Machine {
         }
 
         // 3. Row-Access completions: dead-end check, hand to column router.
-        for pi in 0..self.n {
-            while let Some(task) = self.pipes[pi].ra_engine.pop_completed() {
-                if prepared.graph().degree(task.v_curr) == 0 {
-                    self.finish(task.query, Termination::DeadEnd);
-                } else {
-                    self.pipes[pi].ra_out.push_back(task);
+        if ra_done > 0 {
+            for pi in 0..self.n {
+                while let Some(task) = self.pipes[pi].ra_engine.pop_completed() {
+                    if prepared.graph().degree(task.v_curr) == 0 {
+                        self.finish(task.query, Termination::DeadEnd);
+                    } else {
+                        self.pipes[pi].ra_out.push_back(task);
+                        self.loads.ra_out += 1;
+                    }
                 }
             }
         }
 
         // 4. Column Access issue: one final read per pipeline per cycle.
-        for pi in 0..self.n {
-            let p = &mut self.pipes[pi];
-            if let Some(&(task, next)) = p.ca_ready.front() {
+        if self.loads.ca_ready > 0 {
+            for pi in 0..self.n {
+                let p = &mut self.pipes[pi];
+                let Some(&(task, next)) = p.ca_ready.front() else {
+                    continue;
+                };
                 match next {
                     None => {
                         // Terminated during sampling (no typed neighbor).
                         p.ca_ready.pop_front();
+                        self.loads.ca_ready -= 1;
                         self.finish(task.query, Termination::NoTypedNeighbor);
                     }
                     Some(next) => {
@@ -711,6 +748,7 @@ impl Machine {
                         {
                             p.ca_engine.add_bytes(self.final_read_bytes - 8);
                             p.ca_ready.pop_front();
+                            self.loads.ca_ready -= 1;
                         }
                     }
                 }
@@ -722,118 +760,141 @@ impl Machine {
         // channels (Fig. 4b), so in dynamic mode the k-th scan burst of a
         // job targets channel (pi + k) mod N — long hub-list scans spread
         // over the whole memory system instead of hammering one channel.
-        for pi in 0..self.n {
-            let Some(&job) = self.pipes[pi].sp_issue.front() else {
-                continue;
-            };
-            let j = self.pipes[pi].jobs[job as usize];
-            let meta = CaMeta::Sp {
-                owner: pi as u32,
-                job,
-            };
-            let (target, is_seq) = if j.random_left > 0 {
-                (pi, false)
-            } else {
-                debug_assert!(j.seq_left > 0);
-                let t = if self.dynamic {
-                    (pi + j.seq_left as usize) % self.n
-                } else {
-                    pi
+        if self.loads.sp_issue > 0 {
+            for pi in 0..self.n {
+                let Some(&job) = self.pipes[pi].sp_issue.front() else {
+                    continue;
                 };
-                (t, true)
-            };
-            if self.pipes[target].ca_engine.try_issue(meta, 1.0, cycle) {
-                if is_seq {
-                    // One activation streams 8 words of the list.
-                    self.pipes[target].ca_engine.add_bytes(56);
-                    self.pipes[pi].jobs[job as usize].seq_left -= 1;
+                let j = self.pipes[pi].jobs[job as usize];
+                let meta = CaMeta::Sp {
+                    owner: pi as u32,
+                    job,
+                };
+                let (target, is_seq) = if j.random_left > 0 {
+                    (pi, false)
                 } else {
-                    self.pipes[pi].jobs[job as usize].random_left -= 1;
-                }
-                let j = &mut self.pipes[pi].jobs[job as usize];
-                j.pending += 1;
-                if j.random_left == 0 && j.seq_left == 0 {
-                    self.pipes[pi].sp_issue.pop_front();
+                    debug_assert!(j.seq_left > 0);
+                    let t = if self.dynamic {
+                        (pi + j.seq_left as usize) % self.n
+                    } else {
+                        pi
+                    };
+                    (t, true)
+                };
+                if self.pipes[target].ca_engine.try_issue(meta, 1.0, cycle) {
+                    if is_seq {
+                        // One activation streams 8 words of the list.
+                        self.pipes[target].ca_engine.add_bytes(56);
+                        self.pipes[pi].jobs[job as usize].seq_left -= 1;
+                    } else {
+                        self.pipes[pi].jobs[job as usize].random_left -= 1;
+                    }
+                    let j = &mut self.pipes[pi].jobs[job as usize];
+                    j.pending += 1;
+                    if j.random_left == 0 && j.seq_left == 0 {
+                        self.pipes[pi].sp_issue.pop_front();
+                        self.loads.sp_issue -= 1;
+                    }
                 }
             }
         }
 
         // 6. Sampling intake: decide one task per pipeline per cycle.
-        for pi in 0..self.n {
-            if !self.pipes[pi].sp_fifo.can_pop() {
-                continue;
-            }
-            let task = self.pipes[pi].sp_fifo.pop().expect("checked");
-            let job = self.sampling_job(prepared, task);
-            let p = &mut self.pipes[pi];
-            if job.random_left == 0 && job.seq_left == 0 {
-                p.ca_ready.push_back((job.task, job.next));
-            } else {
-                let id = p.alloc_job(job);
-                p.sp_issue.push_back(id);
+        if self.loads.sp_fifo > 0 {
+            for pi in 0..self.n {
+                let Some(task) = self.pipes[pi].sp_fifo.pop() else {
+                    continue;
+                };
+                self.loads.sp_fifo -= 1;
+                let job = self.sampling_job(prepared, task);
+                let p = &mut self.pipes[pi];
+                if job.random_left == 0 && job.seq_left == 0 {
+                    p.ca_ready.push_back((job.task, job.next));
+                    self.loads.ca_ready += 1;
+                } else {
+                    let id = p.alloc_job(job);
+                    p.sp_issue.push_back(id);
+                    self.loads.sp_issue += 1;
+                }
             }
         }
 
         // 7. Column router delivery into sampling FIFOs.
-        for pi in 0..self.n {
-            if self.pipes[pi].sp_fifo.can_push() {
-                if let Some(task) = self.cl_router.pop_ready(pi, cycle) {
-                    self.pipes[pi].sp_fifo.push(task);
+        if self.cl_router.any_ready(cycle) {
+            for pi in 0..self.n {
+                if self.pipes[pi].sp_fifo.can_push() {
+                    if let Some(task) = self.cl_router.pop_ready(pi, cycle) {
+                        self.pipes[pi].sp_fifo.push(task);
+                        self.loads.sp_fifo += 1;
+                    }
                 }
             }
         }
 
         // 8. RA output into the column router.
-        for pi in 0..self.n {
-            if let Some(task) = self.pipes[pi].ra_out.front().copied() {
-                let port = self.cl_port(&task);
-                if self.cl_router.push(task, port, cycle) {
-                    self.pipes[pi].ra_out.pop_front();
+        if self.loads.ra_out > 0 {
+            for pi in 0..self.n {
+                if let Some(task) = self.pipes[pi].ra_out.front().copied() {
+                    let port = self.cl_port(&task);
+                    if self.cl_router.push(task, port, cycle) {
+                        self.pipes[pi].ra_out.pop_front();
+                        self.loads.ra_out -= 1;
+                    }
                 }
             }
         }
 
         // 9. Row Access issue: one RP read per pipeline per cycle. An
         // on-chip cache hit (FastRW model) bypasses the memory entirely.
+        // A pipeline with a task at its FIFO head is busy (issuing, or
+        // memory-stalled: occupied, not starved); one without is a bubble
+        // while work exists and drained otherwise.
         let work = self.work_exists();
-        let rp_extra_bytes = u64::from(self.rp_kind.bytes()) - 8;
-        for pi in 0..self.n {
-            if self.pipes[pi].ra_fifo.can_pop() {
-                let front = *self.pipes[pi].ra_fifo.front().expect("checked");
+        let mut busy = 0u64;
+        if self.loads.ra_fifo > 0 {
+            let rp_extra_bytes = u64::from(self.rp_kind.bytes()) - 8;
+            for pi in 0..self.n {
+                let Some(&front) = self.pipes[pi].ra_fifo.front() else {
+                    continue;
+                };
+                busy += 1;
                 let hit = self
                     .rp_cached
                     .as_ref()
                     .is_some_and(|c| c[front.v_curr as usize]);
                 if hit {
                     let task = self.pipes[pi].ra_fifo.pop().expect("checked");
-                    self.pipes[pi].util.record_busy();
+                    self.loads.ra_fifo -= 1;
                     if prepared.graph().degree(task.v_curr) == 0 {
                         self.finish(task.query, Termination::DeadEnd);
                     } else {
                         self.pipes[pi].ra_out.push_back(task);
+                        self.loads.ra_out += 1;
                     }
                 } else if self.pipes[pi].ra_engine.can_issue(1.0) {
                     let task = self.pipes[pi].ra_fifo.pop().expect("checked");
+                    self.loads.ra_fifo -= 1;
                     let ok = self.pipes[pi].ra_engine.try_issue(task, 1.0, cycle);
                     debug_assert!(ok);
                     self.pipes[pi].ra_engine.add_bytes(rp_extra_bytes);
-                    self.pipes[pi].util.record_busy();
-                } else {
-                    // Memory-stalled, not starved: the pipeline is occupied.
-                    self.pipes[pi].util.record_busy();
                 }
-            } else if work {
-                self.pipes[pi].util.record_bubble();
-            } else {
-                self.pipes[pi].util.record_drained();
             }
         }
+        let idle = self.n as u64 - busy;
+        self.util.merge(&if work {
+            UtilizationMeter::from_counts(busy, idle, 0)
+        } else {
+            UtilizationMeter::from_counts(busy, 0, idle)
+        });
 
         // 10. RA router delivery into pipeline FIFOs.
-        for pi in 0..self.n {
-            if self.pipes[pi].ra_fifo.can_push() {
-                if let Some(task) = self.ra_router.pop_ready(pi, cycle) {
-                    self.pipes[pi].ra_fifo.push(task);
+        if self.ra_router.any_ready(cycle) {
+            for pi in 0..self.n {
+                if self.pipes[pi].ra_fifo.can_push() {
+                    if let Some(task) = self.ra_router.pop_ready(pi, cycle) {
+                        self.pipes[pi].ra_fifo.push(task);
+                        self.loads.ra_fifo += 1;
+                    }
                 }
             }
         }
@@ -877,7 +938,27 @@ impl Machine {
             p.ra_fifo.commit();
             p.sp_fifo.commit();
         }
+        self.debug_check_loads();
         self.cycle += 1;
+    }
+
+    /// Debug builds: every [`StageLoads`] count equals its recount.
+    fn debug_check_loads(&self) {
+        if cfg!(debug_assertions) {
+            let mut recount = StageLoads::default();
+            for p in &self.pipes {
+                recount.ra_fifo += p.ra_fifo.len();
+                recount.ra_out += p.ra_out.len();
+                recount.sp_fifo += p.sp_fifo.len();
+                recount.sp_issue += p.sp_issue.len();
+                recount.ca_ready += p.ca_ready.len();
+            }
+            assert_eq!(
+                self.loads, recount,
+                "stage counts drifted at cycle {}",
+                self.cycle
+            );
+        }
     }
 
     fn load_queries(&mut self) {

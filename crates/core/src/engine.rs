@@ -10,7 +10,6 @@
 //! across concurrent queries (Observation #1).
 
 use grw_sim::{Cycle, MemoryChannel, MemoryChannelSpec};
-use std::collections::VecDeque;
 
 /// A non-blocking request/response proxy over one memory channel.
 ///
@@ -35,7 +34,6 @@ pub struct AsyncAccessEngine<M> {
     /// Metadata slab indexed by transaction id (the BRAM metadata queue).
     slab: Vec<Option<M>>,
     free_ids: Vec<u32>,
-    completed: VecDeque<M>,
     issued: u64,
     bytes: u64,
 }
@@ -52,26 +50,21 @@ impl<M> AsyncAccessEngine<M> {
             channel: MemoryChannel::new(spec),
             slab: (0..txn_ids).map(|_| None).collect(),
             free_ids: (0..txn_ids as u32).rev().collect(),
-            completed: VecDeque::new(),
             issued: 0,
             bytes: 0,
         }
     }
 
-    /// Advances the channel clock and moves matured transactions to the
-    /// completion queue. Call once per cycle.
+    /// Advances the channel clock; transactions that matured by `cycle`
+    /// become poppable through [`pop_completed`](Self::pop_completed). Call
+    /// once per cycle.
+    #[inline]
     pub fn begin_cycle(&mut self, cycle: Cycle) {
         self.channel.begin_cycle(cycle);
-        while let Some(token) = self.channel.pop_ready() {
-            let meta = self.slab[token as usize]
-                .take()
-                .expect("completed token must hold metadata");
-            self.free_ids.push(token as u32);
-            self.completed.push_back(meta);
-        }
     }
 
     /// Whether a request of `cost` credits could be issued right now.
+    #[inline]
     pub fn can_issue(&self, cost: f64) -> bool {
         !self.free_ids.is_empty() && self.channel.can_issue(cost)
     }
@@ -100,24 +93,33 @@ impl<M> AsyncAccessEngine<M> {
         self.bytes += bytes;
     }
 
-    /// Pops one completed request's metadata.
+    /// Pops one completed request's metadata, in the channel's return
+    /// order, straight from the channel's ready queue. Its transaction id
+    /// returns to the free list here.
+    #[inline]
     pub fn pop_completed(&mut self) -> Option<M> {
-        self.completed.pop_front()
+        let token = self.channel.pop_ready()?;
+        self.free_ids.push(token as u32);
+        let meta = self.slab[token as usize]
+            .take()
+            .expect("completed token must hold metadata");
+        Some(meta)
     }
 
     /// Requests in flight (issued, not yet completed).
     pub fn in_flight(&self) -> usize {
-        self.slab.len() - self.free_ids.len() - self.completed.len()
+        self.channel.outstanding()
     }
 
     /// Whether the engine holds no work at all.
     pub fn is_idle(&self) -> bool {
-        self.in_flight() == 0 && self.completed.is_empty()
+        self.channel.is_idle()
     }
 
     /// Completed-but-unconsumed count.
+    #[inline]
     pub fn pending_completions(&self) -> usize {
-        self.completed.len()
+        self.channel.ready_count()
     }
 
     /// Lifetime issued transactions.
@@ -177,7 +179,8 @@ mod tests {
 
     #[test]
     fn blocking_configuration_serialises() {
-        // One outstanding request = the ablation's blocking AXI access.
+        // A one-deep window serialises requests: each waits for the
+        // previous one's return (the Blocking ablation allows 8).
         let mut e: AsyncAccessEngine<u32> = AsyncAccessEngine::new(spec(1), 64);
         e.begin_cycle(0);
         assert!(e.try_issue(1, 1.0, 0));

@@ -11,8 +11,8 @@
 //! * **Asynchronous memory-access engine** ([`AsyncAccessEngine`]): a
 //!   non-blocking request/response proxy with a transaction-id slab and
 //!   metadata queue, sustaining up to 128 outstanding requests per channel
-//!   (Fig. 6). A blocking mode (1 outstanding) provides the ablation
-//!   baseline of Fig. 11.
+//!   (Fig. 6). A blocking mode ([`MemoryMode::Blocking`]: a plain AXI
+//!   master's 8-request window) provides the ablation baseline of Fig. 11.
 //! * **Zero-bubble scheduler** ([`scheduler`]): the branch-free
 //!   [`scheduler::Dispatcher`] (Algorithm VI.1) and [`scheduler::Merger`]
 //!   (Algorithm VI.2), composed into the N-to-N butterfly

@@ -30,6 +30,14 @@ pub struct TaskRouter<T> {
     per_port_window: usize,
     ports: Vec<VecDeque<(Cycle, T)>>,
     last_pop: Vec<Option<Cycle>>,
+    /// Tasks inside the fabric, summed over ports.
+    in_flight: usize,
+    /// `(ready cycle, tasks)` of recent pushes that may not be ready yet,
+    /// oldest first; `fresh` sums their task counts. A task's ready cycle
+    /// is its push cycle plus the fixed latency, so entries arrive in
+    /// ready order and none of them can have been popped.
+    recent: VecDeque<(Cycle, usize)>,
+    fresh: usize,
     routed: u64,
 }
 
@@ -53,6 +61,9 @@ impl<T> TaskRouter<T> {
             per_port_window: Self::DEFAULT_WINDOW + 2 * stages as usize,
             ports: (0..ports).map(|_| VecDeque::new()).collect(),
             last_pop: vec![None; ports],
+            in_flight: 0,
+            recent: VecDeque::new(),
+            fresh: 0,
             routed: 0,
         }
     }
@@ -79,13 +90,36 @@ impl<T> TaskRouter<T> {
         if !self.can_push(port) {
             return false;
         }
-        self.ports[port].push_back((cycle + self.latency, value));
+        let ready = cycle + self.latency;
+        self.ports[port].push_back((ready, value));
+        match self.recent.back_mut() {
+            Some((at, n)) if *at == ready => *n += 1,
+            _ => self.recent.push_back((ready, 1)),
+        }
+        self.fresh += 1;
+        self.in_flight += 1;
         self.routed += 1;
         true
     }
 
+    /// Whether some port holds a task that has traversed the fabric by
+    /// `cycle` (ignoring the one-per-cycle port limit). When this is
+    /// `false`, no [`pop_ready`](Self::pop_ready) at `cycle` can succeed.
+    #[inline]
+    pub fn any_ready(&mut self, cycle: Cycle) -> bool {
+        while let Some(&(ready, n)) = self.recent.front() {
+            if ready > cycle {
+                break;
+            }
+            self.recent.pop_front();
+            self.fresh -= n;
+        }
+        self.in_flight > self.fresh
+    }
+
     /// Pops the next task that has traversed the fabric to `port`.
     /// Each port delivers at most one task per cycle (II = 1).
+    #[inline]
     pub fn pop_ready(&mut self, port: usize, cycle: Cycle) -> Option<T> {
         if self.last_pop[port] == Some(cycle) {
             return None; // one per port per cycle
@@ -95,19 +129,22 @@ impl<T> TaskRouter<T> {
             .is_some_and(|&(ready, _)| ready <= cycle)
         {
             self.last_pop[port] = Some(cycle);
+            self.in_flight -= 1;
             return self.ports[port].pop_front().map(|(_, v)| v);
         }
         None
     }
 
     /// Tasks currently inside the fabric (all ports).
+    #[inline]
     pub fn in_flight(&self) -> usize {
-        self.ports.iter().map(VecDeque::len).sum()
+        self.in_flight
     }
 
     /// Whether the fabric holds no tasks.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.in_flight() == 0
+        self.in_flight == 0
     }
 
     /// Lifetime routed count.
@@ -150,6 +187,30 @@ mod tests {
     }
 
     #[test]
+    fn any_ready_matches_a_scan_of_the_ports() {
+        let mut r: TaskRouter<u32> = TaskRouter::new(4);
+        let mut state = 7u64;
+        for cycle in 0..2_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let scan = r
+                .ports
+                .iter()
+                .any(|q| q.front().is_some_and(|&(ready, _)| ready <= cycle));
+            assert_eq!(r.any_ready(cycle), scan, "cycle {cycle}");
+            for port in 0..4 {
+                if (state >> (33 + port)) & 1 == 1 {
+                    r.pop_ready(port, cycle);
+                }
+            }
+            for k in 0..(state >> 60) as usize % 3 {
+                r.push(cycle as u32, (k + cycle as usize) % 4, cycle);
+            }
+        }
+    }
+
+    #[test]
     fn ports_are_independent() {
         let mut r: TaskRouter<u32> = TaskRouter::new(2);
         r.push(10, 0, 0);
@@ -170,6 +231,7 @@ mod tests {
         }
         assert!(accepted < 100, "window must bound in-flight tasks");
         assert_eq!(accepted, r.in_flight());
+        assert_eq!(r.in_flight(), r.ports.iter().map(VecDeque::len).sum());
         assert!(!r.can_push(0));
         assert!(r.can_push(1), "other ports unaffected");
     }

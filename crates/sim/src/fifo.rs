@@ -13,6 +13,10 @@ use std::collections::VecDeque;
 /// The paper implements shallow inter-module FIFOs in LUTs and deeper ones
 /// (metadata queues, scheduler buffers) in BRAM; both behave like this.
 ///
+/// Staged values wait behind the committed ones in a single queue, so the
+/// clock edge is O(1): it only moves the committed boundary. The FIFO keeps
+/// no occupancy statistics.
+///
 /// # Example
 ///
 /// ```
@@ -26,14 +30,11 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
-    stored: VecDeque<T>,
-    staged: VecDeque<T>,
+    /// Committed elements first, then the ones staged this cycle.
+    queue: VecDeque<T>,
+    /// How many elements at the front of `queue` are committed.
+    committed: usize,
     capacity: usize,
-    pushes: u64,
-    pops: u64,
-    high_water: usize,
-    occupancy_sum: u64,
-    occupancy_samples: u64,
 }
 
 impl<T> Fifo<T> {
@@ -45,45 +46,46 @@ impl<T> Fifo<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "FIFO capacity must be positive");
         Self {
-            stored: VecDeque::with_capacity(capacity),
-            staged: VecDeque::new(),
+            queue: VecDeque::with_capacity(capacity),
+            committed: 0,
             capacity,
-            pushes: 0,
-            pops: 0,
-            high_water: 0,
-            occupancy_sum: 0,
-            occupancy_samples: 0,
         }
     }
 
     /// Total occupancy (stored + staged) — what a producer's `full` wire sees.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.stored.len() + self.staged.len()
+        self.queue.len()
     }
 
     /// Whether the FIFO holds no elements at all.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 
     /// Whether a consumer sees data this cycle (committed elements only).
+    #[inline]
     pub fn can_pop(&self) -> bool {
-        !self.stored.is_empty()
+        self.committed > 0
     }
 
     /// Whether a producer can push this cycle.
+    #[inline]
     pub fn can_push(&self) -> bool {
-        self.len() < self.capacity
+        self.queue.len() < self.capacity
     }
 
     /// The `full` backpressure wire (inverse of [`Fifo::can_push`]).
+    #[inline]
     pub fn is_full(&self) -> bool {
         !self.can_push()
     }
 
     /// Number of committed elements a consumer could pop this cycle.
+    #[inline]
     pub fn poppable(&self) -> usize {
-        self.stored.len()
+        self.committed
     }
 
     /// Capacity the FIFO was built with.
@@ -92,59 +94,39 @@ impl<T> Fifo<T> {
     }
 
     /// Pushes a value; returns `false` (dropping nothing) when full.
+    #[inline]
     pub fn push(&mut self, value: T) -> bool {
         if !self.can_push() {
             return false;
         }
-        self.staged.push_back(value);
-        self.pushes += 1;
+        self.queue.push_back(value);
         true
     }
 
     /// Pops the oldest committed value, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<T> {
-        let v = self.stored.pop_front();
-        if v.is_some() {
-            self.pops += 1;
+        if self.committed == 0 {
+            return None;
         }
-        v
+        self.committed -= 1;
+        self.queue.pop_front()
     }
 
     /// Peeks at the oldest committed value.
+    #[inline]
     pub fn front(&self) -> Option<&T> {
-        self.stored.front()
-    }
-
-    /// Clock edge: staged values become visible; occupancy stats update.
-    pub fn commit(&mut self) {
-        self.stored.append(&mut self.staged);
-        self.high_water = self.high_water.max(self.stored.len());
-        self.occupancy_sum += self.stored.len() as u64;
-        self.occupancy_samples += 1;
-    }
-
-    /// Lifetime number of successful pushes.
-    pub fn total_pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Lifetime number of successful pops.
-    pub fn total_pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Deepest committed occupancy observed at any clock edge.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Mean committed occupancy over all clock edges.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.occupancy_samples == 0 {
-            0.0
+        if self.committed == 0 {
+            None
         } else {
-            self.occupancy_sum as f64 / self.occupancy_samples as f64
+            self.queue.front()
         }
+    }
+
+    /// Clock edge: staged values become visible.
+    #[inline]
+    pub fn commit(&mut self) {
+        self.committed = self.queue.len();
     }
 }
 
@@ -200,18 +182,61 @@ mod tests {
         assert_eq!(f.pop(), Some(2));
     }
 
+    /// Reference model: a two-queue FIFO whose pushes land in a staged
+    /// queue that the clock edge appends to the stored one.
+    struct Reference {
+        stored: VecDeque<u32>,
+        staged: VecDeque<u32>,
+        capacity: usize,
+    }
+
+    impl Reference {
+        fn push(&mut self, v: u32) -> bool {
+            if self.stored.len() + self.staged.len() >= self.capacity {
+                return false;
+            }
+            self.staged.push_back(v);
+            true
+        }
+
+        fn commit(&mut self) {
+            self.stored.append(&mut self.staged);
+        }
+    }
+
     #[test]
-    fn stats_track_activity() {
-        let mut f = Fifo::new(4);
-        f.push(1);
-        f.push(2);
-        f.commit();
-        f.pop();
-        f.commit();
-        assert_eq!(f.total_pushes(), 2);
-        assert_eq!(f.total_pops(), 1);
-        assert_eq!(f.high_water(), 2);
-        assert!((f.mean_occupancy() - 1.5).abs() < 1e-9); // (2 + 1) / 2
+    fn matches_the_two_queue_reference_model() {
+        // A tiny LCG keeps the op mix varied without a dev-dependency.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for capacity in 1..=9 {
+            let mut f = Fifo::new(capacity);
+            let mut r = Reference {
+                stored: VecDeque::new(),
+                staged: VecDeque::new(),
+                capacity,
+            };
+            for op in 0..4_000u32 {
+                match next(8) {
+                    0..=3 => assert_eq!(f.push(op), r.push(op)),
+                    4 | 5 => assert_eq!(f.pop(), r.stored.pop_front()),
+                    _ => {
+                        f.commit();
+                        r.commit();
+                    }
+                }
+                assert_eq!(f.front(), r.stored.front());
+                assert_eq!(f.poppable(), r.stored.len());
+                assert_eq!(f.can_pop(), !r.stored.is_empty());
+                assert_eq!(f.len(), r.stored.len() + r.staged.len());
+                assert_eq!(f.is_full(), f.len() >= capacity);
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! * [`Fifo`] — a bounded hardware FIFO with *two-phase commit*: values
 //!   pushed during a cycle become visible only after [`Fifo::commit`], so
 //!   intra-cycle evaluation order cannot leak data forward, exactly like a
-//!   registered FIFO.
+//!   registered FIFO. The commit is O(1) and the FIFO keeps no statistics.
 //! * [`MemoryChannel`] — a DRAM/HBM channel issuing random 64-bit
 //!   transactions at the effective `f_mem / t_RRD` rate of Eq. (1), with a
 //!   bounded outstanding window, fixed round-trip latency and bank-dependent
-//!   return jitter.
+//!   return jitter. Its per-cycle rate is computed once, at construction.
 //! * [`FpgaPlatform`] — presets for the five boards of the evaluation
 //!   (U50, U250, U280, U55C, VCK5000), calibrated per `DESIGN.md`.
 //! * [`stats`] — utilization/bubble/throughput meters used by every engine.

@@ -62,7 +62,10 @@ pub struct ChannelStats {
 /// A single memory channel.
 ///
 /// Callers tag each transaction with an opaque `token` (the hardware
-/// transaction ID); completions return tokens, possibly out of order.
+/// transaction ID); completions return tokens, possibly out of order, and
+/// returns due in the same cycle come back in token order. The admission
+/// rate `spec.transactions_per_cycle()` is computed once, when the channel
+/// is built, and added to the credit at every [`begin_cycle`](Self::begin_cycle).
 ///
 /// # Example
 ///
@@ -79,6 +82,9 @@ pub struct ChannelStats {
 #[derive(Debug, Clone)]
 pub struct MemoryChannel {
     spec: MemoryChannelSpec,
+    /// `spec.transactions_per_cycle()`, computed once: credit accrual sits
+    /// on the per-cycle path of every channel.
+    per_cycle: f64,
     credit: f64,
     inflight: BinaryHeap<Reverse<(Cycle, u64)>>,
     ready: Vec<u64>,
@@ -100,6 +106,7 @@ impl MemoryChannel {
     pub fn new(spec: MemoryChannelSpec) -> Self {
         Self {
             spec,
+            per_cycle: spec.transactions_per_cycle(),
             credit: 1.0,
             inflight: BinaryHeap::new(),
             ready: Vec::new(),
@@ -126,8 +133,7 @@ impl MemoryChannel {
             None => 1,
         };
         self.last_cycle = Some(cycle);
-        self.credit = (self.credit + elapsed as f64 * self.spec.transactions_per_cycle())
-            .min(Self::CREDIT_CAP);
+        self.credit = (self.credit + elapsed as f64 * self.per_cycle).min(Self::CREDIT_CAP);
         while let Some(&Reverse((ready_at, token))) = self.inflight.peek() {
             if ready_at <= cycle {
                 self.inflight.pop();
@@ -140,6 +146,7 @@ impl MemoryChannel {
     }
 
     /// Whether a transaction of `cost` credits could be admitted right now.
+    #[inline]
     pub fn can_issue(&self, cost: f64) -> bool {
         self.credit >= cost && self.inflight.len() < self.spec.max_outstanding
     }
@@ -167,6 +174,7 @@ impl MemoryChannel {
     }
 
     /// Pops one completed token, if any arrived.
+    #[inline]
     pub fn pop_ready(&mut self) -> Option<u64> {
         if self.ready_cursor < self.ready.len() {
             let t = self.ready[self.ready_cursor];
@@ -182,16 +190,19 @@ impl MemoryChannel {
     }
 
     /// Transactions currently in flight.
+    #[inline]
     pub fn outstanding(&self) -> usize {
         self.inflight.len()
     }
 
     /// Completed-but-unconsumed transactions.
+    #[inline]
     pub fn ready_count(&self) -> usize {
         self.ready.len() - self.ready_cursor
     }
 
     /// Whether the channel holds no work at all.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.inflight.is_empty() && self.ready_count() == 0
     }
