@@ -257,8 +257,9 @@ pub fn run_streamed<B: WalkBackend + ?Sized>(
 }
 
 /// Orders completed paths to match the submission order of `queries`.
-/// Duplicate ids are resolved by completion order, which our backends emit
-/// in submission order.
+/// Duplicate ids are resolved by completion order, which matches
+/// submission order only for a backend that completes queries in order
+/// (`ReferenceBackend` does; the cycle-level accelerator does not).
 fn reorder(paths: Vec<WalkPath>, queries: &[WalkQuery]) -> Vec<WalkPath> {
     assert_eq!(
         paths.len(),

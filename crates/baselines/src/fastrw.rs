@@ -121,14 +121,14 @@ impl FastRw {
         Accelerator::new(self.config(spec)).run(prepared, spec, queries)
     }
 
-    /// Opens a streaming backend (one micro-batch per poll) over this
-    /// model's engine configuration.
+    /// Opens a streaming backend over this model's engine configuration;
+    /// each poll runs its micro-batch to completion.
     pub fn backend<P: std::borrow::Borrow<PreparedGraph>>(
         &self,
         prepared: P,
         spec: &WalkSpec,
     ) -> ridgewalker::AcceleratorBackend<P> {
-        Accelerator::new(self.config(spec)).backend(prepared, spec)
+        Accelerator::new(self.config(spec).poll_quantum(u64::MAX)).backend(prepared, spec)
     }
 }
 

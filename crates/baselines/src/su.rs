@@ -61,14 +61,14 @@ impl SuEtAl {
         Accelerator::new(self.config()).run(prepared, spec, queries)
     }
 
-    /// Opens a streaming backend (one micro-batch per poll) over this
-    /// model's engine configuration.
+    /// Opens a streaming backend over this model's engine configuration;
+    /// each poll runs its micro-batch to completion.
     pub fn backend<P: std::borrow::Borrow<PreparedGraph>>(
         &self,
         prepared: P,
         spec: &WalkSpec,
     ) -> ridgewalker::AcceleratorBackend<P> {
-        Accelerator::new(self.config()).backend(prepared, spec)
+        Accelerator::new(self.config().poll_quantum(u64::MAX)).backend(prepared, spec)
     }
 }
 

@@ -149,7 +149,7 @@ fn bench_engines(c: &mut Criterion) {
             .poll_quantum(64),
     );
     let simulate_bursts = || {
-        let mut backend = shard.incremental_backend(&hub_p, &n2v);
+        let mut backend = shard.backend(&hub_p, &n2v);
         for _ in 0..4 {
             assert_eq!(backend.submit(&burst), burst.len());
             while backend.in_flight() > 0 {

@@ -11,10 +11,10 @@ use std::fmt;
 /// `grw_service` serving layer drives — and returns the familiar
 /// [`RunReport`] with the completed paths attached in query order.
 ///
-/// Feeding the whole workload before the first poll forms a single
-/// micro-batch, so the report is bit-identical to `Accelerator::run`; the
-/// figures measure the serving-layer execution path without changing what
-/// they measure.
+/// The whole workload is submitted before the first poll, so the machine
+/// runs it as one stream and the report is bit-identical to
+/// `Accelerator::run`; the figures measure the serving-layer execution
+/// path without changing what they measure.
 pub fn run_accelerator_streamed(
     accel: &Accelerator,
     prepared: &PreparedGraph,
@@ -22,8 +22,8 @@ pub fn run_accelerator_streamed(
     queries: &[WalkQuery],
 ) -> RunReport {
     // Size the backend queue to the workload: a workload larger than the
-    // default capacity would otherwise split into multiple micro-batches
-    // and measure a different execution than `Accelerator::run`.
+    // default capacity would otherwise be polled in before it is all
+    // submitted and measure a different execution than `Accelerator::run`.
     let mut backend = accel
         .backend(prepared, spec)
         .queue_capacity(queries.len().max(1));

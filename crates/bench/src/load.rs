@@ -16,10 +16,10 @@
 //! DeepWalk, Node2Vec — and every sweep runs against both accelerator
 //! shard modes. The incremental mode is the system under test for the
 //! latency claims: its tick maps to a fixed cycle quantum, so tick-based
-//! latency is simulated time. Batch-mode shards run each micro-batch as a
-//! detached simulation per poll (unbounded work per tick), so their
-//! tick latency stays flat while their *cycles per query* exposes the
-//! per-batch fill/drain cost.
+//! latency is simulated time. Batch-mode shards run each poll until the
+//! machine is empty (unbounded work per tick), so their tick latency
+//! stays flat while their *cycles per query* exposes the per-batch
+//! fill/drain cost.
 
 use crate::json::{self, higher, lower, Obj};
 use grw_algo::{Node2VecMethod, PreparedGraph, QuerySet, WalkQuery, WalkSpec};

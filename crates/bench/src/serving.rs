@@ -94,10 +94,10 @@ pub struct ModeReport {
     /// during the *loaded window* (up to the last arrival, before the
     /// final drain) over all pipeline-cycles in that window. While the
     /// stream is still arriving the service always holds backlog, so any
-    /// idle pipeline-cycle — including the fill/drain a detached
-    /// micro-batch pays, which its own run report files under "drained,
-    /// no work" because the waiting queries sit outside the machine — is
-    /// a bubble from the system's point of view.
+    /// idle pipeline-cycle — including the fill/drain a batch-mode poll
+    /// pays, which the machine's own report files under "drained, no
+    /// work" because the queries waiting for the next poll sit outside
+    /// the machine — is a bubble from the system's point of view.
     pub bubble_ratio: f64,
     /// Machine-level bubble ratio over the whole run (the paper's
     /// backlog-conditioned definition, merged across shards by raw

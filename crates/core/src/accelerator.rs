@@ -33,6 +33,13 @@ use std::collections::VecDeque;
 /// Salt separating the teleport coin from the sampling stream.
 const TELEPORT_SALT: u64 = 0x7E1E_0000_0000_0000;
 
+/// Cycles between two snapshots of the progress watchdog.
+const WATCH_PERIOD: Cycle = 1 << 16;
+
+/// Cycles with queries resident and no progress after which the machine
+/// is stuck.
+const STALL_LIMIT: Cycle = 1 << 20;
+
 /// Per-sampling-job bookkeeping inside a Sampling module.
 #[derive(Debug, Clone, Copy)]
 struct SpJob {
@@ -159,8 +166,9 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if a query's start vertex is out of range, or if the run
-    /// exceeds `config.max_cycles` (a configuration error).
+    /// Panics if a query's start vertex is out of range, or if the machine
+    /// makes no progress for 2²⁰ cycles while queries are resident (a
+    /// stuck model or configuration).
     pub fn run(
         &self,
         prepared: &PreparedGraph,
@@ -172,19 +180,23 @@ impl Accelerator {
             m.enqueue(q);
         }
         m.run_to_quiescence(prepared);
-        // Completion order back to submission order: slot ids are assigned
-        // in submission order, exactly the legacy batch indices.
+        // Completion order back to submission order.
         let mut done = m.take_completed();
-        done.sort_by_key(|&(slot, _)| slot);
+        done.sort_by_key(|&(index, _)| index);
         m.report(done.into_iter().map(|(_, p)| p).collect())
     }
 }
 
-/// One query's residency in the machine: its external id and the path
-/// built so far (taken when the walk completes).
+/// One query's residency in the machine: its external id, its global
+/// submission index and the path built so far (taken when the walk
+/// completes).
 #[derive(Debug, Clone)]
 struct Slot {
     id: u64,
+    /// Queries enqueued before this one over the machine's lifetime. It
+    /// keys the query's counter-based randomness and, in static mode, its
+    /// pipeline, so a walk does not depend on which slot it occupies.
+    index: u64,
     vertices: Vec<VertexId>,
 }
 
@@ -195,10 +207,10 @@ struct Slot {
 /// [`enqueue`](Machine::enqueue) parks a query for the loader,
 /// [`advance`](Machine::advance) steps a bounded number of cycles, and
 /// completed walks stream out of [`take_completed`](Machine::take_completed)
-/// in completion order. `Accelerator::run` is now the degenerate use —
-/// enqueue everything, run to quiescence — and is bit-identical to the old
-/// batch simulation because slot ids (the RNG key) are assigned in
-/// submission order.
+/// in completion order. `Accelerator::run` is the degenerate use:
+/// enqueue everything, run to quiescence. A finished query's slot goes on
+/// a free list for the next submission, so the slot table holds at most
+/// the peak number of resident queries however long the machine runs.
 ///
 /// The prepared graph is passed into every advancing call rather than
 /// stored, so a backend can own the graph (`Arc`/borrow) and the machine
@@ -232,26 +244,18 @@ pub(crate) struct Machine {
     recirc: VecDeque<Task>,
     pending_inject: VecDeque<Task>,
 
-    /// One entry per query enqueued this *epoch*; index `i` holds global
-    /// submission index `slot_base + i`, which keys the query's
-    /// counter-based randomness. Ids are never reused *as RNG keys* —
-    /// but once every slot before the pending window has completed and
-    /// been taken, [`maybe_compact`](Machine::maybe_compact) drops the
-    /// dead prefix and folds its length into `slot_base`. Reclamation
-    /// happens at quiescence points (nothing in flight, completions
-    /// collected) — every drain and every idle gap between waves — so a
-    /// streaming run's table is O(resident + threshold) across such
-    /// points; a machine held saturated without ever quiescing defers
-    /// reclamation until its next quiescent instant.
+    /// Resident queries by slot id (a task's `query` field). A slot is
+    /// freed when its walk finishes.
     slots: Vec<Slot>,
-    /// Global submission index of `slots[0]` (the epoch base).
-    slot_base: u64,
-    /// Epoch rebases performed so far.
-    compactions: u64,
+    /// Slot ids free for the next submission.
+    free_slots: Vec<u32>,
+    /// Queries enqueued so far: the next submission index.
+    submitted: u64,
     /// Slot ids enqueued but not yet injected by the loader.
     pending: VecDeque<u32>,
-    /// Completed walks in completion order, tagged with their slot.
-    out: VecDeque<(u32, WalkPath)>,
+    /// Completed walks in completion order, tagged with their submission
+    /// index.
+    out: VecDeque<(u64, WalkPath)>,
     cycle: Cycle,
     inflight: usize,
     completed: u64,
@@ -262,6 +266,9 @@ pub(crate) struct Machine {
     /// second-order edge-alias cache (when the prepared graph's strategy
     /// table uses one) and cumulative kernel counters.
     sampler_rt: SamplerRuntime,
+    /// The watchdog's last [`progress`](Machine::progress) snapshot and
+    /// the cycle at which it last changed.
+    watch: ([u64; 4], Cycle),
 }
 
 impl Machine {
@@ -322,8 +329,8 @@ impl Machine {
             recirc: VecDeque::new(),
             pending_inject: VecDeque::new(),
             slots: Vec::new(),
-            slot_base: 0,
-            compactions: 0,
+            free_slots: Vec::new(),
+            submitted: 0,
             pending: VecDeque::new(),
             out: VecDeque::new(),
             cycle: 0,
@@ -333,6 +340,7 @@ impl Machine {
             steps: 0,
             terms: TerminationBreakdown::default(),
             sampler_rt: prepared.runtime(),
+            watch: ([0; 4], 0),
             cfg,
             spec: spec.clone(),
         }
@@ -351,57 +359,35 @@ impl Machine {
             q.id,
             q.start
         );
-        self.maybe_compact();
-        let slot = u32::try_from(self.slots.len()).expect("slot ids exhausted");
-        self.slots.push(Slot {
+        let entry = Slot {
             id: q.id,
+            index: self.submitted,
             vertices: vec![q.start],
-        });
+        };
+        self.submitted += 1;
+        let slot = if let Some(slot) = self.free_slots.pop() {
+            self.slots[slot as usize] = entry;
+            slot
+        } else {
+            self.slots.push(entry);
+            u32::try_from(self.slots.len() - 1).expect("slot ids exhausted")
+        };
         self.pending.push_back(slot);
     }
 
-    /// Epoch-based slot-table rebasing. When nothing is in flight and
-    /// every completed path has been taken, all slots below the pending
-    /// window are dead: drop the prefix, renumber the pending suffix, and
-    /// fold the dropped length into `slot_base`. Randomness is keyed by
-    /// the *global* submission index (`slot_base + local`), so walks are
-    /// bit-identical with or without compaction — only memory changes.
-    fn maybe_compact(&mut self) {
-        if self.inflight != 0 || !self.out.is_empty() {
-            return;
-        }
-        let done = self.slots.len() - self.pending.len();
-        if done < self.cfg.effective_slot_compact_threshold() {
-            return;
-        }
-        // Injection is FIFO, so the pending ids are exactly the
-        // contiguous suffix [done, slots.len()).
-        debug_assert!(self.pending.front().is_none_or(|&f| f as usize == done));
-        self.slots.drain(..done);
-        for slot in &mut self.pending {
-            *slot -= done as u32;
-        }
-        self.slot_base += done as u64;
-        self.compactions += 1;
-    }
-
-    /// Slots currently held (resident queries plus completed slots not
-    /// yet reclaimed by compaction).
+    /// Slots the slot table holds, free ones included: the peak number
+    /// of queries resident at once.
+    #[cfg(test)]
     pub(crate) fn slot_table_len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Epoch rebases performed so far.
-    pub(crate) fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// The counter-based RNG of `task`, keyed by its global submission
-    /// index so slot-table compaction never changes a walk's randomness.
-    /// With `slot_base == 0` this is exactly [`Task::rng`].
+    /// The counter-based RNG of `task`, keyed by its query's submission
+    /// index and the hop, so a task draws the same stream whichever slot
+    /// or pipeline holds it.
     fn task_rng(&self, task: &Task, salt: u64) -> Philox4x32 {
         Philox4x32::keyed(
-            (self.seed ^ salt) ^ (self.slot_base + u64::from(task.query)),
+            (self.seed ^ salt) ^ self.slots[task.query as usize].index,
             u64::from(task.step),
         )
     }
@@ -445,11 +431,21 @@ impl Machine {
     }
 
     /// Advances the machine by at most `quantum` cycles, stopping early at
-    /// quiescence. Returns the cycles actually simulated.
+    /// quiescence. Returns the cycles actually simulated. This is the one
+    /// stepping path: [`run_to_quiescence`](Machine::run_to_quiescence) is
+    /// an unbounded quantum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine makes no progress for 2²⁰ cycles while
+    /// queries are resident (see [`watchdog`](Machine::watchdog)).
     pub(crate) fn advance(&mut self, prepared: &PreparedGraph, quantum: Cycle) -> Cycle {
         let mut advanced = 0;
         while advanced < quantum && !self.quiescent() {
             self.step_cycle(prepared);
+            if self.cycle.is_multiple_of(WATCH_PERIOD) {
+                self.watchdog();
+            }
             advanced += 1;
         }
         advanced
@@ -459,32 +455,51 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if more than `config.max_cycles` additional cycles pass
-    /// without quiescence (a configuration error).
+    /// As [`advance`](Machine::advance).
     pub(crate) fn run_to_quiescence(&mut self, prepared: &PreparedGraph) {
-        let deadline = self.cycle + self.cfg.max_cycles;
-        while !self.quiescent() {
-            assert!(
-                self.cycle < deadline,
-                "simulation exceeded {} cycles ({} of {} queries done)",
-                self.cfg.max_cycles,
-                self.completed,
-                // Cumulative submissions: the rebased table length alone
-                // would under-count after a compaction.
-                self.slot_base + self.slots.len() as u64
-            );
-            self.step_cycle(prepared);
+        self.advance(prepared, Cycle::MAX);
+    }
+
+    /// Counters at least one of which moves whenever the machine makes
+    /// progress: hops completed, queries finished, memory transactions
+    /// issued, and transactions outstanding (which falls when one
+    /// completes).
+    fn progress(&self) -> [u64; 4] {
+        let mut issued = 0;
+        let mut outstanding = 0;
+        for p in &self.pipes {
+            issued += p.ra_engine.issued() + p.ca_engine.issued();
+            outstanding += (p.ra_engine.in_flight() + p.ca_engine.in_flight()) as u64;
         }
+        [self.steps, self.completed, issued, outstanding]
+    }
+
+    /// Compares a [`progress`](Machine::progress) snapshot with the last
+    /// one, every [`WATCH_PERIOD`] cycles. The machine only steps while
+    /// queries are resident, so a snapshot unchanged for [`STALL_LIMIT`]
+    /// cycles means a resident query can never finish.
+    fn watchdog(&mut self) {
+        let now = self.progress();
+        if now != self.watch.0 {
+            self.watch = (now, self.cycle);
+            return;
+        }
+        assert!(
+            self.cycle - self.watch.1 < STALL_LIMIT,
+            "machine made no progress for {} cycles at cycle {}: stage loads {:?}, \
+             {} pending, {} in flight",
+            self.cycle - self.watch.1,
+            self.cycle,
+            self.loads,
+            self.pending.len(),
+            self.inflight
+        );
     }
 
     /// Takes every completed walk, in completion order, tagged with its
-    /// slot id.
-    pub(crate) fn take_completed(&mut self) -> Vec<(u32, WalkPath)> {
-        let out = self.out.drain(..).collect();
-        // Taking the paths is what frees completed slots for reclamation;
-        // rebase now if the dead prefix has grown past the threshold.
-        self.maybe_compact();
-        out
+    /// submission index.
+    pub(crate) fn take_completed(&mut self) -> Vec<(u64, WalkPath)> {
+        self.out.drain(..).collect()
     }
 
     /// Admission: the max-length check and the PPR teleport coin, both
@@ -516,16 +531,15 @@ impl Machine {
         }
         let s = &mut self.slots[slot as usize];
         let vertices = std::mem::take(&mut s.vertices);
-        self.out.push_back((slot, WalkPath::new(s.id, vertices)));
+        self.out.push_back((s.index, WalkPath::new(s.id, vertices)));
+        self.free_slots.push(slot);
     }
 
     /// Routing ports: data-aware in dynamic mode, id-bound in static
-    /// mode. Static binding uses the *global* submission index (epoch
-    /// base + local slot), like the RNG keys, so slot-table compaction
-    /// never re-routes a query to a different pipeline — timing and
-    /// channel telemetry stay compaction-invariant too.
+    /// mode. Static binding uses the submission index, like the RNG keys,
+    /// so a query's pipeline does not depend on which slot it occupies.
     fn static_port(&self, task: &Task) -> usize {
-        ((self.slot_base + u64::from(task.query)) % self.n as u64) as usize
+        (self.slots[task.query as usize].index % self.n as u64) as usize
     }
 
     fn ra_port(&self, task: &Task) -> usize {
@@ -1212,6 +1226,39 @@ mod tests {
             "bubbles {:.3}",
             report.bubble_ratio
         );
+    }
+
+    /// A machine mid-run with tasks dropped from the scheduler's delay
+    /// line: their queries stay resident but can never finish.
+    fn stuck_machine() -> (Machine, PreparedGraph) {
+        let spec = WalkSpec::urw(24);
+        let p = PreparedGraph::new(ring(64), &spec).unwrap();
+        let mut m = Machine::new(small_config(), &p, &spec);
+        for q in QuerySet::random(64, 32, 5).queries() {
+            m.enqueue(q);
+        }
+        m.advance(&p, 300);
+        while m.sched_pipe.is_empty() {
+            m.advance(&p, 1);
+        }
+        m.sched_pipe.clear();
+        (m, p)
+    }
+
+    #[test]
+    #[should_panic(expected = "made no progress")]
+    fn watchdog_stops_a_stuck_drain() {
+        let (mut m, p) = stuck_machine();
+        m.run_to_quiescence(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "made no progress")]
+    fn watchdog_stops_stuck_polls() {
+        let (mut m, p) = stuck_machine();
+        loop {
+            m.advance(&p, 64);
+        }
     }
 
     #[test]

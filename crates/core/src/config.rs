@@ -67,8 +67,6 @@ pub struct AcceleratorConfig {
     pub batch_size: Option<usize>,
     /// Seed for all counter-based task randomness.
     pub seed: u64,
-    /// Safety bound on simulated cycles.
-    pub max_cycles: u64,
     /// On-chip RP cache capacity in entries, held by in-degree rank
     /// (models FastRW's frequency-based caching; `None` = no cache).
     pub rp_cache_entries: Option<usize>,
@@ -80,20 +78,13 @@ pub struct AcceleratorConfig {
     pub ra_outstanding: Option<usize>,
     /// Override of the Column-Access channel outstanding window.
     pub ca_outstanding: Option<usize>,
-    /// Cycle quantum an incremental backend's `poll` simulates; `None`
-    /// uses `512 · pipelines` (a few hundred queries' worth of progress at
-    /// ~0.5 steps/cycle/pipeline, so a serving tick keeps pace with
-    /// micro-batch-sized arrival waves).
+    /// Cycles one `poll` of the [`crate::AcceleratorBackend`] simulates
+    /// at most; `None` uses `512 · pipelines` (a few hundred queries'
+    /// worth of progress at ~0.5 steps/cycle/pipeline, so a serving tick
+    /// keeps pace with micro-batch-sized arrival waves). `u64::MAX` makes
+    /// every poll run the machine until it holds no work, so each
+    /// micro-batch pays pipeline fill and drain.
     pub poll_quantum: Option<u64>,
-    /// Completed slots that trigger an epoch rebase of the machine's slot
-    /// table at the next quiescence point (nothing in flight, completed
-    /// paths collected — every drain or idle gap between waves); `None`
-    /// uses 4096. Compaction is invisible to walk contents (randomness
-    /// is keyed by the global submission index, epoch base + local slot)
-    /// — it only reclaims the table's memory. A machine held saturated
-    /// without ever quiescing defers reclamation until its next
-    /// quiescent instant.
-    pub slot_compact_threshold: Option<usize>,
 }
 
 impl AcceleratorConfig {
@@ -108,13 +99,11 @@ impl AcceleratorConfig {
             max_inflight: None,
             batch_size: None,
             seed: 0x5EED,
-            max_cycles: 2_000_000_000,
             rp_cache_entries: None,
             rng_seq_reads_per_step: 0,
             ra_outstanding: None,
             ca_outstanding: None,
             poll_quantum: None,
-            slot_compact_threshold: None,
         }
     }
 
@@ -254,8 +243,8 @@ impl AcceleratorConfig {
             .unwrap_or(256 * self.effective_pipelines() as usize)
     }
 
-    /// Overrides the incremental-backend poll quantum (simulated cycles
-    /// per `poll`).
+    /// Overrides the backend's poll quantum (simulated cycles per `poll`
+    /// at most).
     ///
     /// # Panics
     ///
@@ -266,27 +255,10 @@ impl AcceleratorConfig {
         self
     }
 
-    /// Resolved incremental poll quantum.
+    /// Resolved poll quantum.
     pub fn effective_poll_quantum(&self) -> u64 {
         self.poll_quantum
             .unwrap_or(512 * u64::from(self.effective_pipelines()))
-    }
-
-    /// Overrides the slot-table compaction threshold (completed slots
-    /// held before the next quiescence point rebases the table).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn slot_compact_threshold(mut self, n: usize) -> Self {
-        assert!(n > 0, "compaction threshold must be positive");
-        self.slot_compact_threshold = Some(n);
-        self
-    }
-
-    /// Resolved slot-table compaction threshold.
-    pub fn effective_slot_compact_threshold(&self) -> usize {
-        self.slot_compact_threshold.unwrap_or(4096)
     }
 
     /// Resolved static batch size.

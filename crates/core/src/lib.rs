@@ -28,15 +28,15 @@
 //!   (Row Access → Sampling → Column Access) over per-pipeline HBM/DDR
 //!   channel pairs, with dynamic per-hop reassignment — plus the static
 //!   bulk-synchronous mode used as the Fig. 11 ablation baseline.
-//! * **Streaming backends**: the accelerator behind the
-//!   `grw_algo::WalkBackend` interface two ways.
-//!   [`AcceleratorBackend`] simulates one detached micro-batch per poll
-//!   (with a cumulative report merged from raw counts);
-//!   [`IncrementalAcceleratorBackend`] persists one running machine
-//!   across polls, so submissions join the live pipeline at the next
-//!   issue slot instead of waiting for a batch boundary — no per-batch
-//!   fill/drain bubbles under sustained load. The `grw_service` serving
-//!   layer shards over either.
+//! * **Streaming backend** ([`AcceleratorBackend`]): the accelerator
+//!   behind the `grw_algo::WalkBackend` interface as one persistent
+//!   machine. Submissions join the running pipeline at the next issue
+//!   slot; each poll advances at most [`AcceleratorConfig::poll_quantum`]
+//!   cycles. A bounded quantum keeps the pipeline full under sustained
+//!   load; an unbounded one runs each micro-batch to quiescence, paying
+//!   fill and drain per batch. Finished queries' slots are recycled, so
+//!   the machine's memory follows the queries resident, not the queries
+//!   served. The `grw_service` serving layer shards over it.
 //! * **Resource & frequency model** ([`resource`]): the analytic cost table
 //!   reproducing Table IV.
 //!
@@ -61,7 +61,6 @@ mod accelerator;
 mod backend;
 mod config;
 mod engine;
-mod incremental;
 pub mod report;
 pub mod resource;
 mod router;
@@ -73,7 +72,6 @@ pub use accelerator::Accelerator;
 pub use backend::AcceleratorBackend;
 pub use config::{AcceleratorConfig, MemoryMode, ScheduleMode};
 pub use engine::AsyncAccessEngine;
-pub use incremental::{IncrementalAcceleratorBackend, MachineOccupancy};
 pub use report::{RunReport, TerminationBreakdown};
 pub use router::TaskRouter;
 pub use task::{Task, NO_PREV};

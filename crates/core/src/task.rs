@@ -1,7 +1,6 @@
 //! Markov-based task decomposition (Fig. 5a).
 
 use grw_graph::VertexId;
-use grw_rng::Philox4x32;
 
 /// Sentinel for "no previous vertex" (first hop of a walk).
 pub const NO_PREV: VertexId = VertexId::MAX;
@@ -18,7 +17,8 @@ pub const NO_PREV: VertexId = VertexId::MAX;
 /// assertion enforces the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
-    /// Query identifier `ID_y`.
+    /// Query identifier `ID_y`: the machine slot holding the query's
+    /// path and submission index.
     pub query: u32,
     /// Hop counter `x` (0-based: the hop this task will perform).
     pub step: u32,
@@ -56,19 +56,11 @@ impl Task {
     pub fn prev(&self) -> Option<VertexId> {
         (self.v_prev != NO_PREV).then_some(self.v_prev)
     }
-
-    /// The task's counter-based RNG: keyed by `(seed ⊕ query, step)`, so a
-    /// task re-executed on any pipeline draws the same stream — randomness
-    /// without mutable state, exactly the stateless-task contract.
-    pub fn rng(&self, seed: u64) -> Philox4x32 {
-        Philox4x32::keyed(seed ^ u64::from(self.query), u64::from(self.step))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_rng::RandomSource;
 
     #[test]
     fn initial_task_has_no_prev() {
@@ -84,25 +76,6 @@ mod tests {
         assert_eq!(t.step, 2);
         assert_eq!(t.v_curr, 12);
         assert_eq!(t.prev(), Some(11));
-    }
-
-    #[test]
-    fn task_rng_is_location_independent() {
-        // The same task must draw the same randomness anywhere.
-        let t = Task::initial(9, 4).advance(5);
-        let a = t.rng(0xABCD).next_u64();
-        let b = t.rng(0xABCD).next_u64();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn task_rng_differs_across_steps_and_queries() {
-        let t1 = Task::initial(1, 0);
-        let t2 = t1.advance(1);
-        let u1 = Task::initial(2, 0);
-        let x = t1.rng(7).next_u64();
-        assert_ne!(x, t2.rng(7).next_u64());
-        assert_ne!(x, u1.rng(7).next_u64());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden digests of the cycle-level machine.
 //!
-//! Each configuration below runs the six walk specs on Tiny stand-ins and
+//! Each of seven configurations runs the six walk specs on Tiny stand-ins and
 //! folds every simulated output of each run into one `u64`: the paths,
 //! every counter of the [`RunReport`] and the bits of its `f64` fields.
 //! A change to how the machine is stepped on the host (its queues, skipped
@@ -157,17 +157,15 @@ fn batch_digests(cfg: AcceleratorConfig) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// The incremental backend in 64-cycle polls, fed in waves: odd waves end
-/// with a drain (a quiescence point, so the small compaction threshold
-/// rebases the slot table), even waves with a few polls.
-fn incremental_digests(cfg: AcceleratorConfig) -> Vec<(&'static str, u64)> {
+/// The streaming backend in 64-cycle polls, fed in waves: odd waves end
+/// with a drain, even waves with a few polls, so finished queries' slots
+/// are recycled both from an idle machine and from a running one.
+fn streamed_digests(cfg: AcceleratorConfig) -> Vec<(&'static str, u64)> {
     workloads()
         .into_iter()
         .map(|(name, p, spec)| {
             let qs = queries(&p);
-            let mut backend = Accelerator::new(cfg)
-                .incremental_backend(&p, &spec)
-                .poll_quantum(64);
+            let mut backend = Accelerator::new(cfg.poll_quantum(64)).backend(&p, &spec);
             let mut delivered = Vec::new();
             for (wave, chunk) in qs.queries().chunks(24).enumerate() {
                 assert_eq!(backend.submit(chunk), chunk.len());
@@ -180,12 +178,9 @@ fn incremental_digests(cfg: AcceleratorConfig) -> Vec<(&'static str, u64)> {
                 }
             }
             delivered.extend(backend.drain());
-            assert!(backend.compactions() > 0, "waves must exercise compaction");
             let mut d = Digest::new();
             d.paths(&delivered);
             d.report(&backend.cumulative_report());
-            d.word(backend.compactions());
-            d.word(backend.slot_table_len() as u64);
             (name, d.0)
         })
         .collect()
@@ -303,17 +298,36 @@ fn golden_fastrw_shape() {
 
 #[test]
 fn golden_incremental_64_cycle_polls() {
-    let got = incremental_digests(small().max_inflight(64).slot_compact_threshold(16));
+    let got = streamed_digests(small().max_inflight(64));
     check(
         "incremental",
         &got,
         &[
-            0x4176_7688_f793_fbb1,
-            0x03c8_7800_8c9e_45d9,
-            0x7d91_b21c_0305_983b,
-            0x8c72_c00a_abb9_1a8c,
-            0x782a_eeef_118c_1258,
-            0x539a_539e_4b1d_44eb,
+            0x97b5_8eff_bcfa_8779,
+            0xe259_0f33_7319_0791,
+            0x784b_0961_ca9e_b173,
+            0xd8d1_b941_8682_1784,
+            0xa4cd_1f74_057c_bc50,
+            0x553b_ddd4_d675_b223,
+        ],
+    );
+}
+
+/// Static mode binds each query to a pipeline by its submission index, so
+/// this row pins the timing of recycled slots as well as their paths.
+#[test]
+fn golden_static_batched_64_cycle_polls() {
+    let got = streamed_digests(small().schedule(ScheduleMode::StaticBatched));
+    check(
+        "StaticBatched streamed",
+        &got,
+        &[
+            0x0def_a988_9283_7b1a,
+            0x4713_7848_dfa4_962e,
+            0x2061_f9ac_cef3_97cc,
+            0x29f0_c09d_e981_05b6,
+            0xcbba_5364_b14e_845c,
+            0x4382_2d08_3b2f_11e6,
         ],
     );
 }

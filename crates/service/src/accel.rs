@@ -1,13 +1,12 @@
-//! Accelerator-backed shards, with the execution mode selected at runtime.
+//! Accelerator-backed shards, with the poll policy selected at runtime.
 //!
-//! The serving layer is generic over `B: WalkBackend`; this module picks
-//! the cycle-level shard implementation per deployment instead of per
-//! type: the detached micro-batch backend (one simulation per poll, pays
-//! pipeline fill/drain at every batch boundary) or the incremental
-//! backend (one persistent machine per shard, submissions join the
-//! running pipeline). Both ship as `Box<dyn WalkBackend + Send>` shards,
-//! so a fleet can even mix modes — or mix accelerator and CPU shards —
-//! behind one [`Driver`].
+//! The serving layer is generic over `B: WalkBackend`; this module builds
+//! shards per deployment instead of per type. Every accelerator shard is
+//! one persistent `ridgewalker::AcceleratorBackend`; [`AccelShardMode`]
+//! only sets how far a poll advances it, so it changes simulated timing,
+//! never walk content. Shards ship as `Box<dyn WalkBackend + Send>`, so a
+//! fleet can mix modes — or mix accelerator and CPU shards — behind one
+//! [`Driver`].
 //!
 //! # Thread-safety audit (threads executor)
 //!
@@ -34,16 +33,22 @@ use grw_algo::{PreparedGraph, ReferenceBackend, WalkBackend, WalkSpec};
 use ridgewalker::Accelerator;
 use std::sync::Arc;
 
-/// How an accelerator shard executes its micro-batches.
+/// How far one poll advances an accelerator shard's machine.
+///
+/// Both modes run one persistent machine per shard, and a query's
+/// randomness is keyed by its submission index on that shard, so a fixed
+/// submission order walks the same paths in either mode: the mode changes
+/// simulated timing only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccelShardMode {
-    /// One detached cycle-level simulation per poll. Every micro-batch
-    /// pays pipeline fill at its head and drain at its tail — the
-    /// LightRW-style per-batch bubble cost.
+    /// Every poll runs the machine until it holds no work (an unbounded
+    /// [`poll_quantum`](ridgewalker::AcceleratorConfig::poll_quantum)), so
+    /// every micro-batch pays pipeline fill at its head and drain at its
+    /// tail — the LightRW-style per-batch bubble cost.
     Batch,
-    /// One persistent machine per shard; queries join the running
-    /// pipeline at the next issue slot, so sustained load never re-pays
-    /// fill/drain. Prefer this under continuous traffic.
+    /// Every poll advances the configured poll quantum; queries join the
+    /// running pipeline at the next issue slot, so sustained load never
+    /// re-pays fill/drain. Prefer this under continuous traffic.
     #[default]
     Incremental,
 }
@@ -172,15 +177,12 @@ fn shard_backend_from(
 ) -> DynWalkBackend {
     match shard_spec {
         ShardSpec::Accel(mode) => {
-            let shard_accel = Accelerator::new(base.seed(fleet_shard_seed(base.seed, shard)));
-            match mode {
-                AccelShardMode::Batch => {
-                    Box::new(shard_accel.backend(prepared, spec)) as DynWalkBackend
-                }
-                AccelShardMode::Incremental => {
-                    Box::new(shard_accel.incremental_backend(prepared, spec))
-                }
-            }
+            let cfg = base.seed(fleet_shard_seed(base.seed, shard));
+            let cfg = match mode {
+                AccelShardMode::Batch => cfg.poll_quantum(u64::MAX),
+                AccelShardMode::Incremental => cfg,
+            };
+            Box::new(Accelerator::new(cfg).backend(prepared, spec))
         }
         ShardSpec::Cpu {
             threads,
@@ -230,6 +232,7 @@ mod tests {
     fn both_modes_answer_every_query_and_report_cycles() {
         let (prepared, spec) = setup();
         let accel = Accelerator::new(AcceleratorConfig::new().pipelines(2));
+        let mut walks = Vec::new();
         for mode in [AccelShardMode::Batch, AccelShardMode::Incremental] {
             let mut svc = accelerator_driver(
                 ServiceConfig::new(2).max_batch(64),
@@ -239,15 +242,49 @@ mod tests {
                 mode,
             );
             let qs = QuerySet::random(prepared.graph().vertex_count(), 500, 9);
-            assert_eq!(svc.submit(TenantId(4), qs.queries()), 500, "{mode:?}");
-            let done = svc.drain();
+            let mut done = Vec::new();
+            for wave in qs.queries().chunks(100) {
+                assert_eq!(svc.submit(TenantId(4), wave), wave.len(), "{mode:?}");
+                done.extend(svc.tick());
+            }
+            done.extend(svc.drain());
             assert_eq!(done.len(), 500, "{mode:?}");
             let stats = svc.stats();
             assert!(stats.simulated_cycles.unwrap() > 0, "{mode:?}");
             assert!(stats.msteps_per_sec_simulated.unwrap() > 0.0, "{mode:?}");
             assert!(stats.pipeline_bubble_ratio.is_some(), "{mode:?}");
             assert!(stats.pipeline_utilization.unwrap() > 0.0, "{mode:?}");
+            let mut paths: Vec<_> = done.into_iter().map(|c| c.path).collect();
+            paths.sort_by_key(|w| w.query);
+            walks.push(paths);
         }
+        assert_eq!(walks[0], walks[1], "the shard mode changes timing only");
+    }
+
+    /// A batch shard keys each query by its submission index on the shard,
+    /// not by its position in its micro-batch: two queries from the same
+    /// start, each the first of its own batch, walk differently.
+    #[test]
+    fn batch_shard_does_not_replay_a_walk_per_batch_position() {
+        let (prepared, spec) = setup();
+        let g = prepared.graph();
+        let hub = (0..g.vertex_count() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let accel = Accelerator::new(AcceleratorConfig::new().pipelines(2));
+        let batch = ShardSpec::Accel(AccelShardMode::Batch);
+        let mut shard = shard_backend(&accel, prepared.clone(), &spec, batch, 0, 0);
+        let mut walk = |id| {
+            let q = grw_algo::WalkQuery { id, start: hub };
+            assert_eq!(shard.submit(&[q]), 1);
+            let mut done = shard.poll();
+            assert_eq!(done.len(), 1, "a batch poll finishes its batch");
+            done.pop().unwrap().vertices
+        };
+        let first = walk(0);
+        let second = walk(1);
+        assert_eq!(first[0], second[0]);
+        assert_ne!(first, second, "each batch replayed the same draws");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Quickstart: simulate RidgeWalker executing DeepWalk on a small graph,
-//! through the streaming submit/poll/drain interface.
+//! through the streaming submit/poll/drain interface: one persistent
+//! cycle-level machine that later submissions join while it runs.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -39,16 +40,17 @@ fn main() {
 
     // Open a streaming backend on an accelerator with 4 asynchronous
     // pipelines: queries go in incrementally (here: two waves, as a
-    // serving front-end would submit them), paths come back from poll().
+    // serving front-end would submit them), paths come back from poll()
+    // and drain().
     let config = AcceleratorConfig::new().pipelines(4).seed(7);
     let mut backend = Accelerator::new(config).backend(&prepared, &spec);
 
     let (first, second) = queries.queries().split_at(queries.len() / 2);
     let mut paths = Vec::new();
     assert_eq!(backend.submit(first), first.len());
-    paths.extend(backend.poll()); // first micro-batch simulates here
-    assert_eq!(backend.submit(second), second.len());
-    paths.extend(backend.drain()); // second micro-batch + drain
+    paths.extend(backend.poll()); // the machine runs one poll quantum here
+    assert_eq!(backend.submit(second), second.len()); // joins the running machine
+    paths.extend(backend.drain()); // runs until every walk is done
     paths.sort_by_key(|p| p.query);
 
     println!("\nwalks:");
@@ -56,15 +58,11 @@ fn main() {
         println!("  q{}: {:?}", path.query, path.vertices);
     }
 
-    // The backend accumulates one continuous report across micro-batches.
+    // One machine ran both waves: one continuous report.
     let report = backend.cumulative_report();
     println!(
-        "\nsimulated {} steps in {} cycles over {} micro-batches -> {:.1} MStep/s at {:.0} MHz",
-        report.steps,
-        report.cycles,
-        backend.batches_run(),
-        report.msteps_per_sec,
-        report.clock_mhz
+        "\nsimulated {} steps in {} cycles -> {:.1} MStep/s at {:.0} MHz",
+        report.steps, report.cycles, report.msteps_per_sec, report.clock_mhz
     );
     println!(
         "pipeline utilization {:.1}%, bubble ratio {:.2}%",

@@ -1,12 +1,13 @@
 //! Accelerator-shard serving benchmark: batch vs incremental execution.
 //!
 //! Serves the identical open-loop query stream through a sharded
-//! `Driver` twice — once over micro-batch `AcceleratorBackend`
-//! shards (one detached cycle simulation per poll, fill/drain per batch)
-//! and once over `IncrementalAcceleratorBackend` shards (queries join one
-//! persistent running machine) — then reports MStep/s in wall and
-//! simulated time plus the pipeline bubble ratio for each, and writes the
-//! comparison to `BENCH_serving.json` for the perf-trajectory recorder.
+//! `Driver` twice over `AcceleratorBackend` shards — once in batch mode
+//! (every poll runs the machine until it is empty, so each micro-batch
+//! pays fill and drain) and once in incremental mode (every poll advances
+//! a bounded cycle quantum, so queries join the running machine) — then
+//! reports MStep/s in wall and simulated time plus the pipeline bubble
+//! ratio for each, and writes the comparison to `BENCH_serving.json` for
+//! the perf-trajectory recorder. Both modes walk the same paths.
 //!
 //! ```text
 //! cargo run --release --example serving_accel            # figure scale

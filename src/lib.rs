@@ -31,8 +31,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
 //! `examples/serving.rs` for the serving layer end to end, and
-//! `examples/serving_accel.rs` for batch vs incremental accelerator
-//! shards under open-loop load.
+//! `examples/serving_accel.rs` for the accelerator shards' two poll
+//! policies (batch and incremental) under open-loop load.
 
 pub use grw_algo as algo;
 pub use grw_baselines as baselines;

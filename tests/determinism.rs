@@ -69,11 +69,13 @@ fn incremental_backend_is_schedule_invariant_but_seed_sensitive() {
     // One fixed seed, three very different submit/poll schedules: paths
     // must be bit-identical (only simulated timing may differ).
     let run_with_chunks = |seed: u64, submit_chunk: usize, quantum: u64| {
-        let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).seed(seed));
-        let mut backend = accel
-            .incremental_backend(&p, &spec)
-            .poll_quantum(quantum)
-            .queue_capacity(4096);
+        let accel = Accelerator::new(
+            AcceleratorConfig::new()
+                .pipelines(4)
+                .seed(seed)
+                .poll_quantum(quantum),
+        );
+        let mut backend = accel.backend(&p, &spec).queue_capacity(4096);
         let mut got = Vec::new();
         for chunk in qs.queries().chunks(submit_chunk) {
             assert_eq!(backend.submit(chunk), chunk.len());

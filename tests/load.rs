@@ -211,9 +211,7 @@ fn overload_backlog_queues_at_injection_not_in_flight() {
             .max_inflight(32)
             .poll_quantum(8),
     );
-    let mut backend = accel
-        .incremental_backend(&prepared, &spec)
-        .queue_capacity(4096);
+    let mut backend = accel.backend(&prepared, &spec).queue_capacity(4096);
     let queries = QuerySet::random(prepared.graph().vertex_count(), 512, 3);
     assert_eq!(backend.submit(queries.queries()), 512);
     let mut max_in_flight = 0;
@@ -221,11 +219,15 @@ fn overload_backlog_queues_at_injection_not_in_flight() {
     let mut done = 0;
     while done < 512 {
         done += backend.poll().len();
-        let occ = backend.occupancy();
-        assert_eq!(occ.total(), backend.in_flight(), "split sums to residency");
-        assert!(occ.in_flight <= 32, "issue slots bounded by max_inflight");
-        max_in_flight = max_in_flight.max(occ.in_flight);
-        if occ.in_flight == 32 && occ.awaiting_injection > 0 {
+        let (awaiting, in_flight) = backend.telemetry().occupancy_split.unwrap();
+        assert_eq!(
+            awaiting + in_flight,
+            backend.in_flight(),
+            "split sums to residency"
+        );
+        assert!(in_flight <= 32, "issue slots bounded by max_inflight");
+        max_in_flight = max_in_flight.max(in_flight);
+        if in_flight == 32 && awaiting > 0 {
             saw_backlog_behind_full_pipelines = true;
         }
     }
@@ -234,7 +236,11 @@ fn overload_backlog_queues_at_injection_not_in_flight() {
         saw_backlog_behind_full_pipelines,
         "overload must queue at injection while the pipelines are full"
     );
-    assert_eq!(backend.occupancy().total(), 0, "drained machine is empty");
+    assert_eq!(
+        backend.telemetry().occupancy_split,
+        Some((0, 0)),
+        "drained machine is empty"
+    );
 }
 
 /// The sweep is bit-deterministic for a fixed seed — the basis for both

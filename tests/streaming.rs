@@ -81,19 +81,21 @@ fn incremental_backend_survives_arbitrary_submit_poll_schedules() {
     let spec = WalkSpec::urw(14);
     let p = PreparedGraph::new(g.clone(), &spec).unwrap();
     let qs = QuerySet::random(g.vertex_count(), 400, 7);
-    let accel = Accelerator::new(AcceleratorConfig::new().pipelines(4).seed(11));
-    // Ground truth: the detached batch run over the whole stream. The
-    // incremental machine keys each query's randomness by its submission
-    // index, so *any* submit/poll interleaving that preserves submission
-    // order must reproduce these exact paths.
+    let accel = Accelerator::new(
+        AcceleratorConfig::new()
+            .pipelines(4)
+            .seed(11)
+            .poll_quantum(64),
+    );
+    // Ground truth: the one-shot run over the whole stream. The machine
+    // keys each query's randomness by its submission index, so *any*
+    // submit/poll interleaving that preserves submission order must
+    // reproduce these exact paths.
     let baseline = accel.run(&p, &spec, qs.queries());
 
     for sched_seed in [0x11u64, 0x22, 0x33, 0x44, 0x55] {
         let mut rng = SplitMix64::new(sched_seed);
-        let mut backend = accel
-            .incremental_backend(&p, &spec)
-            .queue_capacity(48)
-            .poll_quantum(64);
+        let mut backend = accel.backend(&p, &spec).queue_capacity(48);
         let queries = qs.queries();
         let mut offset = 0;
         let mut got = Vec::new();
