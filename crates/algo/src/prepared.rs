@@ -51,8 +51,9 @@ impl Error for PrepareGraphError {}
 ///
 /// All engines — the software references here and the cycle-level hardware
 /// models in other crates — advance walks exclusively through
-/// [`PreparedGraph::next_step`] and its parts, so the functional semantics
-/// of every execution back-end are identical by construction.
+/// [`PreparedGraph::next_step_with`] and its parts, each with its own
+/// [`SamplerRuntime`], so the functional semantics of every execution
+/// back-end are identical by construction.
 ///
 /// # Example
 ///
@@ -201,24 +202,12 @@ impl PreparedGraph {
     }
 
     /// Samples the next neighbor of `cur` for hop number `hop` (0-based),
-    /// through an ephemeral disabled [`SamplerRuntime`].
+    /// dispatching on the degree bucket's [`SamplerStrategy`] and threading
+    /// the worker's sampler runtime (second-order edge cache, neighbor
+    /// marks, counters).
     ///
     /// Returns `None` when the walk cannot continue (dead end / no typed
     /// neighbor). `prev` is required for second-order specs after hop 0.
-    pub fn sample_neighbor<G: RandomSource>(
-        &self,
-        spec: &WalkSpec,
-        cur: VertexId,
-        prev: Option<VertexId>,
-        hop: u32,
-        rng: &mut G,
-    ) -> Option<(VertexId, SampleOutcome)> {
-        self.sample_neighbor_with(&mut SamplerRuntime::disabled(), spec, cur, prev, hop, rng)
-    }
-
-    /// Samples the next neighbor of `cur`, dispatching on the degree
-    /// bucket's [`SamplerStrategy`] and threading the worker's sampler
-    /// runtime (second-order edge cache + counters).
     ///
     /// # Panics
     ///
@@ -272,7 +261,7 @@ impl PreparedGraph {
             }
             SamplerStrategy::Reservoir => {
                 let (p, q) = node2vec_params(spec);
-                sampler::node2vec_reservoir(&self.graph, cur, prev, p, q, rng)?
+                sampler::node2vec_reservoir(&self.graph, cur, prev, p, q, rt, rng)?
             }
             SamplerStrategy::SecondOrderAlias => {
                 let (p, q) = node2vec_params(spec);
@@ -283,16 +272,7 @@ impl PreparedGraph {
                         ..
                     }
                 );
-                sampler::second_order_alias(
-                    &self.graph,
-                    cur,
-                    prev,
-                    p,
-                    q,
-                    weighted,
-                    rt.cache_mut(),
-                    rng,
-                )?
+                sampler::second_order_alias(&self.graph, cur, prev, p, q, weighted, rt, rng)?
             }
             SamplerStrategy::TypedReservoir => {
                 let WalkSpec::MetaPath { pattern, .. } = spec else {
@@ -313,22 +293,9 @@ impl PreparedGraph {
         Some((position, outcome))
     }
 
-    /// The full per-step decision of Algorithm II.1 through an ephemeral
-    /// disabled [`SamplerRuntime`]: length check, PPR teleport coin, then
-    /// sampling.
-    pub fn next_step<G: RandomSource>(
-        &self,
-        spec: &WalkSpec,
-        cur: VertexId,
-        prev: Option<VertexId>,
-        hop: u32,
-        rng: &mut G,
-    ) -> StepDecision {
-        self.next_step_with(&mut SamplerRuntime::disabled(), spec, cur, prev, hop, rng)
-    }
-
-    /// The full per-step decision of Algorithm II.1, threading the
-    /// worker's sampler runtime.
+    /// The full per-step decision of Algorithm II.1 — length check, PPR
+    /// teleport coin, then sampling — threading the worker's sampler
+    /// runtime.
     pub fn next_step_with<G: RandomSource>(
         &self,
         rt: &mut SamplerRuntime,
@@ -425,7 +392,7 @@ mod tests {
     fn max_length_terminates() {
         let p = PreparedGraph::new(ring(), &WalkSpec::urw(2)).unwrap();
         let mut rng = SplitMix64::new(0);
-        let d = p.next_step(&WalkSpec::urw(2), 0, None, 2, &mut rng);
+        let d = p.next_step_with(&mut p.runtime(), &WalkSpec::urw(2), 0, None, 2, &mut rng);
         assert_eq!(d, StepDecision::Terminate(TerminationReason::MaxLength));
     }
 
@@ -435,7 +402,7 @@ mod tests {
         let spec = WalkSpec::urw(8);
         let p = PreparedGraph::new(g, &spec).unwrap();
         let mut rng = SplitMix64::new(0);
-        let d = p.next_step(&spec, 1, None, 0, &mut rng);
+        let d = p.next_step_with(&mut p.runtime(), &spec, 1, None, 0, &mut rng);
         assert_eq!(d, StepDecision::Terminate(TerminationReason::DeadEnd));
     }
 
@@ -460,7 +427,7 @@ mod tests {
         let spec = WalkSpec::urw(8);
         let p = PreparedGraph::new(ring(), &spec).unwrap();
         let mut rng = SplitMix64::new(1);
-        match p.next_step(&spec, 0, None, 0, &mut rng) {
+        match p.next_step_with(&mut p.runtime(), &spec, 0, None, 0, &mut rng) {
             StepDecision::Advance { next, .. } => assert_eq!(next, 1),
             other => panic!("expected advance, got {other:?}"),
         }
@@ -476,10 +443,13 @@ mod tests {
             max_len: 8,
         };
         let p = PreparedGraph::new(g.clone(), &spec).unwrap();
+        let mut rt = p.runtime();
         let mut rng = SplitMix64::new(2);
         // From vertex 0 (type 0) at hop 0 the target type is pattern[1] = 1.
         for _ in 0..50 {
-            if let StepDecision::Advance { next, .. } = p.next_step(&spec, 0, None, 0, &mut rng) {
+            if let StepDecision::Advance { next, .. } =
+                p.next_step_with(&mut rt, &spec, 0, None, 0, &mut rng)
+            {
                 assert_eq!(g.vertex_type(next), Some(1));
             }
         }

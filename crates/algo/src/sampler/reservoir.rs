@@ -1,14 +1,22 @@
 //! Weighted reservoir sampling (LightRW-style single-pass selection).
 //!
 //! Reservoir sampling scans a neighbor list once, keeping candidate `i`
-//! with probability `w_i / W_i` where `W_i` is the running weight prefix.
-//! It is exact for arbitrary weights, needs no precomputed tables, and is
-//! what LightRW (and RidgeWalker's weighted Node2Vec/MetaPath, Table I)
-//! use on weighted graphs. The cost is the scan itself: `deg` sequential
-//! words, which the hardware models charge at the sequential (open-row)
-//! rate.
+//! with probability `w_i / W_i` where `W_i` is the running weight prefix:
+//! one draw and one division per candidate. It is exact for arbitrary
+//! weights, needs no precomputed tables, and is what LightRW (and
+//! RidgeWalker's weighted Node2Vec/MetaPath, Table I) use on weighted
+//! graphs. The cost is the scan itself: `deg` sequential words, which the
+//! hardware models charge at the sequential (open-row) rate.
+//!
+//! Node2Vec's second-order bias needs `x ∈ N(prev)` for every candidate
+//! `x`. The kernel marks `N(prev)` once in the executor's
+//! [`SamplerRuntime`] and tests each candidate with one load against the
+//! marks. The outcome reports `membership_probes` as one binary
+//! search of `N(prev)` per candidate — the modelled cost of the LightRW
+//! kernel, which the cost models read — whatever the host spent.
 
 use super::{SampleMethod, SampleOutcome};
+use crate::strategy::SamplerRuntime;
 use grw_graph::{CsrGraph, VertexId};
 use grw_rng::RandomSource;
 
@@ -53,8 +61,9 @@ pub fn weighted_reservoir<G: RandomSource>(weights: &[f32], rng: &mut G) -> Opti
 
 /// Node2Vec on weighted graphs: one reservoir pass over `N(cur)` with each
 /// weight multiplied by the second-order bias (`1/p` return, `1` shared
-/// neighbor, `1/q` otherwise). Membership probes cost a binary search per
-/// scanned neighbor, like the LightRW implementation.
+/// neighbor, `1/q` otherwise). `N(prev)` is marked once in `rt` and each
+/// candidate's membership is one load; the outcome charges a binary
+/// search per candidate, like the LightRW implementation.
 ///
 /// Pass `prev = None` on the first hop for a plain weighted pick.
 ///
@@ -68,31 +77,33 @@ pub fn node2vec_reservoir<G: RandomSource>(
     prev: Option<VertexId>,
     p: f64,
     q: f64,
+    rt: &mut SamplerRuntime,
     rng: &mut G,
 ) -> Option<SampleOutcome> {
     assert!(p > 0.0 && q > 0.0, "Node2Vec parameters must be positive");
     let weights = graph
         .neighbor_weights(cur)
         .expect("node2vec_reservoir requires a weighted graph");
-    if weights.is_empty() {
-        return None;
-    }
+    let Some(prev) = prev else {
+        return weighted_reservoir(weights, rng);
+    };
     let neighbors = graph.neighbors(cur);
+    // The modelled cost of one binary search of N(prev).
+    let deg = graph.degree(prev).max(1);
+    let probe = (32 - (deg - 1).leading_zeros().min(31)).max(1);
+    let shared = rt.mark_neighbors(graph, prev);
     let mut total = 0.0f64;
     let mut chosen: Option<u32> = None;
     let mut probes = 0u32;
     for (i, (&w, &x)) in weights.iter().zip(neighbors).enumerate() {
-        let bias = match prev {
-            None => 1.0,
-            Some(pv) if x == pv => 1.0 / p,
-            Some(pv) => {
-                let deg = graph.degree(pv).max(1);
-                probes += (32 - (deg - 1).leading_zeros().min(31)).max(1);
-                if graph.has_edge(pv, x) {
-                    1.0
-                } else {
-                    1.0 / q
-                }
+        let bias = if x == prev {
+            1.0 / p
+        } else {
+            probes += probe;
+            if shared.contains(x) {
+                1.0
+            } else {
+                1.0 / q
             }
         };
         let w = f64::from(w) * bias;
@@ -174,11 +185,12 @@ mod tests {
     #[test]
     fn node2vec_reservoir_matches_rejection_distribution() {
         let g = weighted_fixture();
+        let mut rt = SamplerRuntime::disabled();
         let mut rng = SplitMix64::new(5);
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = node2vec_reservoir(&g, 0, Some(1), 2.0, 0.5, &mut rng).unwrap();
+            let o = node2vec_reservoir(&g, 0, Some(1), 2.0, 0.5, &mut rt, &mut rng).unwrap();
             counts[o.local_index as usize] += 1;
         }
         // Same target distribution as the rejection test: 1/7, 2/7, 4/7.
@@ -193,7 +205,8 @@ mod tests {
     fn first_hop_ignores_bias() {
         let g = weighted_fixture();
         let mut rng = SplitMix64::new(6);
-        let o = node2vec_reservoir(&g, 0, None, 2.0, 0.5, &mut rng).unwrap();
+        let mut rt = SamplerRuntime::disabled();
+        let o = node2vec_reservoir(&g, 0, None, 2.0, 0.5, &mut rt, &mut rng).unwrap();
         assert_eq!(o.membership_probes, 0);
     }
 
@@ -202,6 +215,7 @@ mod tests {
     fn unweighted_graph_panics() {
         let g = CsrGraph::from_edges(2, &[(0, 1)], true);
         let mut rng = SplitMix64::new(0);
-        let _ = node2vec_reservoir(&g, 0, None, 2.0, 0.5, &mut rng);
+        let mut rt = SamplerRuntime::disabled();
+        let _ = node2vec_reservoir(&g, 0, None, 2.0, 0.5, &mut rt, &mut rng);
     }
 }

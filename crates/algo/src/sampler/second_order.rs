@@ -3,10 +3,13 @@
 //! The biased Node2Vec transition out of `cur` given `prev` is a fixed
 //! categorical distribution over `N(cur)` — it only *looks* dynamic
 //! because it is keyed by the edge `(prev, cur)`. Building its alias row
-//! once (O(deg(cur) + deg(prev)) with a sorted-merge membership pass) and
-//! caching it in an [`EdgeAliasCache`] turns every repeat traversal of
-//! that edge into two array reads, where rejection pays an expected
-//! `M / E[w]` candidate trials each with a binary-search membership probe.
+//! once (O(deg(cur) + deg(prev)): `N(prev)` is marked in the executor's
+//! [`SamplerRuntime`], then each candidate's membership is one load) and
+//! caching it in an [`EdgeAliasCache`](super::EdgeAliasCache) turns every
+//! repeat traversal of that edge into two array reads, where rejection
+//! pays an expected `M / E[w]` candidate trials each with a binary-search
+//! membership probe. A build reports `deg(cur) + deg(prev)` scanned
+//! words: the hardware streams both lists whatever the host does.
 //!
 //! Distribution equivalence: the row weights are exactly the rejection
 //! kernel's acceptance weights (`1/p` return, `1` shared neighbor, `1/q`
@@ -18,14 +21,15 @@
 //! kernel when explicitly enabled, never silently under a legacy config.
 
 use super::{SampleMethod, SampleOutcome};
-use crate::sampler::{AliasSlot, EdgeAliasCache};
+use crate::sampler::AliasSlot;
+use crate::strategy::SamplerRuntime;
 use grw_graph::{AliasTables, CsrGraph, VertexId};
 use grw_rng::RandomSource;
 
 /// Builds the biased weight row for the transition `prev -> cur -> x`.
 ///
-/// Membership of `x` in `N(prev)` is decided by one sorted merge over the
-/// two (CSR-sorted) neighbor lists — O(deg(cur) + deg(prev)) total, not
+/// Membership of `x` in `N(prev)` is one load against `N(prev)`'s marks
+/// in `rt` — O(deg(cur) + deg(prev)) total, not
 /// O(deg(cur) · log deg(prev)).
 /// Returns `None` when every biased weight is non-positive — the
 /// reservoir kernel treats that row as a dead end, so the alias
@@ -38,6 +42,7 @@ fn biased_row(
     p: f64,
     q: f64,
     use_weights: bool,
+    rt: &mut SamplerRuntime,
 ) -> Option<Box<[AliasSlot]>> {
     let neighbors = graph.neighbors(cur);
     let weights = if use_weights {
@@ -45,16 +50,12 @@ fn biased_row(
     } else {
         None
     };
-    let prev_neighbors = graph.neighbors(prev);
-    let mut j = 0usize;
+    let shared = rt.mark_neighbors(graph, prev);
     let mut row: Vec<f32> = Vec::with_capacity(neighbors.len());
     for (i, &x) in neighbors.iter().enumerate() {
-        while j < prev_neighbors.len() && prev_neighbors[j] < x {
-            j += 1;
-        }
         let bias = if x == prev {
             1.0 / p
-        } else if j < prev_neighbors.len() && prev_neighbors[j] == x {
+        } else if shared.contains(x) {
             1.0
         } else {
             1.0 / q
@@ -77,7 +78,8 @@ fn biased_row(
 }
 
 /// Samples the next Node2Vec neighbor of `cur` through a per-edge alias
-/// table, optionally served from / filled into `cache`.
+/// table, served from / filled into `rt`'s edge cache when it has one. A
+/// row not served from the cache is built against `rt`'s neighbor marks.
 ///
 /// `use_weights` selects whether edge weights multiply the second-order
 /// bias — `true` mirrors the reservoir (weighted) realisation, `false`
@@ -96,8 +98,8 @@ fn biased_row(
 ///
 /// Panics if `p` or `q` is not strictly positive.
 // The argument list is the sampling kernel ABI shared by every kernel in
-// this module plus the cache handle; bundling them would ripple through
-// the per-bucket dispatch for no clarity gain.
+// this module plus the runtime; bundling them would ripple through the
+// per-bucket dispatch for no clarity gain.
 #[allow(clippy::too_many_arguments)]
 pub fn second_order_alias<G: RandomSource>(
     graph: &CsrGraph,
@@ -106,7 +108,7 @@ pub fn second_order_alias<G: RandomSource>(
     p: f64,
     q: f64,
     use_weights: bool,
-    cache: Option<&mut EdgeAliasCache>,
+    rt: &mut SamplerRuntime,
     rng: &mut G,
 ) -> Option<SampleOutcome> {
     assert!(p > 0.0 && q > 0.0, "Node2Vec parameters must be positive");
@@ -135,8 +137,7 @@ pub fn second_order_alias<G: RandomSource>(
             s.alt
         }
     };
-    let mut cache = cache;
-    if let Some(c) = cache.as_deref_mut() {
+    if let Some(c) = rt.cache_mut() {
         if let Some(row) = c.lookup(prev, cur) {
             return Some(SampleOutcome {
                 local_index: pick(row),
@@ -150,9 +151,9 @@ pub fn second_order_alias<G: RandomSource>(
             });
         }
     }
-    let row = biased_row(graph, cur, prev, p, q, use_weights)?;
+    let row = biased_row(graph, cur, prev, p, q, use_weights, rt)?;
     let local_index = pick(&row);
-    if let Some(c) = cache {
+    if let Some(c) = rt.cache_mut() {
         c.insert(prev, cur, row);
     }
     Some(SampleOutcome {
@@ -170,7 +171,7 @@ pub fn second_order_alias<G: RandomSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::node2vec_reservoir;
+    use crate::sampler::{node2vec_reservoir, EdgeAliasCache};
     use grw_rng::SplitMix64;
 
     /// cur = 0 with neighbors {1 (the previous vertex), 2 (neighbor of 1),
@@ -185,10 +186,11 @@ mod tests {
         // p = 2, q = 0.5: w(return to 1) = 0.5, w(2 ∈ N(1)) = 1, w(3) = 2.
         // Normalised: 1/7, 2/7, 4/7 — the rejection kernel's target.
         let mut rng = SplitMix64::new(42);
+        let mut rt = SamplerRuntime::disabled();
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut rng).unwrap();
+            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, &mut rt, &mut rng).unwrap();
             assert_eq!(o.alias_builds, 1, "uncached: every sample rebuilds");
             counts[o.local_index as usize] += 1;
         }
@@ -202,28 +204,21 @@ mod tests {
     #[test]
     fn cache_state_never_changes_the_sampled_index() {
         let g = fixture();
-        let mut cached = EdgeAliasCache::new(1 << 16, 2);
+        let mut cached = SamplerRuntime::with_cache(Some(EdgeAliasCache::new(1 << 16, 2)));
+        let mut uncached = SamplerRuntime::disabled();
         let mut rng_a = SplitMix64::new(7);
         let mut rng_b = SplitMix64::new(7);
         let mut hits = 0;
         for _ in 0..2_000 {
-            let a = second_order_alias(
-                &g,
-                0,
-                Some(1),
-                2.0,
-                0.5,
-                false,
-                Some(&mut cached),
-                &mut rng_a,
-            )
-            .unwrap();
-            let b = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut rng_b).unwrap();
+            let a = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, &mut cached, &mut rng_a)
+                .unwrap();
+            let b = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, &mut uncached, &mut rng_b)
+                .unwrap();
             assert_eq!(a.local_index, b.local_index);
             hits += u64::from(a.cache_hits);
         }
         assert_eq!(hits, 1_999, "all but the first sample hit the cache");
-        assert_eq!(cached.len(), 1);
+        assert_eq!(cached.cache().map(EdgeAliasCache::len), Some(1));
     }
 
     #[test]
@@ -232,10 +227,11 @@ mod tests {
         let g = fixture().with_weights(|src, dst, _| if (src, dst) == (0, 3) { 3.0 } else { 1.0 });
         // Weights {1, 1, 3} × biases {0.5, 1, 2} → {0.5, 1, 6} → 1/15, 2/15, 12/15.
         let mut rng = SplitMix64::new(13);
+        let mut rt = SamplerRuntime::disabled();
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, None, &mut rng).unwrap();
+            let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, &mut rt, &mut rng).unwrap();
             counts[o.local_index as usize] += 1;
         }
         let expect = [1.0 / 15.0, 2.0 / 15.0, 12.0 / 15.0];
@@ -249,9 +245,10 @@ mod tests {
     fn first_hop_is_uniform_and_dead_ends_are_none() {
         let g = fixture();
         let mut rng = SplitMix64::new(1);
-        let o = second_order_alias(&g, 0, None, 2.0, 0.5, false, None, &mut rng).unwrap();
+        let mut rt = SamplerRuntime::disabled();
+        let o = second_order_alias(&g, 0, None, 2.0, 0.5, false, &mut rt, &mut rng).unwrap();
         assert_eq!(o.method, SampleMethod::Uniform);
-        assert!(second_order_alias(&g, 3, Some(0), 2.0, 0.5, false, None, &mut rng).is_none());
+        assert!(second_order_alias(&g, 3, Some(0), 2.0, 0.5, false, &mut rt, &mut rng).is_none());
     }
 
     #[test]
@@ -261,10 +258,11 @@ mod tests {
         // to uniform. Weights {1, 1, 3} → 1/5, 1/5, 3/5.
         let g = fixture().with_weights(|src, dst, _| if (src, dst) == (0, 3) { 3.0 } else { 1.0 });
         let mut rng = SplitMix64::new(29);
+        let mut rt = SamplerRuntime::disabled();
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            let o = second_order_alias(&g, 0, None, 2.0, 0.5, true, None, &mut rng).unwrap();
+            let o = second_order_alias(&g, 0, None, 2.0, 0.5, true, &mut rt, &mut rng).unwrap();
             assert_eq!(o.method, SampleMethod::Reservoir);
             counts[o.local_index as usize] += 1;
         }
@@ -282,17 +280,19 @@ mod tests {
         // substitute fill_row's uniform fallback.
         let g = fixture().with_weights(|_, _, _| 0.0);
         let mut rng = SplitMix64::new(2);
-        assert!(node2vec_reservoir(&g, 0, Some(1), 2.0, 0.5, &mut rng).is_none());
-        assert!(second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, None, &mut rng).is_none());
+        let mut rt = SamplerRuntime::disabled();
+        assert!(node2vec_reservoir(&g, 0, Some(1), 2.0, 0.5, &mut rt, &mut rng).is_none());
+        assert!(second_order_alias(&g, 0, Some(1), 2.0, 0.5, true, &mut rt, &mut rng).is_none());
         // And the first hop agrees too.
-        assert!(second_order_alias(&g, 0, None, 2.0, 0.5, true, None, &mut rng).is_none());
+        assert!(second_order_alias(&g, 0, None, 2.0, 0.5, true, &mut rt, &mut rng).is_none());
     }
 
     #[test]
     fn build_cost_is_the_merge_scan() {
         let g = fixture();
         let mut rng = SplitMix64::new(3);
-        let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, None, &mut rng).unwrap();
+        let mut rt = SamplerRuntime::disabled();
+        let o = second_order_alias(&g, 0, Some(1), 2.0, 0.5, false, &mut rt, &mut rng).unwrap();
         // deg(0) = 3, deg(1) = 2.
         assert_eq!(o.scanned, 5);
         assert_eq!(o.alias_reads, 1);
@@ -303,6 +303,7 @@ mod tests {
     fn zero_q_panics() {
         let g = fixture();
         let mut rng = SplitMix64::new(0);
-        let _ = second_order_alias(&g, 0, Some(1), 2.0, 0.0, false, None, &mut rng);
+        let mut rt = SamplerRuntime::disabled();
+        let _ = second_order_alias(&g, 0, Some(1), 2.0, 0.0, false, &mut rt, &mut rng);
     }
 }

@@ -17,9 +17,11 @@
 //!   (a leading-zeros bucket index and an array read), no branches on
 //!   spec.
 //! * [`SamplerRuntime`] — the mutable per-executor sampling state: the
-//!   bounded second-order [`EdgeAliasCache`] and the cumulative
-//!   [`SamplingCounters`]. Each engine worker owns one exclusively, so
-//!   serving shards never contend on sampler state.
+//!   bounded second-order [`EdgeAliasCache`], the cumulative
+//!   [`SamplingCounters`] and the vertex marks the reservoir and per-edge
+//!   alias kernels test `N(prev)` membership against. Each engine worker
+//!   owns one exclusively, so serving shards never contend on sampler
+//!   state.
 //!
 //! Path-identity contract: under `Legacy` every workload's walk paths,
 //! sampling costs and RNG consumption are bitwise-identical to the
@@ -33,7 +35,7 @@
 
 use crate::sampler::EdgeAliasCache;
 use crate::spec::{Node2VecMethod, WalkSpec};
-use grw_graph::CsrGraph;
+use grw_graph::{CsrGraph, VertexId};
 pub use grw_sim::stats::SamplingCounters;
 
 /// Number of log2 degree buckets: bucket 0 is degree 0, bucket `b`
@@ -334,8 +336,9 @@ impl StrategyTable {
                             method: Node2VecMethod::Rejection,
                             ..
                         } => legacy,
-                        // The weighted kernel's per-step O(deg) exp/log
-                        // reservoir scan is what the per-edge alias row
+                        // The weighted kernel's per-step O(deg)
+                        // reservoir scan (a draw and a division per
+                        // candidate) is what the per-edge alias row
                         // amortizes away — but a row build is itself
                         // O(deg), so only buckets whose whole degree
                         // range clears the reuse floor engage the cache.
@@ -436,17 +439,47 @@ impl StrategyTable {
     }
 }
 
-/// Mutable per-executor sampling state: the second-order edge cache and
-/// cumulative kernel counters.
+/// Mutable per-executor sampling state: the second-order edge cache,
+/// cumulative kernel counters, and the vertex marks the reservoir and
+/// per-edge alias kernels test `N(prev)` membership against.
 ///
-/// Engines own one runtime per worker (`&mut`, no locks). The legacy
-/// entry points ([`crate::PreparedGraph::sample_neighbor`] /
-/// [`crate::PreparedGraph::next_step`]) use an ephemeral disabled runtime,
-/// which is always correct — just uncached.
+/// Engines own one runtime per worker (`&mut`, no locks): every
+/// [`crate::ReferenceBackend`] worker and every accelerator machine. A
+/// disabled runtime is always correct — just uncached — but it sizes its
+/// marks on first use, so keep one across steps rather than making one
+/// per step.
+///
+/// The marks are epoch-stamped: marking `N(v)` bumps a `u32` epoch and
+/// stamps each neighbor with it, so a membership test is one load and
+/// nothing is ever unmarked; the array is cleared only when the epoch
+/// wraps. They cost 4 bytes per vertex per executor, allocated the first
+/// time a reservoir scan or an alias-row build runs with a previous
+/// vertex (8 KiB on the 2,048-vertex Tiny WebGoogle stand-in, 1 MiB on
+/// the 262,144-vertex LiveJournal stand-in); workloads that run neither
+/// never allocate them.
 #[derive(Debug, Clone, Default)]
 pub struct SamplerRuntime {
     cache: Option<EdgeAliasCache>,
     counters: SamplingCounters,
+    /// Per-vertex epoch stamps: `marks[x] == epoch` iff `x` is in the
+    /// most recently marked neighbor list. 0 means never marked.
+    marks: Vec<u32>,
+    epoch: u32,
+}
+
+/// The neighbor list marked by [`SamplerRuntime::mark_neighbors`], valid
+/// until the runtime is next borrowed mutably.
+pub(crate) struct NeighborSet<'a> {
+    marks: &'a [u32],
+    epoch: u32,
+}
+
+impl NeighborSet<'_> {
+    /// Whether `x` is in the marked list: one load.
+    #[inline]
+    pub(crate) fn contains(&self, x: VertexId) -> bool {
+        self.marks[x as usize] == self.epoch
+    }
 }
 
 impl SamplerRuntime {
@@ -461,7 +494,7 @@ impl SamplerRuntime {
     pub fn with_cache(cache: Option<EdgeAliasCache>) -> Self {
         Self {
             cache,
-            counters: SamplingCounters::default(),
+            ..Self::default()
         }
     }
 
@@ -472,6 +505,34 @@ impl SamplerRuntime {
 
     pub(crate) fn cache_mut(&mut self) -> Option<&mut EdgeAliasCache> {
         self.cache.as_mut()
+    }
+
+    /// Marks `N(v)` — one store per neighbor — and returns it as a set
+    /// with one-load membership. Sizes the marks to `graph` on first use.
+    pub(crate) fn mark_neighbors(&mut self, graph: &CsrGraph, v: VertexId) -> NeighborSet<'_> {
+        if self.marks.len() < graph.vertex_count() {
+            self.marks.resize(graph.vertex_count(), 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // A reissued epoch would match stamps left from its first
+            // use, and 0 matches every never-marked vertex: start over.
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        for &x in graph.neighbors(v) {
+            self.marks[x as usize] = self.epoch;
+        }
+        NeighborSet {
+            marks: &self.marks,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Moves the mark epoch, so a test can cross its wrap.
+    #[cfg(test)]
+    pub(crate) fn set_mark_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 
     /// Accumulates one sample's cost into the counters.
@@ -624,6 +685,32 @@ mod tests {
         assert_eq!(c.scanned_words, 7);
         assert_eq!(c.cache_evictions, 0);
         assert!(SamplerRuntime::disabled().cache().is_none());
+    }
+
+    #[test]
+    fn neighbor_marks_stay_exact_across_the_epoch_wrap() {
+        // 0 -> {1, 7}: vertex 7 is marked only through N(0), so its stamp
+        // is epoch 1 until the wrap reissues that epoch. Vertex 6 has no
+        // in-edges: its stamp stays 0, which no epoch may equal.
+        let edges: Vec<(u32, u32)> = (0..6u32)
+            .flat_map(|v| [(v, (v + 1) % 6), (v, (v + 2) % 6)])
+            .chain([(0, 7)])
+            .collect();
+        let g = CsrGraph::from_edges(8, &edges, true);
+        let mut rt = SamplerRuntime::disabled();
+        let check = |rt: &mut SamplerRuntime, v: u32| {
+            let set = rt.mark_neighbors(&g, v);
+            for x in 0..8 {
+                assert_eq!(set.contains(x), g.has_edge(v, x), "N({v}) ∋ {x}");
+            }
+        };
+        for v in 0..8 {
+            check(&mut rt, v);
+        }
+        rt.set_mark_epoch(u32::MAX - 3);
+        for round in 0..32 {
+            check(&mut rt, 1 + round % 5);
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use super::walk_batch;
 use crate::strategy::SamplerRuntime;
 use crate::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
+use grw_graph::VertexId;
 use grw_sim::stats::{SamplingCounters, UtilizationMeter};
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
@@ -257,23 +258,25 @@ pub fn run_streamed<B: WalkBackend + ?Sized>(
 }
 
 /// Orders completed paths to match the submission order of `queries`.
-/// Duplicate ids are resolved by completion order, which matches
-/// submission order only for a backend that completes queries in order
-/// (`ReferenceBackend` does; the cycle-level accelerator does not).
+/// A path is matched to its query by (id, start vertex). Queries equal in
+/// both are resolved by completion order, which matches submission order
+/// only for a backend that completes queries in order: `ReferenceBackend`
+/// does, but the cycle-level accelerator does not, so there such queries
+/// may swap paths until its walks are keyed by id (ROADMAP item 7).
 fn reorder(paths: Vec<WalkPath>, queries: &[WalkQuery]) -> Vec<WalkPath> {
     assert_eq!(
         paths.len(),
         queries.len(),
         "backend must answer every query exactly once"
     );
-    let mut positions: HashMap<u64, VecDeque<usize>> = HashMap::new();
+    let mut positions: HashMap<(u64, VertexId), VecDeque<usize>> = HashMap::new();
     for (i, q) in queries.iter().enumerate() {
-        positions.entry(q.id).or_default().push_back(i);
+        positions.entry((q.id, q.start)).or_default().push_back(i);
     }
     let mut slots: Vec<Option<WalkPath>> = (0..queries.len()).map(|_| None).collect();
     for path in paths {
         let pos = positions
-            .get_mut(&path.query)
+            .get_mut(&(path.query, path.vertices[0]))
             .and_then(|v| v.pop_front())
             .expect("backend returned a path for an unsubmitted query");
         slots[pos] = Some(path);

@@ -23,7 +23,7 @@
 //! lists — structured accesses the GPU caches well, so they are charged at
 //! a locality discount (the Fig. 9d effect).
 
-use grw_algo::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
+use grw_algo::{PreparedGraph, SamplerRuntime, WalkPath, WalkQuery, WalkSpec};
 use grw_graph::VertexId;
 use grw_rng::{SplitMix64, Xoshiro256StarStar};
 
@@ -179,6 +179,7 @@ impl GSampler {
         let graph = prepared.graph();
         // Functional replay, recording the per-hop transaction cost each
         // lane would issue.
+        let mut rt = SamplerRuntime::disabled();
         let mut paths = Vec::with_capacity(queries.len());
         let mut hop_txns: Vec<Vec<f64>> = Vec::with_capacity(queries.len());
         let mut degree_sum = 0.0f64;
@@ -193,7 +194,7 @@ impl GSampler {
             let mut prev: Option<VertexId> = None;
             let mut hop = 0u32;
             while let grw_algo::StepDecision::Advance { next, outcome } =
-                prepared.next_step(spec, cur, prev, hop, &mut rng)
+                prepared.next_step_with(&mut rt, spec, cur, prev, hop, &mut rng)
             {
                 let d = f64::from(graph.degree(cur));
                 degree_sum += d;

@@ -161,6 +161,24 @@ fn bench_engines(c: &mut Criterion) {
     group.throughput(Throughput::Elements(simulate_bursts()));
     group.bench_function("accelerator_n2v_hub_bursts_n4", |b| b.iter(simulate_bursts));
 
+    // The same workload's CPU shard: one worker walking 4,096 queries
+    // from those 128 hubs in polls of 4, its edge cache kept across
+    // passes as a serving shard keeps it. Throughput counts steps.
+    let hubs = QuerySet::hot_set(&by_degree[..128], 4096, 2);
+    let mut cpu_shard = ReferenceBackend::new(&hub_p, n2v.clone(), 1).poll_chunk(4);
+    let mut walk_hubs = || {
+        assert_eq!(cpu_shard.submit(hubs.queries()), hubs.len());
+        let mut steps = 0;
+        while cpu_shard.in_flight() > 0 {
+            steps += cpu_shard.poll().iter().map(WalkPath::steps).sum::<u64>();
+        }
+        steps
+    };
+    group.throughput(Throughput::Elements(walk_hubs()));
+    group.bench_function("reference_backend_node2vec16_webgoogle_tiny_hubs", |b| {
+        b.iter(&mut walk_hubs)
+    });
+
     // The walk kernel alone, in the backend's default 256-query polls:
     // ns/step out of cache (30 MB LiveJournal stand-in) and in cache.
     let kernels = [

@@ -9,7 +9,8 @@
 //! made of, so a regression can be attributed to one kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use grw_algo::sampler::{self, EdgeAliasCache};
+use grw_algo::sampler::{self, AliasSlot, EdgeAliasCache};
+use grw_algo::SamplerRuntime;
 use grw_graph::generators::RmatConfig;
 use grw_graph::{AliasTables, CsrGraph};
 use grw_rng::SplitMix64;
@@ -72,31 +73,24 @@ fn bench_second_order_kernels(c: &mut Criterion) {
         let mut rng = SplitMix64::new(2);
         b.iter(|| sampler::node2vec_rejection(&g, hub, Some(prev), P, Q, &mut rng))
     });
+    // The weighted kernels run in one executor's runtime, kept across
+    // iterations as an engine worker keeps it.
     group.bench_function("reservoir_hub", |b| {
         let mut rng = SplitMix64::new(2);
-        b.iter(|| sampler::node2vec_reservoir(&g, hub, Some(prev), P, Q, &mut rng))
+        let mut rt = SamplerRuntime::disabled();
+        b.iter(|| sampler::node2vec_reservoir(&g, hub, Some(prev), P, Q, &mut rt, &mut rng))
     });
     group.bench_function("alias_build_hub_uncached", |b| {
         let mut rng = SplitMix64::new(2);
-        b.iter(|| sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, None, &mut rng))
+        let mut rt = SamplerRuntime::disabled();
+        b.iter(|| sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, &mut rt, &mut rng))
     });
     group.bench_function("alias_cache_hit_hub", |b| {
         let mut rng = SplitMix64::new(2);
-        let mut cache = EdgeAliasCache::new(32 << 20, 4);
+        let mut rt = SamplerRuntime::with_cache(Some(EdgeAliasCache::new(32 << 20, 4)));
         // Prime the one row; every iteration after that is a pure hit.
-        sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, Some(&mut cache), &mut rng);
-        b.iter(|| {
-            sampler::second_order_alias(
-                &g,
-                hub,
-                Some(prev),
-                P,
-                Q,
-                false,
-                Some(&mut cache),
-                &mut rng,
-            )
-        })
+        sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, &mut rt, &mut rng);
+        b.iter(|| sampler::second_order_alias(&g, hub, Some(prev), P, Q, false, &mut rt, &mut rng))
     });
     group.finish();
 }
@@ -111,38 +105,20 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("edge_cache");
     group.throughput(Throughput::Elements(1));
+    // A lookup's cost depends on the row's length, not its contents.
+    let row_of = |cur: u32| vec![AliasSlot { prob: 1.0, alt: 0 }; g.degree(cur) as usize].into();
     group.bench_function("hit_hot_row", |b| {
-        let mut rng = SplitMix64::new(2);
         let mut cache = EdgeAliasCache::new(32 << 20, 4);
-        sampler::second_order_alias(
-            &g,
-            hub,
-            Some(g.neighbors(hub)[0]),
-            P,
-            Q,
-            false,
-            Some(&mut cache),
-            &mut rng,
-        );
         let prev = g.neighbors(hub)[0];
+        cache.insert(prev, hub, row_of(hub));
         b.iter(|| cache.lookup(prev, hub).map(|row| row.len()))
     });
     group.bench_function("hit_wide_working_set", |b| {
         // Cycle hits across thousands of cached rows: what a hit costs
         // when the working set no longer fits the fast cache levels.
-        let mut rng = SplitMix64::new(2);
         let mut cache = EdgeAliasCache::new(256 << 20, 4);
         for &(prev, cur) in &edges {
-            sampler::second_order_alias(
-                &g,
-                cur,
-                Some(prev),
-                P,
-                Q,
-                false,
-                Some(&mut cache),
-                &mut rng,
-            );
+            cache.insert(prev, cur, row_of(cur));
         }
         let mut i = 0usize;
         b.iter(|| {
@@ -158,21 +134,12 @@ fn bench_edge_cache_paths(c: &mut Criterion) {
     group.bench_function("build_insert_under_pressure", |b| {
         // Tiny budget: every insert evicts — the thrash path.
         let mut rng = SplitMix64::new(2);
-        let mut cache = EdgeAliasCache::new(64 << 10, 4);
+        let mut rt = SamplerRuntime::with_cache(Some(EdgeAliasCache::new(64 << 10, 4)));
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % edges.len();
             let (prev, cur) = edges[i];
-            sampler::second_order_alias(
-                &g,
-                cur,
-                Some(prev),
-                P,
-                Q,
-                false,
-                Some(&mut cache),
-                &mut rng,
-            )
+            sampler::second_order_alias(&g, cur, Some(prev), P, Q, false, &mut rt, &mut rng)
         })
     });
     group.finish();

@@ -50,9 +50,9 @@ use std::time::Instant;
 ///   must decline the cache and tie legacy bit for bit even where
 ///   rejection looks worst on paper.
 /// * `Node2VecW` — weighted, reservoir method, at the paper's evaluation
-///   setting `p = 2, q = 0.5`. The legacy kernel pays an O(deg) exp/log
-///   reservoir scan per step; this is the headline row the second-order
-///   alias cache accelerates.
+///   setting `p = 2, q = 0.5`. The legacy kernel pays an O(deg)
+///   reservoir scan per step (a draw and a division per candidate); this
+///   is the headline row the second-order alias cache accelerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingWorkload {
     /// Unbiased random walk.

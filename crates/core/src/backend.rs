@@ -238,6 +238,30 @@ mod tests {
     }
 
     #[test]
+    fn run_streamed_keeps_queries_that_share_an_id_on_their_own_paths() {
+        // The dead end completes first although it was submitted second.
+        let (p, spec, _) = setup(16, 0);
+        let g = p.graph();
+        let hub = (0..g.vertex_count() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let dead_end = (0..g.vertex_count() as u32)
+            .find(|&v| g.degree(v) == 0)
+            .unwrap();
+        let queries = [
+            WalkQuery { id: 7, start: hub },
+            WalkQuery {
+                id: 7,
+                start: dead_end,
+            },
+        ];
+        let streamed = run_streamed(&mut accel().backend(&p, &spec), &queries);
+        let starts: Vec<u32> = streamed.iter().map(|w| w.vertices[0]).collect();
+        assert_eq!(starts, [hub, dead_end]);
+        assert_eq!(streamed, accel().run(&p, &spec, &queries).paths);
+    }
+
+    #[test]
     fn micro_batches_accumulate_cycles_and_steps() {
         let (p, spec, qs) = setup(12, 90);
         let mut backend = unbounded().backend(&p, &spec);
