@@ -260,7 +260,9 @@ impl Segment {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdgeAliasCache {
-    segments: Vec<Segment>,
+    /// Fixed at construction: a boxed slice, one word smaller than a
+    /// `Vec`, keeps [`crate::SamplerRuntime`] small.
+    segments: Box<[Segment]>,
 }
 
 impl EdgeAliasCache {

@@ -456,14 +456,21 @@ impl StrategyTable {
 /// time a reservoir scan or an alias-row build runs with a previous
 /// vertex (8 KiB on the 2,048-vertex Tiny WebGoogle stand-in, 1 MiB on
 /// the 262,144-vertex LiveJournal stand-in); workloads that run neither
-/// never allocate them.
+/// never allocate them, and their runtimes carry one null pointer for
+/// the marks rather than the array and its epoch.
 #[derive(Debug, Clone, Default)]
 pub struct SamplerRuntime {
     cache: Option<EdgeAliasCache>,
     counters: SamplingCounters,
-    /// Per-vertex epoch stamps: `marks[x] == epoch` iff `x` is in the
-    /// most recently marked neighbor list. 0 means never marked.
-    marks: Vec<u32>,
+    /// Made by the first [`SamplerRuntime::mark_neighbors`].
+    marks: Option<Box<VertexMarks>>,
+}
+
+/// Epoch-stamped per-vertex marks: `stamps[x] == epoch` iff `x` is in
+/// the most recently marked neighbor list. 0 means never marked.
+#[derive(Debug, Clone, Default)]
+struct VertexMarks {
+    stamps: Vec<u32>,
     epoch: u32,
 }
 
@@ -510,29 +517,30 @@ impl SamplerRuntime {
     /// Marks `N(v)` — one store per neighbor — and returns it as a set
     /// with one-load membership. Sizes the marks to `graph` on first use.
     pub(crate) fn mark_neighbors(&mut self, graph: &CsrGraph, v: VertexId) -> NeighborSet<'_> {
-        if self.marks.len() < graph.vertex_count() {
-            self.marks.resize(graph.vertex_count(), 0);
+        let marks = self.marks.get_or_insert_with(Box::default);
+        if marks.stamps.len() < graph.vertex_count() {
+            marks.stamps.resize(graph.vertex_count(), 0);
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
+        marks.epoch = marks.epoch.wrapping_add(1);
+        if marks.epoch == 0 {
             // A reissued epoch would match stamps left from its first
             // use, and 0 matches every never-marked vertex: start over.
-            self.marks.fill(0);
-            self.epoch = 1;
+            marks.stamps.fill(0);
+            marks.epoch = 1;
         }
         for &x in graph.neighbors(v) {
-            self.marks[x as usize] = self.epoch;
+            marks.stamps[x as usize] = marks.epoch;
         }
         NeighborSet {
-            marks: &self.marks,
-            epoch: self.epoch,
+            marks: &marks.stamps,
+            epoch: marks.epoch,
         }
     }
 
     /// Moves the mark epoch, so a test can cross its wrap.
     #[cfg(test)]
     pub(crate) fn set_mark_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
+        self.marks.get_or_insert_with(Box::default).epoch = epoch;
     }
 
     /// Accumulates one sample's cost into the counters.
@@ -685,6 +693,21 @@ mod tests {
         assert_eq!(c.scanned_words, 7);
         assert_eq!(c.cache_evictions, 0);
         assert!(SamplerRuntime::disabled().cache().is_none());
+    }
+
+    #[test]
+    fn a_runtime_carries_one_pointer_for_marks_until_it_marks() {
+        // Counters, the cache's boxed slice, and the marks' box.
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(
+            std::mem::size_of::<SamplerRuntime>(),
+            std::mem::size_of::<SamplingCounters>() + 3 * word
+        );
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)], true);
+        let mut rt = SamplerRuntime::disabled();
+        assert!(rt.marks.is_none());
+        rt.mark_neighbors(&g, 0);
+        assert_eq!(rt.marks.as_ref().map(|m| m.stamps.len()), Some(3));
     }
 
     #[test]
