@@ -1,10 +1,10 @@
 //! Chi-square helpers for statistical correctness tests.
 //!
-//! The accelerator executes walks out of order with its own RNG streams, so
-//! correctness is established *statistically*: the empirical next-hop
-//! distribution of any engine must match the spec's theoretical transition
-//! probabilities. These helpers implement the goodness-of-fit machinery the
-//! tests and the verification harness share.
+//! Every executor walks the same paths (each hop draws from one keyed
+//! stream), so executors are compared path for path. What still needs
+//! statistics is each sampler kernel: its empirical next-hop distribution
+//! must match the spec's theoretical transition probabilities. These
+//! helpers implement that goodness-of-fit machinery for the tests.
 
 use crate::WalkPath;
 use grw_graph::VertexId;

@@ -4,7 +4,7 @@ use crate::sampler::{self, EdgeAliasCache, SampleOutcome};
 use crate::spec::{Node2VecMethod, WalkSpec};
 use crate::strategy::{SamplerConfig, SamplerMode, SamplerRuntime, SamplerStrategy, StrategyTable};
 use grw_graph::{AliasTables, CsrGraph, VertexId};
-use grw_rng::RandomSource;
+use grw_rng::{RandomSource, SplitMix64, WalkKey};
 use std::error::Error;
 use std::fmt;
 
@@ -52,8 +52,11 @@ impl Error for PrepareGraphError {}
 /// All engines — the software references here and the cycle-level hardware
 /// models in other crates — advance walks exclusively through
 /// [`PreparedGraph::next_step_with`] and its parts, each with its own
-/// [`SamplerRuntime`], so the functional semantics of every execution
-/// back-end are identical by construction.
+/// [`SamplerRuntime`]. Those functions take the walk's [`WalkKey`] and
+/// draw hop `h` from [`WalkKey::hop`]: the PPR teleport coin is the hop's
+/// first draw and sampling draws after it. A query therefore walks the
+/// same path on every execution back-end, whatever the order in which
+/// its hops and other queries' hops run.
 ///
 /// # Example
 ///
@@ -88,12 +91,8 @@ impl PreparedGraph {
     }
 
     /// Validates requirements and builds auxiliary structures under an
-    /// explicit sampler configuration.
-    ///
-    /// Under [`SamplerConfig::auto`] the shared alias tables are only
-    /// built for the degree range actually routed to them
-    /// ([`AliasTables::build_min_degree`]), and skipped entirely when no
-    /// bucket reads them.
+    /// explicit sampler configuration. The shared alias tables are built
+    /// only when some degree bucket reads them.
     ///
     /// # Errors
     ///
@@ -118,14 +117,9 @@ impl PreparedGraph {
             )));
         }
         let strategies = StrategyTable::build(spec, &config).map_err(PrepareGraphError)?;
-        let alias = strategies.needs_alias_tables().then(|| {
-            let min = strategies.min_alias_degree();
-            if min == 0 {
-                AliasTables::build(&graph)
-            } else {
-                AliasTables::build_min_degree(&graph, min)
-            }
-        });
+        let alias = strategies
+            .needs_alias_tables()
+            .then(|| AliasTables::build(&graph));
         let cost_factor = match config.mode() {
             // Identical tables cost identically by definition; skip the
             // graph scan and keep the factor exactly 1.0.
@@ -191,20 +185,21 @@ impl PreparedGraph {
         SamplerRuntime::with_cache(cache)
     }
 
-    /// PPR pre-hop termination: `true` with probability α for PPR specs,
-    /// never for the others. This consumes no memory access — hardware
-    /// checks it before issuing the Row-Access read.
-    pub fn teleport_terminates<G: RandomSource>(&self, spec: &WalkSpec, rng: &mut G) -> bool {
-        match spec {
-            WalkSpec::Ppr { alpha, .. } => rng.next_bool(*alpha),
-            _ => false,
-        }
+    /// PPR pre-hop termination of hop `hop` of the walk keyed `key`:
+    /// `true` with probability α for PPR specs, never for the others. This
+    /// consumes no memory access — hardware checks it before issuing the
+    /// Row-Access read.
+    pub fn teleport_terminates(&self, spec: &WalkSpec, key: WalkKey, hop: u32) -> bool {
+        teleport_coin(spec, &mut key.hop(hop))
     }
 
-    /// Samples the next neighbor of `cur` for hop number `hop` (0-based),
-    /// dispatching on the degree bucket's [`SamplerStrategy`] and threading
-    /// the worker's sampler runtime (second-order edge cache, neighbor
-    /// marks, counters).
+    /// Samples the next neighbor of `cur` for hop number `hop` (0-based)
+    /// of the walk keyed `key`, dispatching on the degree bucket's
+    /// [`SamplerStrategy`] and threading the worker's sampler runtime
+    /// (second-order edge cache, neighbor marks, counters). The sample
+    /// draws from the hop's stream after its teleport coin, so an engine
+    /// that tosses the coin ([`Self::teleport_terminates`]) at another
+    /// stage walks exactly what [`Self::next_step_with`] walks.
     ///
     /// Returns `None` when the walk cannot continue (dead end / no typed
     /// neighbor). `prev` is required for second-order specs after hop 0.
@@ -213,16 +208,19 @@ impl PreparedGraph {
     ///
     /// Panics if `spec`'s walk class does not match the spec the graph was
     /// prepared for (e.g. a second-order strategy with a first-order spec).
-    pub fn sample_neighbor_with<G: RandomSource>(
+    pub fn sample_neighbor_with(
         &self,
         rt: &mut SamplerRuntime,
         spec: &WalkSpec,
         cur: VertexId,
         prev: Option<VertexId>,
         hop: u32,
-        rng: &mut G,
+        key: WalkKey,
     ) -> Option<(VertexId, SampleOutcome)> {
-        self.sample_position_with(rt, spec, cur, prev, hop, rng)
+        let mut rng = key.hop(hop);
+        // Step past the coin; its outcome was decided where it was tossed.
+        teleport_coin(spec, &mut rng);
+        self.sample_position_with(rt, spec, cur, prev, hop, &mut rng)
             .map(|(position, outcome)| (self.graph.column_list()[position], outcome))
     }
 
@@ -232,14 +230,14 @@ impl PreparedGraph {
     /// like [`Self::step_position_with`], so that splitting the step
     /// costs neither the public API nor the walk kernel a call.
     #[inline(always)]
-    fn sample_position_with<G: RandomSource>(
+    fn sample_position_with(
         &self,
         rt: &mut SamplerRuntime,
         spec: &WalkSpec,
         cur: VertexId,
         prev: Option<VertexId>,
         hop: u32,
-        rng: &mut G,
+        rng: &mut SplitMix64,
     ) -> Option<(usize, SampleOutcome)> {
         let degree = self.graph.degree(cur);
         let outcome = match self.strategies.for_degree(degree) {
@@ -293,19 +291,19 @@ impl PreparedGraph {
         Some((position, outcome))
     }
 
-    /// The full per-step decision of Algorithm II.1 — length check, PPR
-    /// teleport coin, then sampling — threading the worker's sampler
-    /// runtime.
-    pub fn next_step_with<G: RandomSource>(
+    /// The full per-step decision of Algorithm II.1 for hop `hop` of the
+    /// walk keyed `key` — length check, PPR teleport coin, then sampling —
+    /// threading the worker's sampler runtime.
+    pub fn next_step_with(
         &self,
         rt: &mut SamplerRuntime,
         spec: &WalkSpec,
         cur: VertexId,
         prev: Option<VertexId>,
         hop: u32,
-        rng: &mut G,
+        key: WalkKey,
     ) -> StepDecision {
-        match self.step_position_with(rt, spec, cur, prev, hop, rng) {
+        match self.step_position_with(rt, spec, cur, prev, hop, key) {
             Ok((position, outcome)) => StepDecision::Advance {
                 next: self.graph.column_list()[position],
                 outcome,
@@ -319,22 +317,23 @@ impl PreparedGraph {
     /// the sample's cost. The cohort walk kernel prefetches that position
     /// and reads it a pass later.
     #[inline(always)]
-    pub(crate) fn step_position_with<G: RandomSource>(
+    pub(crate) fn step_position_with(
         &self,
         rt: &mut SamplerRuntime,
         spec: &WalkSpec,
         cur: VertexId,
         prev: Option<VertexId>,
         hop: u32,
-        rng: &mut G,
+        key: WalkKey,
     ) -> Result<(usize, SampleOutcome), TerminationReason> {
         if hop >= spec.max_len() {
             return Err(TerminationReason::MaxLength);
         }
-        if self.teleport_terminates(spec, rng) {
+        let mut rng = key.hop(hop);
+        if teleport_coin(spec, &mut rng) {
             return Err(TerminationReason::Teleport);
         }
-        self.sample_position_with(rt, spec, cur, prev, hop, rng)
+        self.sample_position_with(rt, spec, cur, prev, hop, &mut rng)
             .ok_or_else(|| {
                 if self.graph.degree(cur) == 0 {
                     TerminationReason::DeadEnd
@@ -342,6 +341,16 @@ impl PreparedGraph {
                     TerminationReason::NoTypedNeighbor
                 }
             })
+    }
+}
+
+/// The PPR teleport coin, the first draw of a PPR hop's stream: `true`
+/// with probability α. Other specs toss no coin and draw nothing.
+#[inline(always)]
+fn teleport_coin(spec: &WalkSpec, rng: &mut SplitMix64) -> bool {
+    match spec {
+        WalkSpec::Ppr { alpha, .. } => rng.next_bool(*alpha),
+        _ => false,
     }
 }
 
@@ -360,7 +369,6 @@ fn node2vec_params(spec: &WalkSpec) -> (f64, f64) {
 mod tests {
     use super::*;
     use grw_graph::weights;
-    use grw_rng::SplitMix64;
 
     fn ring() -> CsrGraph {
         CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)], true)
@@ -391,8 +399,8 @@ mod tests {
     #[test]
     fn max_length_terminates() {
         let p = PreparedGraph::new(ring(), &WalkSpec::urw(2)).unwrap();
-        let mut rng = SplitMix64::new(0);
-        let d = p.next_step_with(&mut p.runtime(), &WalkSpec::urw(2), 0, None, 2, &mut rng);
+        let key = WalkKey::new(0, 0);
+        let d = p.next_step_with(&mut p.runtime(), &WalkSpec::urw(2), 0, None, 2, key);
         assert_eq!(d, StepDecision::Terminate(TerminationReason::MaxLength));
     }
 
@@ -401,8 +409,7 @@ mod tests {
         let g = CsrGraph::from_edges(2, &[(0, 1)], true);
         let spec = WalkSpec::urw(8);
         let p = PreparedGraph::new(g, &spec).unwrap();
-        let mut rng = SplitMix64::new(0);
-        let d = p.next_step_with(&mut p.runtime(), &spec, 1, None, 0, &mut rng);
+        let d = p.next_step_with(&mut p.runtime(), &spec, 1, None, 0, WalkKey::new(0, 0));
         assert_eq!(d, StepDecision::Terminate(TerminationReason::DeadEnd));
     }
 
@@ -413,21 +420,49 @@ mod tests {
             max_len: 1000,
         };
         let p = PreparedGraph::new(ring(), &spec).unwrap();
-        let mut rng = SplitMix64::new(5);
         let n = 100_000;
         let teleports = (0..n)
-            .filter(|_| p.teleport_terminates(&spec, &mut rng))
+            .filter(|&i| p.teleport_terminates(&spec, WalkKey::new(5, i / 10), (i % 10) as u32))
             .count();
         let f = teleports as f64 / n as f64;
         assert!((f - 0.25).abs() < 0.01, "teleport rate {f}");
+    }
+
+    /// An engine that tosses the coin at admission and samples at another
+    /// stage (the cycle-level machine) takes exactly the full step's
+    /// decision.
+    #[test]
+    fn coin_then_sample_is_the_full_step() {
+        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 0)], true);
+        let spec = WalkSpec::Ppr {
+            alpha: 0.3,
+            max_len: 100,
+        };
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let mut rt = p.runtime();
+        let mut teleports = 0;
+        for id in 0..500 {
+            let key = WalkKey::new(3, id);
+            let hop = (id % 7) as u32;
+            let split = if p.teleport_terminates(&spec, key, hop) {
+                teleports += 1;
+                StepDecision::Terminate(TerminationReason::Teleport)
+            } else {
+                let (next, outcome) = p
+                    .sample_neighbor_with(&mut rt, &spec, 0, None, hop, key)
+                    .expect("vertex 0 has neighbors");
+                StepDecision::Advance { next, outcome }
+            };
+            assert_eq!(split, p.next_step_with(&mut rt, &spec, 0, None, hop, key));
+        }
+        assert!((100..200).contains(&teleports), "{teleports} teleports");
     }
 
     #[test]
     fn ring_walk_advances_deterministically() {
         let spec = WalkSpec::urw(8);
         let p = PreparedGraph::new(ring(), &spec).unwrap();
-        let mut rng = SplitMix64::new(1);
-        match p.next_step_with(&mut p.runtime(), &spec, 0, None, 0, &mut rng) {
+        match p.next_step_with(&mut p.runtime(), &spec, 0, None, 0, WalkKey::new(1, 0)) {
             StepDecision::Advance { next, .. } => assert_eq!(next, 1),
             other => panic!("expected advance, got {other:?}"),
         }
@@ -444,11 +479,10 @@ mod tests {
         };
         let p = PreparedGraph::new(g.clone(), &spec).unwrap();
         let mut rt = p.runtime();
-        let mut rng = SplitMix64::new(2);
         // From vertex 0 (type 0) at hop 0 the target type is pattern[1] = 1.
-        for _ in 0..50 {
+        for id in 0..50 {
             if let StepDecision::Advance { next, .. } =
-                p.next_step_with(&mut rt, &spec, 0, None, 0, &mut rng)
+                p.next_step_with(&mut rt, &spec, 0, None, 0, WalkKey::new(2, id))
             {
                 assert_eq!(g.vertex_type(next), Some(1));
             }

@@ -66,11 +66,10 @@ pub fn alias_sample<G: RandomSource>(
 /// vertex's alias row on the fly from its weights and applies the exact
 /// same slot/coin draw mapping as [`alias_sample`].
 ///
-/// This is the adaptive layer's low-degree DeepWalk kernel (the choice
-/// ThunderRW calls inverse transform): for short neighbor lists the O(deg)
-/// sequential weight scan is cheaper than a random read into a shared
-/// table that may miss every cache, and the shared table can skip those
-/// rows entirely ([`AliasTables::build_min_degree`]). Because the row
+/// This is DeepWalk's table-free kernel, run when a sampler config forces
+/// [`SamplerStrategy::InverseTransform`](crate::SamplerStrategy) (the
+/// choice ThunderRW calls inverse transform): an O(deg) sequential weight
+/// scan instead of a random read into a shared table. Because the row
 /// construction is the same [`AliasTables::fill_row`] code, the chosen
 /// index is bitwise-identical to the prebuilt table's for the same draws —
 /// switching kernels never changes a walk path.
@@ -93,8 +92,8 @@ pub fn alias_onthefly<G: RandomSource>(
     let local = match graph.neighbor_weights(v) {
         None => slot as u32,
         Some(ws) => {
-            // Low-degree rows fit stack buffers, keeping the per-step
-            // fill allocation-free; `fill_row` is the same constructor
+            // Short rows fit stack buffers, keeping the per-step fill
+            // allocation-free; `fill_row` is the same constructor
             // the prebuilt table used, so the row is bitwise identical.
             const STACK_ROW: usize = 64;
             let d = deg as usize;

@@ -25,13 +25,11 @@
 //!
 //! Path-identity contract: under `Legacy` every workload's walk paths,
 //! sampling costs and RNG consumption are bitwise-identical to the
-//! pre-strategy-layer code. Under `Auto`, first-order workloads stay
-//! bitwise-identical too (the low-degree kernel evaluates the *same*
-//! draw→index mapping on the fly), and so does unweighted Node2Vec
-//! (rejection keeps its kernel in every bucket); only *weighted*
-//! Node2Vec's high-degree buckets switch to the per-edge alias kernel,
-//! which samples the same *distribution* as the reservoir scan through a
-//! different mapping. Cache state never affects any path.
+//! pre-strategy-layer code. Under `Auto` every spec keeps its legacy
+//! kernel in every bucket, and so stays bitwise-identical too, except
+//! *weighted* Node2Vec: its high-degree buckets switch to the per-edge
+//! alias kernel, which samples the same *distribution* as the reservoir
+//! scan through a different mapping. Cache state never affects any path.
 
 use crate::sampler::EdgeAliasCache;
 use crate::spec::{Node2VecMethod, WalkSpec};
@@ -45,15 +43,6 @@ pub const DEGREE_BUCKETS: usize = 33;
 /// The log2 degree bucket of `degree`.
 pub fn degree_bucket(degree: u32) -> usize {
     (32 - degree.leading_zeros()) as usize
-}
-
-/// Largest degree in bucket `b` (saturating at `u32::MAX`).
-fn bucket_max(b: usize) -> u32 {
-    if b == 0 {
-        0
-    } else {
-        u32::try_from((1u64 << b) - 1).unwrap_or(u32::MAX)
-    }
 }
 
 /// Smallest degree in bucket `b`.
@@ -153,9 +142,8 @@ pub enum SamplerMode {
     /// One kernel per spec, exactly the pre-adaptive behaviour.
     #[default]
     Legacy,
-    /// Per degree bucket: table-free kernels below the low-degree
-    /// threshold, alias above it, cached per-edge alias for high-degree
-    /// weighted second-order steps.
+    /// Per degree bucket: cached per-edge alias for high-degree weighted
+    /// second-order steps, the legacy kernel everywhere else.
     Auto,
     /// One kernel everywhere (must support the spec).
     Forced(SamplerStrategy),
@@ -175,9 +163,6 @@ pub enum SamplerMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
     mode: SamplerMode,
-    /// Largest degree treated as "low" (rounded down to a bucket
-    /// boundary) by `Auto`.
-    low_degree_max: u32,
     /// Byte budget of the second-order edge cache; 0 disables caching.
     cache_budget: usize,
     /// Hash partitions of the edge cache.
@@ -198,7 +183,6 @@ impl SamplerConfig {
     pub fn legacy() -> Self {
         Self {
             mode: SamplerMode::Legacy,
-            low_degree_max: 8,
             cache_budget: 8 << 20,
             cache_segments: 8,
             second_order_min_degree: 64,
@@ -219,13 +203,6 @@ impl SamplerConfig {
             mode: SamplerMode::Forced(strategy),
             ..Self::legacy()
         }
-    }
-
-    /// Sets the low-degree threshold for `Auto` (rounded down to a
-    /// bucket boundary).
-    pub fn low_degree_max(mut self, max: u32) -> Self {
-        self.low_degree_max = max;
-        self
     }
 
     /// Sets the second-order edge-cache byte budget (0 disables).
@@ -261,11 +238,6 @@ impl SamplerConfig {
     /// The selection mode.
     pub fn mode(&self) -> SamplerMode {
         self.mode
-    }
-
-    /// The `Auto` low-degree threshold.
-    pub fn low_degree(&self) -> u32 {
-        self.low_degree_max
     }
 
     /// The edge-cache byte budget.
@@ -311,48 +283,33 @@ impl StrategyTable {
                 }
                 [s; DEGREE_BUCKETS]
             }
+            // Every spec but weighted Node2Vec keeps its legacy kernel in
+            // every bucket. URW/PPR's uniform draw needs no table. DeepWalk
+            // keeps the prebuilt alias table: a per-step row build at low
+            // degree draws the same index and measured slower on every
+            // graph. Unweighted rejection keeps its kernel: a trial is a
+            // candidate read plus a membership probe in the adjacency the
+            // walk is already streaming through, which measures cheaper
+            // than a cache-miss row draw even at a 16-trial envelope.
+            //
+            // The weighted kernel's per-step O(deg) reservoir scan (a draw
+            // and a division per candidate) is what the per-edge alias row
+            // amortizes away — but a row build is itself O(deg), so only
+            // buckets whose whole degree range clears the reuse floor
+            // engage the cache. Everything below stays on the legacy
+            // kernel, bit-identical to Legacy.
             SamplerMode::Auto => {
                 let mut buckets = [legacy; DEGREE_BUCKETS];
-                for (b, slot) in buckets.iter_mut().enumerate() {
-                    let low = bucket_max(b) <= config.low_degree_max;
-                    *slot = match spec {
-                        WalkSpec::Urw { .. } | WalkSpec::Ppr { .. } => {
-                            SamplerStrategy::InverseTransform
+                if let WalkSpec::Node2Vec {
+                    method: Node2VecMethod::Reservoir,
+                    ..
+                } = spec
+                {
+                    for (b, slot) in buckets.iter_mut().enumerate() {
+                        if bucket_min(b) >= config.second_order_min_degree.max(1) {
+                            *slot = SamplerStrategy::SecondOrderAlias;
                         }
-                        WalkSpec::DeepWalk { .. } => {
-                            if low {
-                                SamplerStrategy::InverseTransform
-                            } else {
-                                SamplerStrategy::Alias
-                            }
-                        }
-                        // Unweighted rejection keeps its kernel in every
-                        // bucket: a trial is a candidate read plus a
-                        // membership probe in the adjacency the walk is
-                        // already streaming through, which measures
-                        // cheaper than a cache-miss row draw even at a
-                        // 16-trial envelope.
-                        WalkSpec::Node2Vec {
-                            method: Node2VecMethod::Rejection,
-                            ..
-                        } => legacy,
-                        // The weighted kernel's per-step O(deg)
-                        // reservoir scan (a draw and a division per
-                        // candidate) is what the per-edge alias row
-                        // amortizes away — but a row build is itself
-                        // O(deg), so only buckets whose whole degree
-                        // range clears the reuse floor engage the cache.
-                        // Everything below stays on the legacy kernel,
-                        // bit-identical to Legacy.
-                        WalkSpec::Node2Vec { .. } => {
-                            if bucket_min(b) >= config.second_order_min_degree.max(1) {
-                                SamplerStrategy::SecondOrderAlias
-                            } else {
-                                legacy
-                            }
-                        }
-                        WalkSpec::MetaPath { .. } => SamplerStrategy::TypedReservoir,
-                    };
+                    }
                 }
                 buckets
             }
@@ -375,17 +332,6 @@ impl StrategyTable {
     /// Whether any bucket reads the shared per-vertex alias tables.
     pub fn needs_alias_tables(&self) -> bool {
         self.buckets.contains(&SamplerStrategy::Alias)
-    }
-
-    /// Smallest degree routed to the shared alias tables — rows below it
-    /// can be skipped at build time ([`grw_graph::AliasTables::build_min_degree`]).
-    pub fn min_alias_degree(&self) -> u32 {
-        for (b, s) in self.buckets.iter().enumerate() {
-            if *s == SamplerStrategy::Alias {
-                return if b <= 1 { 0 } else { 1 << (b - 1) };
-            }
-        }
-        0
     }
 
     /// Whether any bucket uses the per-edge second-order kernel (and
@@ -575,9 +521,8 @@ mod tests {
         assert_eq!(degree_bucket(3), 2);
         assert_eq!(degree_bucket(4), 3);
         assert_eq!(degree_bucket(u32::MAX), 32);
-        assert_eq!(bucket_max(0), 0);
-        assert_eq!(bucket_max(3), 7);
-        assert_eq!(bucket_max(32), u32::MAX);
+        assert_eq!(bucket_min(0), 0);
+        assert_eq!(bucket_min(3), 4);
     }
 
     #[test]
@@ -597,24 +542,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_splits_at_the_low_degree_boundary() {
-        let cfg = SamplerConfig::auto().low_degree_max(8);
-        let dw = StrategyTable::build(&WalkSpec::deepwalk(8), &cfg).unwrap();
-        assert_eq!(dw.for_degree(3), SamplerStrategy::InverseTransform);
-        assert_eq!(dw.for_degree(7), SamplerStrategy::InverseTransform);
-        // Degree 8's bucket spans 8..=15 > 8, so it is "high".
-        assert_eq!(dw.for_degree(8), SamplerStrategy::Alias);
-        assert_eq!(dw.min_alias_degree(), 8);
-        assert!(dw.needs_alias_tables());
-
-        // The weighted second-order kernel: high buckets switch to the
-        // cached per-edge alias rows, low buckets keep the legacy scan.
-        let weighted = WalkSpec::node2vec(8, Node2VecMethod::Reservoir);
-        let n2v = StrategyTable::build(&weighted, &cfg).unwrap();
-        assert_eq!(n2v.for_degree(5), SamplerStrategy::Reservoir);
-        assert_eq!(n2v.for_degree(100), SamplerStrategy::SecondOrderAlias);
-        assert!(n2v.uses_second_order());
-        assert!(!n2v.needs_alias_tables());
+    fn auto_keeps_deepwalk_on_the_alias_table() {
+        let spec = WalkSpec::deepwalk(8);
+        let auto = StrategyTable::build(&spec, &SamplerConfig::auto()).unwrap();
+        let legacy = StrategyTable::build(&spec, &SamplerConfig::legacy()).unwrap();
+        assert_eq!(auto, legacy);
+        assert!(auto.buckets().iter().all(|&s| s == SamplerStrategy::Alias));
+        assert!(auto.needs_alias_tables());
     }
 
     #[test]
@@ -624,6 +558,8 @@ mod tests {
         let t = StrategyTable::build(&weighted, &SamplerConfig::auto()).unwrap();
         assert_eq!(t.for_degree(63), SamplerStrategy::Reservoir);
         assert_eq!(t.for_degree(64), SamplerStrategy::SecondOrderAlias);
+        assert!(t.uses_second_order());
+        assert!(!t.needs_alias_tables());
         // Lowering the floor widens the cached range (tiny test graphs).
         let wide = SamplerConfig::auto().second_order_min_degree(16);
         let t = StrategyTable::build(&weighted, &wide).unwrap();

@@ -98,10 +98,10 @@ pub struct BackendTelemetry {
 ///   returns the remaining paths; afterwards
 ///   [`in_flight`](Self::in_flight) is `0`.
 /// * Paths carry the ids of the queries that produced them; completion
-///   order is unspecified. Determinism: for a fixed backend configuration,
-///   the path returned for a query depends only on the backend seed and the
-///   query (software backends) or the submitted batch composition
-///   (cycle-level engines) — never on wall-clock timing.
+///   order is unspecified. Determinism: the path returned for a query
+///   depends only on the backend's seed and the query — hop `h` draws from
+///   [`grw_rng::WalkKey`]'s stream for `(seed, id, h)` on every backend in
+///   this workspace — never on batching, placement or wall-clock timing.
 ///
 /// # Thread placement
 ///
@@ -259,10 +259,9 @@ pub fn run_streamed<B: WalkBackend + ?Sized>(
 
 /// Orders completed paths to match the submission order of `queries`.
 /// A path is matched to its query by (id, start vertex). Queries equal in
-/// both are resolved by completion order, which matches submission order
-/// only for a backend that completes queries in order: `ReferenceBackend`
-/// does, but the cycle-level accelerator does not, so there such queries
-/// may swap paths until its walks are keyed by id (ROADMAP item 7).
+/// both walk the same path on every backend, since walks are keyed by
+/// `(seed, id)`, so the order in which such queries complete does not
+/// matter.
 fn reorder(paths: Vec<WalkPath>, queries: &[WalkQuery]) -> Vec<WalkPath> {
     assert_eq!(
         paths.len(),

@@ -18,14 +18,7 @@ pub use backend::{
 use crate::strategy::SamplerRuntime;
 use crate::{PreparedGraph, WalkPath, WalkQuery, WalkSpec};
 use grw_graph::VertexId;
-use grw_rng::{SplitMix64, Xoshiro256StarStar};
-
-/// The RNG stream query `query_id` draws from under backend seed `seed`.
-/// Keyed by `(seed, id)` alone, so a path does not depend on execution
-/// order, chunking or the worker that walks it.
-fn query_rng(seed: u64, query_id: u64) -> Xoshiro256StarStar {
-    Xoshiro256StarStar::new(SplitMix64::mix(seed ^ query_id.wrapping_mul(0x9E37)))
-}
+use grw_rng::WalkKey;
 
 /// Walkers the cohort kernel keeps in flight: enough independent reads
 /// outstanding to cover a DRAM miss, few enough that every walker's state
@@ -47,11 +40,12 @@ const COHORT_WIDTH: usize = 32;
 /// row-pointer and column reads. A finished walker's place refills from
 /// the next query.
 ///
-/// Every walker draws from its own `(seed, id)` stream ([`query_rng`]),
-/// so each path is exactly the one executing the queries one at a time
-/// would give. `rt` is the executing worker's sampler runtime: it never
-/// influences a path, only where second-order rows come from and what
-/// gets counted. When it holds an edge cache, whose hits and evictions
+/// Every walker draws hop `h` from its [`WalkKey`]'s stream for `h`, a
+/// function of `(seed, id, h)` alone, so each path is exactly the one
+/// executing the queries one at a time would give — and the one every
+/// other executor gives. `rt` is the executing worker's sampler runtime:
+/// it never influences a path, only where second-order rows come from and
+/// what gets counted. When it holds an edge cache, whose hits and evictions
 /// depend on step order, the cohort is one walker wide and the queries
 /// run one at a time, in order.
 pub(crate) fn walk_batch(
@@ -90,7 +84,7 @@ pub(crate) fn walk_batch(
                 i += 1;
                 continue;
             }
-            match prepared.step_position_with(rt, spec, w.cur, w.prev, w.hop, &mut w.rng) {
+            match prepared.step_position_with(rt, spec, w.cur, w.prev, w.hop, w.key) {
                 Ok((position, _)) => {
                     prefetch(&col[position]);
                     w.pending = Some(position);
@@ -126,7 +120,7 @@ struct Walker {
     /// Column position of the neighbor chosen (and prefetched) on the
     /// previous pass, read on the next.
     pending: Option<usize>,
-    rng: Xoshiro256StarStar,
+    key: WalkKey,
     /// The path so far, starting with the query's start vertex.
     vertices: Vec<VertexId>,
 }
@@ -141,7 +135,7 @@ impl Walker {
             prev: None,
             hop: 0,
             pending: None,
-            rng: query_rng(seed, query.id),
+            key: WalkKey::new(seed, query.id),
             vertices,
         }
     }
@@ -192,11 +186,11 @@ mod tests {
         queries
             .iter()
             .map(|q| {
-                let mut rng = query_rng(SEED, q.id);
+                let key = WalkKey::new(SEED, q.id);
                 let mut vertices = vec![q.start];
                 let (mut cur, mut prev, mut hop) = (q.start, None, 0);
                 while let StepDecision::Advance { next, .. } =
-                    prepared.next_step_with(rt, spec, cur, prev, hop, &mut rng)
+                    prepared.next_step_with(rt, spec, cur, prev, hop, key)
                 {
                     vertices.push(next);
                     (prev, cur, hop) = (Some(cur), next, hop + 1);

@@ -2,7 +2,9 @@
 //! baseline.
 //!
 //! gSampler executes GRWs as super-batched SIMT kernels. The model runs
-//! the *functional* walk exactly (same samplers as everything else), then
+//! the *functional* walk exactly (same samplers and the same per-hop
+//! [`WalkKey`] streams as everything else, so under one seed it walks the
+//! paths every other executor walks), then
 //! prices the execution with the three ceilings the paper's analysis
 //! identifies:
 //!
@@ -25,7 +27,7 @@
 
 use grw_algo::{PreparedGraph, SamplerRuntime, WalkPath, WalkQuery, WalkSpec};
 use grw_graph::VertexId;
-use grw_rng::{SplitMix64, Xoshiro256StarStar};
+use grw_rng::WalkKey;
 
 /// Width of a SIMT warp.
 const WARP: usize = 32;
@@ -119,7 +121,7 @@ pub enum GpuBound {
 pub struct GSampler {
     /// Hardware constants.
     pub spec: GpuSpec,
-    /// RNG seed for the functional walks.
+    /// Walk seed of the functional walks ([`WalkKey::new`]).
     pub seed: u64,
 }
 
@@ -186,15 +188,14 @@ impl GSampler {
         let mut degree_sq = 0.0f64;
         let mut visits = 0u64;
         for q in queries {
-            let mut rng =
-                Xoshiro256StarStar::new(SplitMix64::mix(self.seed ^ q.id.wrapping_mul(0x9E37)));
+            let key = WalkKey::new(self.seed, q.id);
             let mut vertices = vec![q.start];
             let mut txns = Vec::new();
             let mut cur = q.start;
             let mut prev: Option<VertexId> = None;
             let mut hop = 0u32;
             while let grw_algo::StepDecision::Advance { next, outcome } =
-                prepared.next_step_with(&mut rt, spec, cur, prev, hop, &mut rng)
+                prepared.next_step_with(&mut rt, spec, cur, prev, hop, key)
             {
                 let d = f64::from(graph.degree(cur));
                 degree_sum += d;

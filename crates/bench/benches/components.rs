@@ -8,7 +8,7 @@ use grw_algo::{
 };
 use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
 use grw_graph::AliasTables;
-use grw_rng::{Philox4x32, RandomSource, SplitMix64};
+use grw_rng::{RandomSource, SplitMix64, WalkKey};
 use grw_route::{Router, StaticHashPolicy};
 use grw_service::{Driver, DynWalkBackend, ServiceConfig, TenantId};
 use grw_sim::{Fifo, MemoryChannel, MemoryChannelSpec};
@@ -24,11 +24,12 @@ fn bench_rng(c: &mut Criterion) {
         let mut g = SplitMix64::new(1);
         b.iter(|| g.next_u64())
     });
-    group.bench_function("philox_keyed_draw", |b| {
+    // A walk's key derivation plus one draw of one of its hops.
+    group.bench_function("hop_stream_draw", |b| {
         let mut q = 0u64;
         b.iter(|| {
             q += 1;
-            Philox4x32::keyed(q, 3).next_u64()
+            WalkKey::new(7, q).hop(3).next_u64()
         })
     });
     group.finish();

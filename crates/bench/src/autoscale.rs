@@ -532,6 +532,8 @@ pub fn run_autoscale_bench(cfg: &AutoscaleBenchConfig) -> AutoscaleBenchReport {
             .buffer_capacity(cfg.max_batch.max(cfg.queries))
             .journal_capacity(journal_capacity)
     };
+    // Appended shards walk under the seed `accelerator_driver` gives the
+    // shards a fleet is born with.
     let mut make_backend = {
         let prepared = prepared.clone();
         let spec = spec.clone();
@@ -544,7 +546,7 @@ pub fn run_autoscale_bench(cfg: &AutoscaleBenchConfig) -> AutoscaleBenchReport {
                 &spec,
                 ShardSpec::Accel(mode),
                 shard,
-                0,
+                accel.config().seed,
             )
         }
     };

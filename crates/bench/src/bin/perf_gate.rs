@@ -503,7 +503,7 @@ mod tests {
             gate_edited(
                 "BENCH_routing.json",
                 &[
-                    ("summary.p99_adaptive", 243.0),
+                    ("summary.p99_adaptive", 222.0),
                     ("summary.p99_improvement", 2.144)
                 ]
             ),
@@ -520,9 +520,9 @@ mod tests {
             gate_edited(
                 "BENCH_sampling.json",
                 &[
-                    ("summary.node2vec_speedup_skewed", 1.1),
+                    ("summary.node2vec_speedup_skewed", 0.8),
                     ("summary.cache_hits", 4000.0),
-                    ("summary.total_steps", 197_361.0)
+                    ("summary.total_steps", 195_594.0)
                 ]
             ),
             vec![

@@ -160,8 +160,6 @@ pub struct SamplingBenchConfig {
     pub repeats: usize,
     /// Second-order alias cache budget handed to the adaptive arm.
     pub cache_budget: usize,
-    /// Degree boundary of the adaptive low/high split.
-    pub low_degree_max: u32,
     /// Smallest degree the adaptive arm routes to the cached per-edge
     /// second-order kernel; rows below it cannot amortise their O(deg)
     /// build and stay on rejection in both arms.
@@ -185,7 +183,6 @@ impl SamplingBenchConfig {
             hot_seeds: 128,
             repeats: 2,
             cache_budget: 8 << 20,
-            low_degree_max: 8,
             second_order_min_degree: 64,
             skews: SkewSetting::all().to_vec(),
             workloads: SamplingWorkload::all().to_vec(),
@@ -236,7 +233,6 @@ impl SamplingBenchConfig {
     /// The adaptive arm's sampler configuration.
     pub fn adaptive_sampler(&self) -> SamplerConfig {
         SamplerConfig::auto()
-            .low_degree_max(self.low_degree_max)
             .cache_budget_bytes(self.cache_budget)
             .second_order_min_degree(self.second_order_min_degree)
     }
@@ -386,7 +382,6 @@ impl SamplingBenchReport {
                     .int("hot_seeds", c.hot_seeds as u64)
                     .int("repeats", c.repeats as u64)
                     .int("cache_budget", c.cache_budget as u64)
-                    .int("low_degree_max", c.low_degree_max.into())
                     .int("second_order_min_degree", c.second_order_min_degree.into()),
             )
             .int("parallelism", json::parallelism() as u64)

@@ -25,13 +25,10 @@ use crate::router::TaskRouter;
 use crate::task::Task;
 use grw_algo::{PreparedGraph, SampleMethod, SamplerRuntime, WalkPath, WalkQuery, WalkSpec};
 use grw_graph::{ChannelLayout, RpEntryKind, VertexId};
-use grw_rng::{Philox4x32, RandomSource};
+use grw_rng::WalkKey;
 use grw_sim::stats::UtilizationMeter;
 use grw_sim::{Cycle, Fifo, MemoryChannelSpec};
 use std::collections::VecDeque;
-
-/// Salt separating the teleport coin from the sampling stream.
-const TELEPORT_SALT: u64 = 0x7E1E_0000_0000_0000;
 
 /// Cycles between two snapshots of the progress watchdog.
 const WATCH_PERIOD: Cycle = 1 << 16;
@@ -187,15 +184,19 @@ impl Accelerator {
     }
 }
 
-/// One query's residency in the machine: its external id, its global
-/// submission index and the path built so far (taken when the walk
-/// completes).
+/// One query's residency in the machine: its external id, its walk key,
+/// its global submission index and the path built so far (taken when the
+/// walk completes).
 #[derive(Debug, Clone)]
 struct Slot {
     id: u64,
+    /// The walk's randomness, keyed by `(seed, id)` alone: a hop draws
+    /// the same numbers whichever slot, pipeline or cycle runs it, and the
+    /// same numbers the CPU kernel draws for it.
+    key: WalkKey,
     /// Queries enqueued before this one over the machine's lifetime. It
-    /// keys the query's counter-based randomness and, in static mode, its
-    /// pipeline, so a walk does not depend on which slot it occupies.
+    /// binds the query to its pipeline in static mode and orders
+    /// [`Accelerator::run`]'s output.
     index: u64,
     vertices: Vec<VertexId>,
 }
@@ -361,6 +362,7 @@ impl Machine {
         );
         let entry = Slot {
             id: q.id,
+            key: WalkKey::new(self.seed, q.id),
             index: self.submitted,
             vertices: vec![q.start],
         };
@@ -382,14 +384,9 @@ impl Machine {
         self.slots.len()
     }
 
-    /// The counter-based RNG of `task`, keyed by its query's submission
-    /// index and the hop, so a task draws the same stream whichever slot
-    /// or pipeline holds it.
-    fn task_rng(&self, task: &Task, salt: u64) -> Philox4x32 {
-        Philox4x32::keyed(
-            (self.seed ^ salt) ^ self.slots[task.query as usize].index,
-            u64::from(task.step),
-        )
+    /// The walk key of `task`'s query.
+    fn key(&self, task: &Task) -> WalkKey {
+        self.slots[task.query as usize].key
     }
 
     /// Whether the machine holds no work at all: nothing pending, nothing
@@ -503,16 +500,14 @@ impl Machine {
     }
 
     /// Admission: the max-length check and the PPR teleport coin, both
-    /// memory-free, applied before a task (re-)enters the scheduler.
-    fn admit(&self, task: Task) -> Admit {
+    /// memory-free, applied before a task (re-)enters the scheduler. The
+    /// machine charges no cycles for the coin's draw.
+    fn admit(&self, prepared: &PreparedGraph, task: Task) -> Admit {
         if task.step >= self.spec.max_len() {
             return Admit::Complete(Termination::MaxLength);
         }
-        if let WalkSpec::Ppr { alpha, .. } = &self.spec {
-            let mut rng = self.task_rng(&task, TELEPORT_SALT);
-            if rng.next_bool(*alpha) {
-                return Admit::Complete(Termination::Teleport);
-            }
+        if prepared.teleport_terminates(&self.spec, self.key(&task), task.step) {
+            return Admit::Complete(Termination::Teleport);
         }
         Admit::Go(task)
     }
@@ -536,8 +531,8 @@ impl Machine {
     }
 
     /// Routing ports: data-aware in dynamic mode, id-bound in static
-    /// mode. Static binding uses the submission index, like the RNG keys,
-    /// so a query's pipeline does not depend on which slot it occupies.
+    /// mode. Static binding uses the submission index, so a query's
+    /// pipeline does not depend on which slot it occupies.
     fn static_port(&self, task: &Task) -> usize {
         (self.slots[task.query as usize].index % self.n as u64) as usize
     }
@@ -561,16 +556,18 @@ impl Machine {
     /// The sampling decision and its memory cost for one task. The cost
     /// is keyed on the *kernel that actually ran* ([`SampleMethod`]) —
     /// under the adaptive strategy layer the same spec mixes kernels per
-    /// degree bucket, and each has a distinct memory signature.
+    /// degree bucket, and each has a distinct memory signature. The
+    /// draws themselves cost no cycles: the model charges memory traffic
+    /// only.
     fn sampling_job(&mut self, prepared: &PreparedGraph, task: Task) -> SpJob {
-        let mut rng = self.task_rng(&task, 0);
+        let key = self.key(&task);
         let decision = prepared.sample_neighbor_with(
             &mut self.sampler_rt,
             &self.spec,
             task.v_curr,
             task.prev(),
             task.step,
-            &mut rng,
+            key,
         );
         match decision {
             None => SpJob {
@@ -714,7 +711,7 @@ impl Machine {
                         CaMeta::Final(task, next) => {
                             self.steps += 1;
                             self.slots[task.query as usize].vertices.push(next);
-                            match self.admit(task.advance(next)) {
+                            match self.admit(prepared, task.advance(next)) {
                                 Admit::Go(t) => self.recirc.push_back(t),
                                 Admit::Complete(r) => self.finish(task.query, r),
                             }
@@ -945,7 +942,7 @@ impl Machine {
         }
 
         // 13. Query loader.
-        self.load_queries();
+        self.load_queries(prepared);
 
         // 14. Clock edge.
         for p in &mut self.pipes {
@@ -975,7 +972,7 @@ impl Machine {
         }
     }
 
-    fn load_queries(&mut self) {
+    fn load_queries(&mut self, prepared: &PreparedGraph) {
         match self.cfg.schedule {
             ScheduleMode::ZeroBubble => {
                 let cap = self.cfg.effective_max_inflight();
@@ -983,7 +980,7 @@ impl Machine {
                     && self.inflight < cap
                     && self.pending_inject.len() < self.n
                 {
-                    self.inject_next();
+                    self.inject_next(prepared);
                 }
             }
             ScheduleMode::StaticBatched => {
@@ -993,19 +990,19 @@ impl Machine {
                     let count = b.min(self.pending.len());
                     self.batch_remaining = count;
                     for _ in 0..count {
-                        self.inject_next();
+                        self.inject_next(prepared);
                     }
                 }
             }
         }
     }
 
-    fn inject_next(&mut self) {
+    fn inject_next(&mut self, prepared: &PreparedGraph) {
         let slot = self.pending.pop_front().expect("loader checked pending");
         self.inflight += 1;
         let start = self.slots[slot as usize].vertices[0];
         let task = Task::initial(slot, start);
-        match self.admit(task) {
+        match self.admit(prepared, task) {
             Admit::Go(t) => self.pending_inject.push_back(t),
             Admit::Complete(r) => self.finish(task.query, r),
         }
@@ -1019,7 +1016,7 @@ fn div8(words: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_algo::{run_streamed, Node2VecMethod, QuerySet, ReferenceBackend};
+    use grw_algo::{Node2VecMethod, QuerySet};
     use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
     use grw_graph::CsrGraph;
     use grw_sim::FpgaPlatform;
@@ -1118,49 +1115,6 @@ mod tests {
         let mean =
             report.paths.iter().map(|w| w.steps() as f64).sum::<f64>() / report.paths.len() as f64;
         assert!((mean - 4.0).abs() < 0.3, "mean PPR length {mean}");
-    }
-
-    #[test]
-    fn distribution_matches_reference_engine() {
-        // Chi-square the accelerator's next-hop choices out of a hub vertex
-        // against the reference backend's.
-        let g = CsrGraph::from_edges(
-            6,
-            &[
-                (0, 1),
-                (0, 2),
-                (0, 3),
-                (0, 4),
-                (0, 5),
-                (1, 0),
-                (2, 0),
-                (3, 0),
-                (4, 0),
-                (5, 0),
-            ],
-            true,
-        );
-        let spec = WalkSpec::urw(8);
-        let p = PreparedGraph::new(g, &spec).unwrap();
-        let qs = QuerySet::repeated(0, 1500);
-        let report = Accelerator::new(small_config()).run(&p, &spec, qs.queries());
-        let counts_acc = grw_algo::distribution::next_hop_counts(&report.paths, 0);
-        let bins =
-            grw_algo::distribution::counts_for_neighbors(&counts_acc, p.graph().neighbors(0));
-        let probs = vec![0.2; 5];
-        assert!(
-            grw_algo::distribution::fits(&bins, &probs),
-            "accelerator hub distribution skewed: {bins:?}"
-        );
-        // Sanity: the reference backend passes the same test.
-        let ref_paths = run_streamed(
-            &mut ReferenceBackend::new(&p, spec.clone(), 9),
-            qs.queries(),
-        );
-        let counts_ref = grw_algo::distribution::next_hop_counts(&ref_paths, 0);
-        let bins_ref =
-            grw_algo::distribution::counts_for_neighbors(&counts_ref, p.graph().neighbors(0));
-        assert!(grw_algo::distribution::fits(&bins_ref, &probs));
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   micro-batch pays pipeline fill at its head and drain at its tail, the
 //!   batch-barrier cost of LightRW-style designs.
 //!
-//! Determinism: a query's randomness is keyed by its submission index, so
-//! for a fixed submission order the returned paths are bit-identical
-//! whatever the quantum and however submissions interleave with polls, and
-//! identical to `Accelerator::run` on the concatenated query list. Only the
+//! Determinism: a query's randomness is keyed by the configured seed and
+//! its id ([`grw_rng::WalkKey`]), so the path returned for a query is
+//! bit-identical whatever the quantum, the submission order and however
+//! submissions interleave with polls — and identical to `Accelerator::run`
+//! and to a `grw_algo::ReferenceBackend` with the same seed. Only the
 //! simulated timing depends on the schedule.
 //!
 //! [`AcceleratorConfig::poll_quantum`]: crate::AcceleratorConfig::poll_quantum
@@ -261,6 +262,23 @@ mod tests {
         assert_eq!(streamed, accel().run(&p, &spec, &queries).paths);
     }
 
+    /// Two queries equal in id and start walk one path, wherever each
+    /// sits in the submission order and whenever it completes.
+    #[test]
+    fn equal_queries_walk_equal_paths() {
+        let (p, spec, _) = setup(16, 0);
+        let g = p.graph();
+        let hub = (0..g.vertex_count() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let twin = WalkQuery { id: 7, start: hub };
+        let queries = [twin, WalkQuery { id: 8, start: hub }, twin];
+        let streamed = run_streamed(&mut accel().backend(&p, &spec), &queries);
+        assert_eq!(streamed[0], streamed[2]);
+        assert!(streamed[0].steps() > 0);
+        assert_ne!(streamed[0], streamed[1], "another id walks elsewhere");
+    }
+
     #[test]
     fn micro_batches_accumulate_cycles_and_steps() {
         let (p, spec, qs) = setup(12, 90);
@@ -393,7 +411,7 @@ mod tests {
         got.extend(backend.drain());
         assert_eq!(peak_resident, 64);
         // Recycled slots do not change a walk: randomness is keyed by the
-        // submission index.
+        // query id.
         got.sort_by_key(|w| w.query);
         assert_eq!(got, baseline.paths);
     }

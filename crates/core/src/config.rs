@@ -65,7 +65,8 @@ pub struct AcceleratorConfig {
     pub max_inflight: Option<usize>,
     /// Batch size for static mode; `None` uses `16·N`.
     pub batch_size: Option<usize>,
-    /// Seed for all counter-based task randomness.
+    /// Walk seed: hop `h` of query `q` draws from
+    /// `grw_rng::WalkKey::new(seed, q).hop(h)`, as on every other executor.
     pub seed: u64,
     /// On-chip RP cache capacity in entries, held by in-degree rank
     /// (models FastRW's frequency-based caching; `None` = no cache).
@@ -197,7 +198,7 @@ impl AcceleratorConfig {
         self
     }
 
-    /// Sets the randomness seed.
+    /// Sets the walk seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

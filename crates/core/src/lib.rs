@@ -6,8 +6,10 @@
 //!
 //! * **Markov task decomposition** ([`Task`]): each walk hop is a stateless
 //!   ≤512-bit tuple ⟨v_last, v_prev, query id, step⟩ that any pipeline can
-//!   execute (Fig. 5a). Randomness is counter-based (Philox keyed by
-//!   `(query, step)`), so a task draws identical samples wherever it runs.
+//!   execute (Fig. 5a). A hop draws from `grw_rng::WalkKey`'s stream for
+//!   `(seed, query id, step)`, so a task draws identical samples wherever
+//!   it runs — and a query walks exactly the path the CPU kernel
+//!   (`grw_algo::ReferenceBackend`) walks under the same seed.
 //! * **Asynchronous memory-access engine** ([`AsyncAccessEngine`]): a
 //!   non-blocking request/response proxy with a transaction-id slab and
 //!   metadata queue, sustaining up to 128 outstanding requests per channel
@@ -66,7 +68,6 @@ pub mod resource;
 mod router;
 pub mod scheduler;
 mod task;
-pub mod verify;
 
 pub use accelerator::Accelerator;
 pub use backend::AcceleratorBackend;

@@ -18,7 +18,7 @@ pub const NO_PREV: VertexId = VertexId::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// Query identifier `ID_y`: the machine slot holding the query's
-    /// path and submission index.
+    /// path, walk key and submission index.
     pub query: u32,
     /// Hop counter `x` (0-based: the hop this task will perform).
     pub step: u32,

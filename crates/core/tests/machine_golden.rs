@@ -212,12 +212,12 @@ fn golden_default_u55c() {
         "default U55C",
         &got,
         &[
-            0x497d_ac8c_2273_62f4,
-            0xb09e_9670_1cbf_635d,
-            0x27d4_89d4_57d2_b8d8,
-            0x1bd9_2cc5_e749_49ae,
-            0xb00c_e5fd_a657_d37b,
-            0xf442_e524_d33d_b119,
+            0x9871_366c_d9b2_6de5,
+            0xf6eb_b611_223c_6488,
+            0x95d6_bda7_c97b_84d9,
+            0xe081_f628_5907_dec5,
+            0xb6d6_99f9_e74a_e2d3,
+            0x1839_0fe2_9ed6_a57e,
         ],
     );
 }
@@ -229,12 +229,12 @@ fn golden_static_batched() {
         "StaticBatched",
         &got,
         &[
-            0x09c3_696e_9046_d67d,
-            0x8def_1e52_262f_c87f,
-            0xaf7e_9566_2fc5_beb0,
-            0x3806_c9f0_f6ac_a539,
-            0x2c17_b5e2_4aa0_7056,
-            0x294e_49b3_0676_cbc6,
+            0x64fc_c678_1bde_edb1,
+            0xbf94_225e_11d9_2764,
+            0xb8ca_4507_4f22_9338,
+            0xa1ea_3652_7af6_550f,
+            0x56b3_65a9_e1f6_5ee9,
+            0x9fa9_6f21_1ae3_273e,
         ],
     );
 }
@@ -246,12 +246,12 @@ fn golden_blocking() {
         "Blocking",
         &got,
         &[
-            0x523e_68cb_e61b_59e3,
-            0x7700_3c68_5039_4c6f,
-            0x5d26_f94f_df49_7f90,
-            0x3835_00df_1a01_99fa,
-            0x1ccb_8f86_efb0_260d,
-            0xbaf5_d9e9_a99e_8588,
+            0xdda1_a034_3744_a7b4,
+            0x97a3_028b_d2a1_ec13,
+            0x80a1_fea2_d4f1_32f3,
+            0xa6eb_a783_8dff_4ae8,
+            0xc799_8ac9_f7c7_2fcc,
+            0xb5d3_0610_5824_9bd4,
         ],
     );
 }
@@ -263,12 +263,12 @@ fn golden_u250() {
         "U250",
         &got,
         &[
-            0xd151_f4cc_83ee_8d1f,
-            0x51de_aa19_0fc4_9307,
-            0x0ec4_f0d5_25e7_6d0a,
-            0xfcd9_b558_3f77_4668,
-            0x2764_7dc6_60a0_09d6,
-            0x3e03_923c_14b1_eda9,
+            0x0d78_2ff5_d60c_2399,
+            0x6ae9_29b8_d9f9_7da7,
+            0x0d7e_7e58_a459_30ce,
+            0x38ce_00d9_5c4d_06eb,
+            0xfb9a_6b3d_c7ea_1105,
+            0x28fc_6415_bc44_fb14,
         ],
     );
 }
@@ -286,12 +286,12 @@ fn golden_fastrw_shape() {
         "FastRW shape",
         &got,
         &[
-            0x385a_4903_b683_eda5,
-            0xa889_79fc_4fa6_d3cd,
-            0xd300_db65_810d_a389,
-            0xf916_af17_2026_7e14,
-            0x065a_81eb_b6d3_1721,
-            0x79e5_a32c_1bec_6da7,
+            0x3e30_3d54_497f_effc,
+            0xf41c_42df_3103_cfeb,
+            0x234b_3483_4fc8_aef6,
+            0x0dbe_d741_bb56_a8ec,
+            0xe115_c336_c5b0_83f7,
+            0x812e_c8a9_1b71_e63a,
         ],
     );
 }
@@ -303,12 +303,12 @@ fn golden_incremental_64_cycle_polls() {
         "incremental",
         &got,
         &[
-            0x97b5_8eff_bcfa_8779,
-            0xe259_0f33_7319_0791,
-            0x784b_0961_ca9e_b173,
-            0xd8d1_b941_8682_1784,
-            0xa4cd_1f74_057c_bc50,
-            0x553b_ddd4_d675_b223,
+            0x0064_a61c_fdc7_45c6,
+            0xd7fb_81d6_b3e4_72cc,
+            0xa4c5_3b9d_881d_9ed1,
+            0x17be_a426_8e3d_38a2,
+            0xc600_c1b4_72ea_e064,
+            0xe58f_41ce_804c_50b2,
         ],
     );
 }
@@ -322,12 +322,12 @@ fn golden_static_batched_64_cycle_polls() {
         "StaticBatched streamed",
         &got,
         &[
-            0x0def_a988_9283_7b1a,
-            0x4713_7848_dfa4_962e,
-            0x2061_f9ac_cef3_97cc,
-            0x29f0_c09d_e981_05b6,
-            0xcbba_5364_b14e_845c,
-            0x4382_2d08_3b2f_11e6,
+            0xd360_f5ac_f177_356b,
+            0xda30_e4f6_e5f5_ab8d,
+            0x1901_ecde_cd8c_740a,
+            0x6720_ef6b_fa77_cd7e,
+            0x4d1c_7cdc_e928_25fa,
+            0xe189_b461_2836_b3ad,
         ],
     );
 }

@@ -66,42 +66,11 @@ impl AliasTables {
         Self { prob, alt }
     }
 
-    /// Builds alias rows only for vertices with `degree >= min_degree`.
-    ///
-    /// The runtime-adaptive sampler evaluates low-degree rows on the fly
-    /// (same Vose construction, per step) and never consults the shared
-    /// table for them, so skipping those rows saves build time and table
-    /// footprint without changing any sampled index. Skipped rows keep the
-    /// uniform default (`prob = 1.0`, `alt = i`).
-    pub fn build_min_degree(graph: &CsrGraph, min_degree: u32) -> Self {
-        let e = graph.edge_count();
-        let mut prob = vec![1.0f32; e];
-        let mut alt = vec![0u32; e];
-        for v in 0..graph.vertex_count() as VertexId {
-            let deg = graph.degree(v);
-            if deg == 0 {
-                continue;
-            }
-            let base = graph.row_offset(v) as usize;
-            let deg = deg as usize;
-            for (i, a) in alt[base..base + deg].iter_mut().enumerate() {
-                *a = i as u32;
-            }
-            if (deg as u32) < min_degree {
-                continue;
-            }
-            if let Some(ws) = graph.neighbor_weights(v) {
-                Self::fill_row(ws, &mut prob[base..base + deg], &mut alt[base..base + deg]);
-            }
-        }
-        Self { prob, alt }
-    }
-
     /// Walker's two-stack (Vose) construction over one weight list,
     /// writing the row into caller-provided buffers.
     ///
     /// This is the *only* alias-row constructor in the suite: the shared
-    /// per-vertex tables, the sampler's on-the-fly low-degree rows and the
+    /// per-vertex tables, the sampler's on-the-fly rows and the
     /// second-order per-edge tables all call it, so for identical weights
     /// they produce bitwise-identical `(prob, alt)` rows — the property
     /// the adaptive sampler's path-identity guarantees rest on.
@@ -336,21 +305,6 @@ mod tests {
         let t = AliasTables::build(&g);
         assert_eq!(t.len(), g.edge_count());
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn filtered_build_matches_full_build_above_threshold() {
-        // Star centre has degree 4 (kept), leaves have degree 0.
-        let g = weighted_star(&[1.0, 2.0, 3.0, 4.0]);
-        let full = AliasTables::build(&g);
-        let filtered = AliasTables::build_min_degree(&g, 4);
-        assert_eq!(full, filtered);
-        // With the threshold above the centre's degree the row stays
-        // uniform-default (never consulted by the adaptive sampler).
-        let skipped = AliasTables::build_min_degree(&g, 5);
-        for i in 0..4u32 {
-            assert!((skipped.probability_of(&g, 0, i) - 0.25).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -1,48 +1,46 @@
 //! Pseudo-random number generation for graph random walks.
 //!
-//! A walk draws one random number per hop, and RidgeWalker executes every
-//! hop as a stateless task that may run on any pipeline, in any order. The
-//! generators here keep a walk's draws independent of where and when its
-//! hops execute:
+//! A walk draws a few random numbers per hop, and RidgeWalker executes
+//! every hop as a stateless task that may run on any pipeline, in any
+//! order. The generators here keep a walk's draws independent of where and
+//! when its hops execute:
 //!
-//! * [`Philox4x32`] — a counter-based generator: stateless per-task random
-//!   numbers keyed by `(query, step)`. The cycle-level machine draws every
-//!   hop from it, matching RidgeWalker's stateless task decomposition.
-//! * [`Xoshiro256StarStar`] — a high-quality scalar generator. The software
-//!   walk executor gives every query its own stream, keyed by
-//!   `(seed, query id)`.
-//! * [`SplitMix64`] — seeding, key mixing and general-purpose scalar
-//!   generation (graph generators, arrival processes, test fixtures).
+//! * [`WalkKey`] — walk randomness, one rule for every executor: hop `h` of
+//!   query `q` under seed `s` draws from a stream that is a pure function
+//!   of `(s, q, h)`, so the CPU kernel, the cycle-level machine and the GPU
+//!   model walk identical paths.
+//! * [`SplitMix64`] — the stream a hop draws from, and seeding, key mixing
+//!   and general-purpose scalar generation (graph generators, arrival
+//!   processes, test fixtures).
 //! * [`dist`] — uniform/exponential/geometric/Poisson/Zipf samplers built on
 //!   top of any [`RandomSource`].
 //!
 //! # Example
 //!
 //! ```
-//! use grw_rng::{Philox4x32, RandomSource, Xoshiro256StarStar};
+//! use grw_rng::{RandomSource, SplitMix64, WalkKey};
 //!
-//! // A task's draw depends only on its key, not on who computes it.
-//! assert_eq!(Philox4x32::keyed(7, 3).next_u64(), Philox4x32::keyed(7, 3).next_u64());
+//! // A hop's draw depends only on its key, not on who computes it.
+//! let key = WalkKey::new(7, 3);
+//! assert_eq!(key.hop(2).next_u64(), WalkKey::new(7, 3).hop(2).next_u64());
 //! // Distinct seeds give distinct streams.
 //! let a: Vec<u64> = {
-//!     let mut g = Xoshiro256StarStar::new(1);
+//!     let mut g = SplitMix64::new(1);
 //!     (0..3).map(|_| g.next_u64()).collect()
 //! };
 //! let b: Vec<u64> = {
-//!     let mut g = Xoshiro256StarStar::new(2);
+//!     let mut g = SplitMix64::new(2);
 //!     (0..3).map(|_| g.next_u64()).collect()
 //! };
 //! assert_ne!(a, b);
 //! ```
 
 pub mod dist;
-mod philox;
 mod splitmix;
-mod xorshift;
+mod walk;
 
-pub use philox::Philox4x32;
 pub use splitmix::SplitMix64;
-pub use xorshift::Xoshiro256StarStar;
+pub use walk::WalkKey;
 
 /// A deterministic source of uniformly distributed 64-bit values.
 ///
@@ -126,7 +124,7 @@ mod tests {
 
     #[test]
     fn next_below_respects_bound() {
-        let mut g = Xoshiro256StarStar::new(7);
+        let mut g = SplitMix64::new(7);
         for bound in [1u64, 2, 3, 10, 1000, u64::MAX / 2] {
             for _ in 0..200 {
                 assert!(g.next_below(bound) < bound);

@@ -22,11 +22,16 @@
 //! `Arc<PreparedGraph>` (immutable after build, `Sync`). Sinks never
 //! cross threads: the coordinator delivers every walk on the caller's
 //! thread, so a sink only needs `Send` to live inside the [`Driver`]
-//! itself. CPU shards deliberately share the *seed value* `cpu_seed`
-//! (plain `u64` copies, no RNG state aliasing): software backends key
-//! randomness by `(seed, query id)`, which is what makes a query's path
-//! independent of which CPU shard — and therefore which thread — serves
-//! it.
+//! itself.
+//!
+//! # Seeds
+//!
+//! Every shard of a fleet, accelerator or CPU, shares one walk *seed
+//! value* (plain `u64` copies, no RNG state aliasing). Every backend keys
+//! hop `h` of query `q` by `(seed, q, h)` ([`grw_rng::WalkKey`]), so a
+//! query's path does not depend on which shard — of which class, on which
+//! thread — serves it, nor on the order in which shards were appended or
+//! retired.
 
 use crate::{Driver, ServiceConfig};
 use grw_algo::{PreparedGraph, ReferenceBackend, WalkBackend, WalkSpec};
@@ -36,9 +41,8 @@ use std::sync::Arc;
 /// How far one poll advances an accelerator shard's machine.
 ///
 /// Both modes run one persistent machine per shard, and a query's
-/// randomness is keyed by its submission index on that shard, so a fixed
-/// submission order walks the same paths in either mode: the mode changes
-/// simulated timing only.
+/// randomness is keyed by the seed and its id, so a query walks the same
+/// path in either mode: the mode changes simulated timing only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccelShardMode {
     /// Every poll runs the machine until it holds no work (an unbounded
@@ -55,20 +59,6 @@ pub enum AccelShardMode {
 
 /// A runtime-selected shard backend.
 pub type DynWalkBackend = Box<dyn WalkBackend + Send>;
-
-/// The deterministic per-shard seed rule every fleet constructor uses:
-/// shard `i`'s accelerator machine runs on `base_seed` decorrelated by a
-/// golden-ratio multiple of the shard index. Elastic fleets reuse this
-/// rule when growing — a shard appended at index `i` gets exactly the
-/// seed it would have had in a fleet *born* with `i + 1` shards, so scale
-/// events never change what any shard samples.
-///
-/// (CPU shards deliberately do **not** use this: they share one seed so
-/// walk content is placement-invariant — see
-/// [`mixed_fleet_driver`].)
-pub fn fleet_shard_seed(base_seed: u64, shard: usize) -> u64 {
-    base_seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 /// What one shard of a heterogeneous fleet is made of.
 ///
@@ -98,18 +88,18 @@ pub enum ShardSpec {
 
 /// Builds a [`Driver`] over a *heterogeneous* fleet, on the executor
 /// [`ServiceConfig::driver`] selects: shard `i` is whatever `plan[i]`
-/// says — accelerator shards (batch or incremental mode, seeds
-/// decorrelated by shard index exactly like [`accelerator_driver`]) mixed
-/// with CPU [`ReferenceBackend`] shards. Shard composition, seeds and walk
-/// output are identical under both executors (see the
+/// says — accelerator shards (batch or incremental mode) mixed with CPU
+/// [`ReferenceBackend`] shards. Shard composition, seeds and walk output
+/// are identical under both executors (see the
 /// [thread-safety audit](self#thread-safety-audit-threads-executor)).
 ///
-/// Every CPU shard uses the same `cpu_seed`: software backends key their
-/// randomness by `(seed, query id)`, so a query's path is identical no
-/// matter *which* CPU shard serves it — placement policies can move
-/// tenants between CPU shards without changing walk output (the
-/// multiset-parity property the routing tests pin down). Accelerator
-/// shards stay decorrelated per shard, as in a homogeneous fleet.
+/// Every shard walks under the same `seed` (the accelerator shards'
+/// machines take it in place of their configuration's seed), and every
+/// backend keys its randomness by `(seed, query id)`, so a query's path
+/// is identical no matter *which* shard, of either class, serves it —
+/// placement policies can move tenants across the fleet without changing
+/// walk output (the multiset-parity property the routing tests pin
+/// down).
 ///
 /// # Panics
 ///
@@ -121,12 +111,9 @@ pub fn mixed_fleet_driver(
     prepared: Arc<PreparedGraph>,
     spec: &WalkSpec,
     plan: &[ShardSpec],
-    cpu_seed: u64,
+    seed: u64,
 ) -> Driver<DynWalkBackend> {
-    Driver::new(
-        cfg,
-        fleet_factory(cfg, accel, prepared, spec, plan, cpu_seed),
-    )
+    Driver::new(cfg, fleet_factory(cfg, accel, prepared, spec, plan, seed))
 }
 
 /// The shard factory behind the fleet constructors: shard `i` becomes
@@ -137,7 +124,7 @@ fn fleet_factory(
     prepared: Arc<PreparedGraph>,
     spec: &WalkSpec,
     plan: &[ShardSpec],
-    cpu_seed: u64,
+    seed: u64,
 ) -> impl FnMut(usize) -> DynWalkBackend {
     assert_eq!(
         plan.len(),
@@ -147,24 +134,26 @@ fn fleet_factory(
     let base = *accel.config();
     let spec = spec.clone();
     let plan: Vec<ShardSpec> = plan.to_vec();
-    move |shard| shard_backend_from(base, prepared.clone(), &spec, plan[shard], shard, cpu_seed)
+    move |shard| shard_backend_from(base, prepared.clone(), &spec, plan[shard], seed)
 }
 
-/// The backend that shard `shard` receives in any fleet built from these
-/// ingredients — the single-shard form of the fleet constructors, public
-/// so elastic fleets can *append* shards after construction
-/// ([`crate::Driver::append_shard`]) under the exact seed discipline a
-/// fleet born at that size would have used: a shard appended at index
-/// `i` is indistinguishable from one constructed at index `i`.
+/// The backend a shard of spec `shard_spec` receives in any fleet built
+/// from these ingredients — the single-shard form of the fleet
+/// constructors, public so elastic fleets can *append* shards after
+/// construction ([`crate::Driver::append_shard`]): an appended shard is
+/// indistinguishable from one a fleet was born with.
+///
+/// `shard`, the index the shard takes in its fleet, is unused: every
+/// shard walks under the one fleet `seed`, whatever its index.
 pub fn shard_backend(
     accel: &Accelerator,
     prepared: Arc<PreparedGraph>,
     spec: &WalkSpec,
     shard_spec: ShardSpec,
-    shard: usize,
-    cpu_seed: u64,
+    _shard: usize,
+    seed: u64,
 ) -> DynWalkBackend {
-    shard_backend_from(*accel.config(), prepared, spec, shard_spec, shard, cpu_seed)
+    shard_backend_from(*accel.config(), prepared, spec, shard_spec, seed)
 }
 
 fn shard_backend_from(
@@ -172,12 +161,11 @@ fn shard_backend_from(
     prepared: Arc<PreparedGraph>,
     spec: &WalkSpec,
     shard_spec: ShardSpec,
-    shard: usize,
-    cpu_seed: u64,
+    seed: u64,
 ) -> DynWalkBackend {
     match shard_spec {
         ShardSpec::Accel(mode) => {
-            let cfg = base.seed(fleet_shard_seed(base.seed, shard));
+            let cfg = base.seed(seed);
             let cfg = match mode {
                 AccelShardMode::Batch => cfg.poll_quantum(u64::MAX),
                 AccelShardMode::Incremental => cfg,
@@ -188,7 +176,7 @@ fn shard_backend_from(
             threads,
             poll_chunk,
         } => Box::new(
-            ReferenceBackend::new(prepared, spec.clone(), cpu_seed)
+            ReferenceBackend::new(prepared, spec.clone(), seed)
                 .threads(threads)
                 .poll_chunk(threads * poll_chunk),
         ) as DynWalkBackend,
@@ -197,10 +185,9 @@ fn shard_backend_from(
 
 /// Builds a [`Driver`] whose shards are accelerator instances in the
 /// chosen execution `mode`, sharing one prepared graph, on the executor
-/// [`ServiceConfig::driver`] selects. Each shard's machine derives its
-/// randomness seed from the base configuration's seed and the shard
-/// index, so shards are decorrelated but the whole fleet stays
-/// deterministic for a fixed submission/tick sequence.
+/// [`ServiceConfig::driver`] selects. Every shard's machine walks under
+/// the accelerator configuration's seed, so a query walks the same path
+/// on whichever shard serves it.
 pub fn accelerator_driver(
     cfg: ServiceConfig,
     accel: &Accelerator,
@@ -209,9 +196,10 @@ pub fn accelerator_driver(
     mode: AccelShardMode,
 ) -> Driver<DynWalkBackend> {
     // A homogeneous fleet is the all-accelerator special case of the
-    // mixed constructor (the CPU seed is irrelevant — no CPU shards).
+    // mixed constructor.
     let plan = vec![ShardSpec::Accel(mode); cfg.shards];
-    mixed_fleet_driver(cfg, accel, prepared, spec, &plan, 0)
+    let seed = accel.config().seed;
+    mixed_fleet_driver(cfg, accel, prepared, spec, &plan, seed)
 }
 
 #[cfg(test)]
@@ -261,9 +249,9 @@ mod tests {
         assert_eq!(walks[0], walks[1], "the shard mode changes timing only");
     }
 
-    /// A batch shard keys each query by its submission index on the shard,
-    /// not by its position in its micro-batch: two queries from the same
-    /// start, each the first of its own batch, walk differently.
+    /// A batch shard keys each query by its id, not by its position in
+    /// its micro-batch: two queries from the same start, each the first of
+    /// its own batch, walk differently.
     #[test]
     fn batch_shard_does_not_replay_a_walk_per_batch_position() {
         let (prepared, spec) = setup();

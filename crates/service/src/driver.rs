@@ -125,12 +125,11 @@ impl<B: WalkBackend + Send + 'static> Driver<B> {
     /// appends land at a micro-batch boundary by construction, because
     /// the fleet only changes between calls.
     ///
-    /// Determinism: a shard's walks are a pure function of its own
-    /// command stream, so a fleet grown at tick T produces the same walks
-    /// as a fleet born at size N+1 receiving the same per-shard streams.
-    /// Derive the backend's seed from the fleet seed and this index (see
-    /// [`fleet_shard_seed`](crate::fleet_shard_seed)) to keep scale events
-    /// reproducible.
+    /// Determinism: a query's walk is a pure function of its shard's
+    /// seed and the query, so a fleet grown at tick T produces the same
+    /// walks as a fleet born at size N+1. Build the backend with the fleet
+    /// seed (see [`shard_backend`](crate::shard_backend)) and the walks
+    /// do not depend on scale events at all.
     pub fn append_shard(&mut self, backend: B) -> usize {
         let shard = self.shard_count();
         let mut runner = ShardRunner::new(&self.cfg, backend);

@@ -84,8 +84,8 @@ mod tenant;
 mod threaded;
 
 pub use accel::{
-    accelerator_driver, fleet_shard_seed, mixed_fleet_driver, shard_backend, AccelShardMode,
-    DynWalkBackend, ShardSpec,
+    accelerator_driver, mixed_fleet_driver, shard_backend, AccelShardMode, DynWalkBackend,
+    ShardSpec,
 };
 pub use batch::FlushReason;
 pub use driver::Driver;

@@ -5,10 +5,10 @@
 //!
 //! This example builds an MH chain over graph vertices targeting the
 //! stationary distribution π(v) ∝ deg(v)^β using the suite's substrate
-//! (CSR graph, uniform proposals, multi-stream RNG), and checks the
+//! (CSR graph, uniform proposals, keyed per-step RNG), and checks the
 //! empirical distribution against the target. Each MH step is the same
 //! stateless tuple shape the accelerator executes: ⟨v_curr, chain id,
-//! step⟩ plus counter-based randomness.
+//! step⟩, drawing from the walk stream keyed by `(seed, chain, step)`.
 //!
 //! ```text
 //! cargo run --release --example mcmc_extension
@@ -16,7 +16,7 @@
 
 use ridgewalker_suite::graph::generators::RmatConfig;
 use ridgewalker_suite::graph::CsrGraph;
-use ridgewalker_suite::rng::{Philox4x32, RandomSource};
+use ridgewalker_suite::rng::{RandomSource, WalkKey};
 
 /// One Metropolis–Hastings hop with uniform neighbor proposals.
 ///
@@ -47,17 +47,18 @@ fn main() {
     let beta = 2.0; // sample vertices proportional to squared degree
 
     // Many independent chains = many concurrent "queries", exactly the
-    // parallelism the accelerator exploits. Counter-based RNG keyed by
-    // (chain, step) keeps every step stateless.
+    // parallelism the accelerator exploits. The walk stream keyed by
+    // (seed, chain, step) keeps every step stateless.
     let chains = 512usize;
-    let burn_in = 400u64;
-    let samples_per_chain = 2_000u64;
+    let burn_in = 400u32;
+    let samples_per_chain = 2_000u32;
 
     let mut counts = vec![0u64; n];
     for chain in 0..chains as u64 {
+        let key = WalkKey::new(0x3C3C, chain);
         let mut cur = (chain as u32 * 2_654_435_761) % n as u32;
         for step in 0..burn_in + samples_per_chain {
-            let mut rng = Philox4x32::keyed(chain, step);
+            let mut rng = key.hop(step);
             cur = mh_step(&graph, cur, beta, &mut rng);
             if step >= burn_in {
                 counts[cur as usize] += 1;
@@ -91,7 +92,7 @@ fn main() {
     }
     println!("\nL1 distance empirical vs target: {l1:.4}");
     println!(
-        "({} chains x {} samples, stateless counter-based steps)",
+        "({} chains x {} samples, stateless keyed steps)",
         chains, samples_per_chain
     );
     assert!(l1 < 0.15, "MH chain failed to converge (L1 = {l1:.3})");

@@ -6,7 +6,8 @@
 //! package:
 //!
 //! * [`graph`] — CSR graphs, generators, channel-aware layouts ([`grw_graph`]).
-//! * [`rng`] — counter-based and per-query RNG streams ([`grw_rng`]).
+//! * [`rng`] — the per-hop walk stream every executor draws from, and
+//!   scalar RNGs ([`grw_rng`]).
 //! * [`algo`] — sampling + walk algorithms and the software walk executor
 //!   ([`grw_algo`]).
 //! * [`sim`] — cycle-level hardware simulation substrate ([`grw_sim`]).

@@ -1,5 +1,6 @@
 //! Routing-tier properties, end to end: placement parity with static
-//! hashing (same per-tenant walk multiset for deterministic workloads),
+//! hashing (same per-tenant walk multiset on CPU and mixed fleets, under
+//! both executors),
 //! bounded migration under oscillating load (hysteresis + dwell), drained
 //! shard classes never receiving queries, and the PR 4 sink-conservation
 //! property extended to *mixed* accelerator/CPU fleets under routed
@@ -26,7 +27,8 @@ fn setup() -> (Arc<PreparedGraph>, WalkSpec) {
     (Arc::new(PreparedGraph::new(g, &spec).unwrap()), spec)
 }
 
-const CPU_SEED: u64 = 0x5EED_C0DE;
+/// The walk seed every fleet in these tests shares.
+const FLEET_SEED: u64 = 0x5EED_C0DE;
 
 /// A 2-accel + 2-CPU fleet (the bench's shape, test-sized) on the
 /// `driver` executor.
@@ -59,13 +61,12 @@ fn mixed(
         prepared.clone(),
         spec,
         &plan,
-        CPU_SEED,
+        FLEET_SEED,
     )
 }
 
 /// An all-CPU fleet whose shards share one seed, so a query's walk is
-/// identical no matter which shard serves it — the "deterministic
-/// workload" of the placement-parity property.
+/// identical no matter which shard serves it.
 fn cpu_fleet(prepared: &Arc<PreparedGraph>, spec: &WalkSpec) -> Driver<DynWalkBackend> {
     let accel = Accelerator::new(AcceleratorConfig::new().pipelines(2));
     let plan = [ShardSpec::Cpu {
@@ -78,7 +79,7 @@ fn cpu_fleet(prepared: &Arc<PreparedGraph>, spec: &WalkSpec) -> Driver<DynWalkBa
         prepared.clone(),
         spec,
         &plan,
-        CPU_SEED,
+        FLEET_SEED,
     )
 }
 
@@ -188,10 +189,11 @@ fn by_tenant(walks: Vec<CompletedWalk>) -> HashMap<TenantId, Vec<CompletedWalk>>
     map
 }
 
-/// Property (a): on a deterministic workload (same-seed CPU shards), any
-/// placement policy delivers the exact per-tenant walk multiset static
-/// vertex-hashing delivers — routing moves *where* a walk executes,
-/// never *what* it computes.
+/// Property (a): on any fleet — CPU shards, or accelerator and CPU
+/// shards mixed — under either executor, any placement policy delivers
+/// the exact per-tenant walk multiset static vertex-hashing delivers on
+/// an all-CPU fleet. Every shard walks under the fleet's one seed, so
+/// routing moves *where* a walk executes, never *what* it computes.
 #[test]
 fn routed_execution_matches_static_hash_walk_multisets() {
     let (prepared, spec) = setup();
@@ -203,7 +205,7 @@ fn routed_execution_matches_static_hash_walk_multisets() {
     for sched_seed in [0x11u64, 0x12] {
         let ops = random_schedule(sched_seed, tenants.len(), per_tenant);
 
-        // Baseline: the service's own static hashing, no router.
+        // Baseline: an all-CPU fleet's own static hashing, no router.
         let mut baseline_svc = cpu_fleet(&prepared, &spec);
         let mut baseline: Vec<CompletedWalk> = Vec::new();
         {
@@ -229,32 +231,54 @@ fn routed_execution_matches_static_hash_walk_multisets() {
         assert_eq!(baseline.len(), tenants.len() * per_tenant);
         let want = walks_by_tenant(&baseline);
 
-        let policies: Vec<(&str, Box<dyn RoutePolicy + Send>)> = vec![
-            ("static-hash", Box::new(StaticHashPolicy)),
-            ("least-loaded", Box::new(LeastLoadedPolicy)),
-            (
-                "adaptive",
-                Box::new(AdaptivePolicy::new(AdaptiveConfig {
-                    min_dwell_ticks: 4,
-                    ..AdaptiveConfig::default()
-                })),
-            ),
+        let fleets: [(&str, &dyn Fn() -> Driver<DynWalkBackend>); 3] = [
+            ("cpu", &|| cpu_fleet(&prepared, &spec)),
+            ("mixed/inline", &|| {
+                mixed(
+                    &prepared,
+                    &spec,
+                    AccelShardMode::Incremental,
+                    DriverMode::Deterministic,
+                )
+            }),
+            ("mixed/threads", &|| {
+                mixed(
+                    &prepared,
+                    &spec,
+                    AccelShardMode::Incremental,
+                    DriverMode::Threaded,
+                )
+            }),
         ];
-        for (name, policy) in policies {
-            let mut router = Router::new(cpu_fleet(&prepared, &spec), policy);
-            let mut got: Vec<CompletedWalk> = Vec::new();
-            replay_router(&mut router, &ops, &pools, &mut |r| got.extend(r.tick()));
-            got.extend(router.drain());
-            assert_eq!(
-                got.len(),
-                tenants.len() * per_tenant,
-                "{name}/{sched_seed:#x}: every query answered exactly once"
-            );
-            assert_eq!(
-                walks_by_tenant(&got),
-                want,
-                "{name}/{sched_seed:#x}: placement must not change walk content"
-            );
+        for (fleet_name, fleet) in fleets {
+            let policies: Vec<(&str, Box<dyn RoutePolicy + Send>)> = vec![
+                ("static-hash", Box::new(StaticHashPolicy)),
+                ("least-loaded", Box::new(LeastLoadedPolicy)),
+                (
+                    "adaptive",
+                    Box::new(AdaptivePolicy::new(AdaptiveConfig {
+                        min_dwell_ticks: 4,
+                        ..AdaptiveConfig::default()
+                    })),
+                ),
+            ];
+            for (name, policy) in policies {
+                let case = format!("{fleet_name}/{name}/{sched_seed:#x}");
+                let mut router = Router::new(fleet(), policy);
+                let mut got: Vec<CompletedWalk> = Vec::new();
+                replay_router(&mut router, &ops, &pools, &mut |r| got.extend(r.tick()));
+                got.extend(router.drain());
+                assert_eq!(
+                    got.len(),
+                    tenants.len() * per_tenant,
+                    "{case}: every query answered exactly once"
+                );
+                assert_eq!(
+                    walks_by_tenant(&got),
+                    want,
+                    "{case}: placement must not change walk content"
+                );
+            }
         }
     }
 }
@@ -285,7 +309,7 @@ fn hysteresis_bounds_migrations_under_oscillating_load() {
             prepared.clone(),
             &spec,
             &plan,
-            CPU_SEED,
+            FLEET_SEED,
         )
     };
 

@@ -14,7 +14,7 @@ use ridgewalker_suite::algo::{
 };
 use ridgewalker_suite::graph::generators::RmatConfig;
 use ridgewalker_suite::graph::{weights, CsrGraph, VertexId};
-use ridgewalker_suite::rng::SplitMix64;
+use ridgewalker_suite::rng::WalkKey;
 use ridgewalker_suite::route::{AdaptiveConfig, AdaptivePolicy, Router};
 use ridgewalker_suite::service::{
     mixed_fleet_driver, AccelShardMode, CompletedWalk, Driver, DynWalkBackend, ServiceConfig,
@@ -67,7 +67,8 @@ fn expected_probs(
 }
 
 /// Draws `n` next hops at a fixed `(cur, prev)` through the prepared
-/// graph's bucket dispatch and bins them over `cur`'s neighbor list.
+/// graph's bucket dispatch, one per walk key, and bins them over `cur`'s
+/// neighbor list.
 fn empirical_counts(
     prepared: &PreparedGraph,
     spec: &WalkSpec,
@@ -76,13 +77,12 @@ fn empirical_counts(
     n: usize,
     seed: u64,
 ) -> Vec<u64> {
-    let mut rng = SplitMix64::new(seed);
     let mut rt = prepared.runtime();
     let hop = u32::from(prev.is_some());
     let mut counts: HashMap<VertexId, u64> = HashMap::new();
-    for _ in 0..n {
+    for id in 0..n as u64 {
         let (v, _) = prepared
-            .sample_neighbor_with(&mut rt, spec, cur, prev, hop, &mut rng)
+            .sample_neighbor_with(&mut rt, spec, cur, prev, hop, WalkKey::new(seed, id))
             .expect("probe vertices have neighbors");
         *counts.entry(v).or_insert(0) += 1;
     }
@@ -156,7 +156,14 @@ fn every_forced_strategy_fits_its_transition_distribution() {
             vec![(HUB, None), (LOW, None)]
         };
         for (probe, prev) in probes {
-            let bins = empirical_counts(&prepared, &spec, probe, prev, N, 0xD15 ^ u64::from(probe));
+            let bins = empirical_counts(
+                &prepared,
+                &spec,
+                probe,
+                prev,
+                N,
+                0xC41D15 ^ u64::from(probe),
+            );
             let probs = expected_probs(&g, probe, prev, p, q, weighted);
             assert!(
                 distribution::fits(&bins, &probs),
@@ -169,9 +176,9 @@ fn every_forced_strategy_fits_its_transition_distribution() {
 }
 
 /// Satellite 1b: at every degree bucket the graph populates, auto mode
-/// consumes the RNG exactly like the forced variant of the strategy it
-/// selected for that bucket — the selection layer adds a table lookup,
-/// never a different draw sequence.
+/// consumes the hop stream exactly like the forced variant of the
+/// strategy it selected for that bucket — the selection layer adds a
+/// table lookup, never a different draw sequence.
 #[test]
 fn auto_mode_draws_bit_identically_to_its_chosen_forced_strategy() {
     let g = RmatConfig::graph500(9, 8)
@@ -185,9 +192,7 @@ fn auto_mode_draws_bit_identically_to_its_chosen_forced_strategy() {
         WalkSpec::node2vec(8, Node2VecMethod::Reservoir),
     ];
     for spec in specs {
-        let auto_cfg = SamplerConfig::auto()
-            .low_degree_max(8)
-            .second_order_min_degree(16);
+        let auto_cfg = SamplerConfig::auto().second_order_min_degree(16);
         let auto = PreparedGraph::with_sampler(g.clone(), &spec, auto_cfg).expect("valid config");
         let mut forced: HashMap<SamplerStrategy, PreparedGraph> = HashMap::new();
         // One probe vertex per populated bucket.
@@ -207,12 +212,12 @@ fn auto_mode_draws_bit_identically_to_its_chosen_forced_strategy() {
             let prev = second_order.then(|| g.neighbors(v)[0]);
             let hop = u32::from(prev.is_some());
             let draws = |prepared: &PreparedGraph| -> Vec<VertexId> {
-                let mut rng = SplitMix64::new(0xB17 ^ u64::from(v));
                 let mut rt = prepared.runtime();
                 (0..64)
-                    .map(|_| {
+                    .map(|id| {
+                        let key = WalkKey::new(0xB17 ^ u64::from(v), id);
                         prepared
-                            .sample_neighbor_with(&mut rt, &spec, v, prev, hop, &mut rng)
+                            .sample_neighbor_with(&mut rt, &spec, v, prev, hop, key)
                             .expect("v has neighbors")
                             .0
                     })
@@ -230,7 +235,6 @@ fn auto_mode_draws_bit_identically_to_its_chosen_forced_strategy() {
 
 fn sampling_config(budget: usize) -> SamplerConfig {
     SamplerConfig::auto()
-        .low_degree_max(8)
         .second_order_min_degree(8)
         .cache_budget_bytes(budget)
 }
@@ -275,7 +279,8 @@ fn cache_budget_never_changes_a_weighted_node2vec_walk() {
     assert_eq!(big_paths, want, "cache hits changed a path");
 }
 
-const CPU_SEED: u64 = 0x5EED_0CA5;
+/// The walk seed every shard of these fleets shares.
+const FLEET_SEED: u64 = 0x5EED_0CA5;
 
 /// A 2-accel + 2-CPU fleet over a prepared graph (the routing bench's
 /// shape, test-sized).
@@ -303,7 +308,7 @@ fn mixed(
         prepared.clone(),
         spec,
         &plan,
-        CPU_SEED,
+        FLEET_SEED,
     )
 }
 

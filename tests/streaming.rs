@@ -88,9 +88,8 @@ fn incremental_backend_survives_arbitrary_submit_poll_schedules() {
             .poll_quantum(64),
     );
     // Ground truth: the one-shot run over the whole stream. The machine
-    // keys each query's randomness by its submission index, so *any*
-    // submit/poll interleaving that preserves submission order must
-    // reproduce these exact paths.
+    // keys each query's randomness by the seed and its id, so *any*
+    // submit/poll interleaving must reproduce these exact paths.
     let baseline = accel.run(&p, &spec, qs.queries());
 
     for sched_seed in [0x11u64, 0x22, 0x33, 0x44, 0x55] {
