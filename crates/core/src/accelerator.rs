@@ -1016,7 +1016,7 @@ fn div8(words: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grw_algo::{Node2VecMethod, QuerySet};
+    use grw_algo::{run_streamed, Node2VecMethod, QuerySet, ReferenceBackend};
     use grw_graph::generators::{Dataset, RmatConfig, ScaleFactor};
     use grw_graph::CsrGraph;
     use grw_sim::FpgaPlatform;
@@ -1115,6 +1115,49 @@ mod tests {
         let mean =
             report.paths.iter().map(|w| w.steps() as f64).sum::<f64>() / report.paths.len() as f64;
         assert!((mean - 4.0).abs() < 0.3, "mean PPR length {mean}");
+    }
+
+    #[test]
+    fn distribution_matches_reference_engine() {
+        // Chi-square the accelerator's next-hop choices out of a hub vertex
+        // against the reference backend's.
+        let g = CsrGraph::from_edges(
+            6,
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (0, 4),
+                (0, 5),
+                (1, 0),
+                (2, 0),
+                (3, 0),
+                (4, 0),
+                (5, 0),
+            ],
+            true,
+        );
+        let spec = WalkSpec::urw(8);
+        let p = PreparedGraph::new(g, &spec).unwrap();
+        let qs = QuerySet::repeated(0, 1500);
+        let report = Accelerator::new(small_config()).run(&p, &spec, qs.queries());
+        let counts_acc = grw_algo::distribution::next_hop_counts(&report.paths, 0);
+        let bins =
+            grw_algo::distribution::counts_for_neighbors(&counts_acc, p.graph().neighbors(0));
+        let probs = vec![0.2; 5];
+        assert!(
+            grw_algo::distribution::fits(&bins, &probs),
+            "accelerator hub distribution skewed: {bins:?}"
+        );
+        // Sanity: the reference backend passes the same test.
+        let ref_paths = run_streamed(
+            &mut ReferenceBackend::new(&p, spec.clone(), 9),
+            qs.queries(),
+        );
+        let counts_ref = grw_algo::distribution::next_hop_counts(&ref_paths, 0);
+        let bins_ref =
+            grw_algo::distribution::counts_for_neighbors(&counts_ref, p.graph().neighbors(0));
+        assert!(grw_algo::distribution::fits(&bins_ref, &probs));
     }
 
     #[test]

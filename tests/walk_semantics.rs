@@ -5,11 +5,12 @@
 
 use ridgewalker_suite::accel::{Accelerator, AcceleratorConfig, MemoryMode, ScheduleMode};
 use ridgewalker_suite::algo::{
-    run_streamed, Node2VecMethod, PreparedGraph, QuerySet, ReferenceBackend, SamplerConfig,
-    SamplerStrategy, WalkBackend, WalkPath, WalkQuery, WalkSpec,
+    distribution, run_streamed, Node2VecMethod, PreparedGraph, QuerySet, ReferenceBackend,
+    SamplerConfig, SamplerStrategy, WalkBackend, WalkPath, WalkQuery, WalkSpec,
 };
 use ridgewalker_suite::baselines::GSampler;
 use ridgewalker_suite::graph::generators::{Dataset, ScaleFactor};
+use ridgewalker_suite::graph::CsrGraph;
 use ridgewalker_suite::rng::{RandomSource, SplitMix64};
 
 fn all_specs() -> Vec<WalkSpec> {
@@ -61,6 +62,45 @@ fn every_engine_emits_only_real_edges_for_every_algorithm() {
         assert_paths_valid(&accel.paths, &p, &spec, "accelerator");
         let gpu = GSampler::new().run(&p, &spec, qs.queries());
         assert_paths_valid(&gpu.paths, &p, &spec, "gpu");
+    }
+}
+
+#[test]
+fn accelerator_matches_reference_hub_distribution() {
+    // Out of a 6-way hub, all engines must sample uniformly (URW).
+    let mut edges = vec![];
+    for v in 1..=6u32 {
+        edges.push((0, v));
+        edges.push((v, 0));
+    }
+    let g = CsrGraph::from_edges(7, &edges, true);
+    let spec = WalkSpec::urw(10);
+    let p = PreparedGraph::new(g, &spec).unwrap();
+    let qs = QuerySet::repeated(0, 2_000);
+    let probs = vec![1.0 / 6.0; 6];
+
+    for (tag, paths) in [
+        (
+            "reference",
+            run_streamed(
+                &mut ReferenceBackend::new(&p, spec.clone(), 2),
+                qs.queries(),
+            ),
+        ),
+        (
+            "accelerator",
+            Accelerator::new(AcceleratorConfig::new().pipelines(4))
+                .run(&p, &spec, qs.queries())
+                .paths,
+        ),
+        ("gpu", GSampler::new().run(&p, &spec, qs.queries()).paths),
+    ] {
+        let counts = distribution::next_hop_counts(&paths, 0);
+        let bins = distribution::counts_for_neighbors(&counts, p.graph().neighbors(0));
+        assert!(
+            distribution::fits(&bins, &probs),
+            "{tag}: hub distribution skewed: {bins:?}"
+        );
     }
 }
 
