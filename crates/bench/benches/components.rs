@@ -213,6 +213,20 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
+/// Graph set-up: the LiveJournal stand-in at Standard scale from its RMAT
+/// draws to the finished CSR, which is `urw-lj-threaded`'s
+/// `graph.generate_s`. Throughput counts the CSR's stored edges (both
+/// directions of every undirected edge), so the rate reads in Medges/s.
+fn bench_graph(c: &mut Criterion) {
+    let generate = || Dataset::LiveJournal.generate(ScaleFactor::Standard);
+    let mut group = c.benchmark_group("graph");
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(5));
+    group.throughput(Throughput::Elements(generate().edge_count() as u64));
+    group.bench_function("generate_livejournal_standard", |b| b.iter(generate));
+    group.finish();
+}
+
 /// The serving path around the kernel, without the benchmark harness:
 /// `Router` → inline `Driver` → two `ReferenceBackend` shards → a
 /// `SinkRouter` of 16 per-tenant `PprAggregator`s, on Tiny WebGoogle.
@@ -268,6 +282,7 @@ criterion_group!(
     bench_samplers,
     bench_hardware_primitives,
     bench_engines,
+    bench_graph,
     bench_serving
 );
 criterion_main!(benches);

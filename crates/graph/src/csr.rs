@@ -42,7 +42,7 @@ impl CsrGraph {
     ///
     /// Panics if any endpoint is `>= vertex_count`.
     pub fn from_edges(vertex_count: usize, edges: &[(VertexId, VertexId)], directed: bool) -> Self {
-        let mut b = GraphBuilder::new(vertex_count);
+        let mut b = GraphBuilder::with_capacity(vertex_count, edges.len());
         for &(u, v) in edges {
             b.add_edge(u, v);
         }
@@ -213,9 +213,15 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a graph with `vertex_count` vertices.
     pub fn new(vertex_count: usize) -> Self {
+        Self::with_capacity(vertex_count, 0)
+    }
+
+    /// A builder with room for `edges` edges, so a generator that knows
+    /// its edge count up front grows the list once.
+    pub(crate) fn with_capacity(vertex_count: usize, edges: usize) -> Self {
         Self {
             vertex_count,
-            edges: Vec::new(),
+            edges: Vec::with_capacity(edges),
             directed: true,
             keep_self_loops: false,
         }
@@ -265,31 +271,74 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Sorts, mirrors (if undirected), dedups and freezes into a [`CsrGraph`].
+    /// Buckets the edges by source, sorts and dedups every row, and
+    /// freezes the result into a [`CsrGraph`].
+    ///
+    /// A counting sort: one pass counts each row's entries (both directions
+    /// of an undirected edge), a prefix sum turns the counts into row ends,
+    /// and a second pass places every column at its row's end, moving the
+    /// end down. Each row is then sorted and deduplicated in place and
+    /// moved down over the duplicates dropped before it. There is no
+    /// mirrored copy of the edge list and no global sort.
+    ///
+    /// Time is `O(V + E + Σ d·log d)` over the placed row lengths `d`.
+    /// Besides the builder's own `8·E` bytes of edges, it allocates only the
+    /// graph: `8·(V + 1)` bytes of row pointers and 4 bytes per placed
+    /// column (twice per undirected edge), trimmed to the deduplicated
+    /// count at the end. The LiveJournal stand-in at Standard scale
+    /// (3.67M edge draws into 7.29M columns) peaks at about 2× its CSR.
     pub fn build(&self) -> CsrGraph {
-        let mut edges: Vec<(VertexId, VertexId)> =
-            Vec::with_capacity(self.edges.len() * if self.directed { 1 } else { 2 });
-        for &(u, v) in &self.edges {
-            if u == v && !self.keep_self_loops {
-                continue;
-            }
-            edges.push((u, v));
-            if !self.directed {
-                edges.push((v, u));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-
         let n = self.vertex_count;
+        let mirror = !self.directed;
+        let kept = self
+            .edges
+            .iter()
+            .filter(|&&(u, v)| u != v || self.keep_self_loops);
+        // `row_ptr[u]` holds u's entry count, then u's end after the prefix
+        // sum, then u's start once every entry is placed.
         let mut row_ptr = vec![0u64; n + 1];
-        for &(u, _) in &edges {
-            row_ptr[u as usize + 1] += 1;
+        for &(u, v) in kept.clone() {
+            row_ptr[u as usize] += 1;
+            if mirror && u != v {
+                row_ptr[v as usize] += 1;
+            }
         }
-        for i in 0..n {
-            row_ptr[i + 1] += row_ptr[i];
+        let mut total = 0;
+        for p in &mut row_ptr {
+            total += *p;
+            *p = total;
         }
-        let col = edges.iter().map(|&(_, v)| v).collect();
+        let mut col = vec![0; total as usize];
+        let mut place = |u: VertexId, v: VertexId| {
+            let end = &mut row_ptr[u as usize];
+            *end -= 1;
+            col[*end as usize] = v;
+        };
+        for &(u, v) in kept {
+            place(u, v);
+            if mirror && u != v {
+                place(v, u);
+            }
+        }
+
+        let mut len = 0;
+        for u in 0..n {
+            let (start, end) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
+            col[start..end].sort_unstable();
+            row_ptr[u] = len as u64;
+            let mut prev = None;
+            for i in start..end {
+                let c = col[i];
+                if prev != Some(c) {
+                    col[len] = c;
+                    len += 1;
+                    prev = Some(c);
+                }
+            }
+        }
+        row_ptr[n] = len as u64;
+        col.truncate(len);
+        col.shrink_to_fit();
         CsrGraph::from_parts(row_ptr, col, None, None, self.directed)
     }
 }

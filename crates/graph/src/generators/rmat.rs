@@ -112,34 +112,29 @@ impl RmatConfig {
     }
 
     /// Generates the graph.
+    ///
+    /// Every placement descends `scale` levels with one uniform draw `u`
+    /// per level, most significant bit first. The quadrant is computed
+    /// without branches: the row bit is `u ≥ a+b` and the column bit is
+    /// `[u ≥ a] ^ [u ≥ a+b] ^ [u ≥ a+b+c]`, which is 0, 1, 0, 1 across the
+    /// four quadrants in `(a, b, c, d)` order. Self-loops are discarded.
     pub fn generate(&self) -> CsrGraph {
         let n = self.vertex_count();
         let mut rng = SplitMix64::new(self.rng_seed ^ 0x524D_4154); // "RMAT"
-        let mut builder = GraphBuilder::new(n);
+        let mut builder = GraphBuilder::with_capacity(n, self.attempted_edges());
         builder.directed(self.directed);
+        let a = self.a;
         let ab = self.a + self.b;
         let abc = ab + self.c;
         for _ in 0..self.attempted_edges() {
-            let mut row = 0usize;
-            let mut colv = 0usize;
-            for level in (0..self.scale).rev() {
-                // Small per-level noise keeps the degree staircase smooth,
-                // as recommended by the Graph500 reference generator.
+            let (mut row, mut col) = (0usize, 0usize);
+            for _ in 0..self.scale {
                 let u = rng.next_f64();
-                let bit = 1usize << level;
-                if u < self.a {
-                    // upper-left: nothing to add
-                } else if u < ab {
-                    colv |= bit;
-                } else if u < abc {
-                    row |= bit;
-                } else {
-                    row |= bit;
-                    colv |= bit;
-                }
+                row = row << 1 | usize::from(u >= ab);
+                col = col << 1 | usize::from((u >= a) ^ (u >= ab) ^ (u >= abc));
             }
-            if row != colv {
-                builder.add_edge(row as VertexId, colv as VertexId);
+            if row != col {
+                builder.add_edge(row as VertexId, col as VertexId);
             }
         }
         builder.build()
@@ -152,7 +147,8 @@ impl RmatConfig {
 pub fn from_degree_sequence(degrees: &[u32], seed: u64) -> CsrGraph {
     let n = degrees.len();
     let mut rng = SplitMix64::new(seed);
-    let mut builder = GraphBuilder::new(n);
+    let edges = degrees.iter().map(|&d| d as usize).sum();
+    let mut builder = GraphBuilder::with_capacity(n, edges);
     for (v, &d) in degrees.iter().enumerate() {
         for _ in 0..d {
             let mut t = rng.next_below(n as u64) as VertexId;

@@ -1,9 +1,11 @@
 //! Graph I/O: SNAP-style edge-list text and a compact binary format.
 //!
 //! The text parser accepts the format the paper's datasets ship in
-//! (whitespace-separated endpoint pairs, `#`/`%` comment lines). The binary
-//! format is a little-endian dump of the CSR arrays used to cache generated
-//! stand-ins between runs.
+//! (whitespace-separated endpoint pairs, `#`/`%` comment lines); build the
+//! parsed edges into CSR with [`CsrGraph::from_edges`]. The binary format is
+//! a little-endian dump of the CSR arrays, weights and vertex types that
+//! [`read_binary`] validates on the way back in. Only the tests round-trip
+//! it; every run regenerates the stand-ins rather than caching them.
 
 use crate::{CsrGraph, VertexId};
 use std::error::Error;

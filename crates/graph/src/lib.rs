@@ -32,7 +32,6 @@ pub mod generators;
 pub mod io;
 mod partition;
 mod stats;
-pub mod transform;
 pub mod weights;
 
 pub use alias::AliasTables;

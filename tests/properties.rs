@@ -192,3 +192,101 @@ fn builder_is_order_insensitive() {
         assert_eq!(a, rev.build(), "case {case}");
     }
 }
+
+/// The CSR build the counting sort replaced, kept as its oracle: copy the
+/// edge list with every undirected edge mirrored, sort the copy globally,
+/// dedup it and cut it into rows. Returns `(row pointers, columns)`.
+fn mirror_sort_dedup_build(
+    n: usize,
+    edges: &[(u32, u32)],
+    directed: bool,
+    keep_self_loops: bool,
+) -> (Vec<u64>, Vec<u32>) {
+    let mut all = Vec::with_capacity(edges.len() * if directed { 1 } else { 2 });
+    for &(u, v) in edges {
+        if u == v && !keep_self_loops {
+            continue;
+        }
+        all.push((u, v));
+        if !directed {
+            all.push((v, u));
+        }
+    }
+    all.sort_unstable();
+    all.dedup();
+    let mut row_ptr = vec![0u64; n + 1];
+    for &(u, _) in &all {
+        row_ptr[u as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    (row_ptr, all.iter().map(|&(_, v)| v).collect())
+}
+
+/// A random edge list over 0..40 vertices that repeats earlier edges,
+/// adds earlier edges reversed and adds self-loops. Its endpoints come from
+/// a random pool of vertices, so the vertices outside the pool are
+/// isolated; one list in ten is empty.
+fn tangled_edges(rng: &mut SplitMix64) -> (usize, Vec<(u32, u32)>) {
+    let n = rng.next_below(40) as usize;
+    if n == 0 || rng.next_bool(0.1) {
+        return (n, Vec::new());
+    }
+    let pool: Vec<u32> = (0..1 + rng.next_below(n as u64))
+        .map(|_| rng.next_below(n as u64) as u32)
+        .collect();
+    let pick = |rng: &mut SplitMix64| pool[rng.next_below(pool.len() as u64) as usize];
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for _ in 0..rng.next_below(160) {
+        let earlier =
+            (!edges.is_empty()).then(|| edges[rng.next_below(edges.len() as u64) as usize]);
+        let edge = match (rng.next_below(6), earlier) {
+            (0, Some(e)) => e,
+            (1, Some((u, v))) => (v, u),
+            (2, _) => {
+                let u = pick(rng);
+                (u, u)
+            }
+            _ => (pick(rng), pick(rng)),
+        };
+        edges.push(edge);
+    }
+    (n, edges)
+}
+
+#[test]
+fn build_matches_the_mirror_sort_dedup_oracle() {
+    let mut covered = [false; 5]; // empty, isolated vertex, duplicate, both directions, self-loop
+    for case in 0..256 {
+        let mut rng = SplitMix64::new(0x0AC1E ^ case);
+        let (n, edges) = tangled_edges(&mut rng);
+        covered[0] |= edges.is_empty();
+        covered[1] |= (0..n as u32).any(|v| edges.iter().all(|&(a, b)| a != v && b != v));
+        covered[2] |= (1..edges.len()).any(|i| edges[..i].contains(&edges[i]));
+        covered[3] |= edges
+            .iter()
+            .any(|&(u, v)| u != v && edges.contains(&(v, u)));
+        covered[4] |= edges.iter().any(|&(u, v)| u == v);
+        for directed in [true, false] {
+            for keep_self_loops in [false, true] {
+                let mut b = GraphBuilder::new(n);
+                b.add_edges(edges.iter().copied())
+                    .directed(directed)
+                    .keep_self_loops(keep_self_loops);
+                let g = b.build();
+                let (row_ptr, col) = mirror_sort_dedup_build(n, &edges, directed, keep_self_loops);
+                assert!(
+                    g.row_pointers() == row_ptr && g.column_list() == col,
+                    "case {case} (n={n}, directed={directed}, keep_self_loops={keep_self_loops}): \
+                     {:?} / {:?} against the oracle's {row_ptr:?} / {col:?}",
+                    g.row_pointers(),
+                    g.column_list(),
+                );
+                assert_eq!(g.is_directed(), directed);
+                assert!(!g.is_weighted() && !g.is_typed());
+            }
+        }
+    }
+    assert_eq!(covered, [true; 5], "the generator missed a shape");
+}
