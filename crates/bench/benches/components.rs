@@ -13,7 +13,6 @@ use grw_route::{Router, StaticHashPolicy};
 use grw_service::{Driver, DynWalkBackend, ServiceConfig, TenantId};
 use grw_sim::{Fifo, MemoryChannel, MemoryChannelSpec};
 use grw_sink::{CountingSink, PprAggregator, SinkRouter};
-use ridgewalker::scheduler::ButterflyBalancer;
 use ridgewalker::{Accelerator, AcceleratorConfig};
 use std::sync::Arc;
 
@@ -86,18 +85,6 @@ fn bench_hardware_primitives(c: &mut Criterion) {
             ch.try_issue(cycle, 1.0, cycle);
             while ch.pop_ready().is_some() {}
             cycle += 1;
-        })
-    });
-    group.bench_function("butterfly_balancer_16_cycle", |b| {
-        let mut bal: ButterflyBalancer<u64> = ButterflyBalancer::new(16);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            bal.push((i % 16) as usize, i);
-            bal.tick();
-            for lane in 0..16 {
-                std::hint::black_box(bal.pop(lane));
-            }
         })
     });
     group.finish();

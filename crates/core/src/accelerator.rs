@@ -1204,6 +1204,57 @@ mod tests {
         );
     }
 
+    /// The binding that leaves a scheduler no placement to make: in
+    /// dynamic mode a task reaches the pipeline whose channels hold the
+    /// data it reads next (row pointer at Row Access, neighbor list at
+    /// Sampling); in static mode every task of a query stays on the
+    /// query's pipeline.
+    #[test]
+    fn tasks_reach_the_pipelines_that_own_their_data() {
+        let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
+        let spec = WalkSpec::urw(24);
+        let p = PreparedGraph::new(g.clone(), &spec).unwrap();
+        let qs = QuerySet::random(g.vertex_count(), 600, 2);
+        for (n, schedule) in [
+            (4, ScheduleMode::ZeroBubble),
+            (16, ScheduleMode::ZeroBubble),
+            (4, ScheduleMode::StaticBatched),
+        ] {
+            let cfg = small_config().pipelines(n).schedule(schedule);
+            let mut m = Machine::new(cfg, &p, &spec);
+            for q in qs.queries() {
+                m.enqueue(q);
+            }
+            let (mut ra_heads, mut sp_heads) = (0, 0);
+            while !m.quiescent() {
+                m.advance(&p, 1);
+                let owner = |t: &Task, channel: fn(&ChannelLayout, VertexId) -> u8| {
+                    if m.dynamic {
+                        channel(&m.layout, t.v_curr) as usize
+                    } else {
+                        m.static_port(t)
+                    }
+                };
+                for (pi, pipe) in m.pipes.iter().enumerate() {
+                    if let Some(t) = pipe.ra_fifo.front() {
+                        let at = owner(t, ChannelLayout::rp_channel);
+                        assert_eq!(at, pi, "{schedule:?} N={n}: RA head {t:?}");
+                        ra_heads += 1;
+                    }
+                    if let Some(t) = pipe.sp_fifo.front() {
+                        let at = owner(t, ChannelLayout::cl_channel);
+                        assert_eq!(at, pi, "{schedule:?} N={n}: SP head {t:?}");
+                        sp_heads += 1;
+                    }
+                }
+            }
+            assert!(
+                ra_heads > 1_000 && sp_heads > 1_000,
+                "{schedule:?} N={n}: only {ra_heads} RA and {sp_heads} SP heads checked"
+            );
+        }
+    }
+
     #[test]
     fn near_peak_bandwidth_on_backlogged_urw() {
         let g = RmatConfig::balanced(12, 16).seed(1).generate();

@@ -15,15 +15,14 @@
 //!   metadata queue, sustaining up to 128 outstanding requests per channel
 //!   (Fig. 6). A blocking mode ([`MemoryMode::Blocking`]: a plain AXI
 //!   master's 8-request window) provides the ablation baseline of Fig. 11.
-//! * **Zero-bubble scheduler** ([`scheduler`]): the branch-free
-//!   [`scheduler::Dispatcher`] (Algorithm VI.1) and [`scheduler::Merger`]
-//!   (Algorithm VI.2), composed into the N-to-N butterfly
-//!   [`scheduler::ButterflyBalancer`] of Fig. 7b, with FIFO depths
-//!   `1 + 4·log2(N)` from Theorem VI.1. The [`Accelerator`] does not run
-//!   these three models: it models the scheduler as a `2·log2(N)`-cycle
-//!   delay line between the merge stage and the Row-Access router. The
-//!   models run only in their own tests and one microbenchmark
-//!   (`hw_primitives/butterfly_balancer_16_cycle`).
+//! * **Zero-bubble scheduler**, modelled by its timing: each cycle the
+//!   merge stage takes recirculated tasks first, then fresh queries, up to
+//!   N, into a `2·max(1, log2 N)`-cycle delay line in front of the
+//!   Row-Access router. Pipeline FIFOs default to `1 + 4·log2(N)` entries,
+//!   the Theorem VI.1 bound (`grw_queueing::ridgewalker_fifo_depth`), which
+//!   `grw_queueing::simulate_feedback` checks. `DESIGN.md` ("Scheduler")
+//!   says why no dispatcher, merger or butterfly balancer is modelled gate
+//!   by gate: each task's pipeline is fixed by its vertex.
 //! * **Data-aware task routing** ([`TaskRouter`]): a butterfly interconnect
 //!   delivering each task to the memory channel owning its vertex.
 //! * **The accelerator** ([`Accelerator`]): N asynchronous pipelines
@@ -66,7 +65,6 @@ mod engine;
 pub mod report;
 pub mod resource;
 mod router;
-pub mod scheduler;
 mod task;
 
 pub use accelerator::Accelerator;

@@ -10,10 +10,10 @@
 //!   weighted sampling (Table I, 256-bit RP entries).
 //! * [`ChannelLayout`] — the degree-aware graph memory layout of Fig. 4b:
 //!   row pointers partitioned across Row-Access channels, neighbor lists
-//!   shuffled round-robin across Column-Access channels, with channel ids
-//!   embedded in each row-pointer entry.
+//!   shuffled round-robin across Column-Access channels. It records which
+//!   channel of each kind holds each vertex's data.
 //! * [`GraphStats`] — degree/dead-end/diameter statistics (Table II).
-//! * [`io`] — SNAP-style edge-list text and a compact binary format.
+//! * [`io`] — SNAP-style edge-list text.
 //!
 //! # Example
 //!
@@ -36,7 +36,7 @@ pub mod weights;
 
 pub use alias::AliasTables;
 pub use csr::{CsrGraph, GraphBuilder};
-pub use partition::{ChannelLayout, RpEntry, RpEntryKind};
+pub use partition::{ChannelLayout, RpEntryKind};
 pub use stats::GraphStats;
 
 /// Identifier of a vertex. Graphs in this suite hold fewer than 2^32

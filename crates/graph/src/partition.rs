@@ -8,10 +8,11 @@
 //! * the **neighbor lists** are shuffled round-robin across the
 //!   Column-Access channels.
 //!
-//! Each row-pointer entry embeds the column-list channel id and starting
-//! address, so a task leaving Row Access knows exactly which channel its
-//! Sampling/Column-Access work must be routed to — the input the butterfly
-//! Task Router consumes.
+//! In hardware each row-pointer entry embeds the column-list channel id and
+//! starting address, so a task leaving Row Access knows exactly which
+//! channel its Sampling/Column-Access work must be routed to. The model
+//! keeps only the two channel ids per vertex: the machine routes tasks by
+//! them, and a read costs the same whatever its address.
 
 use crate::{CsrGraph, VertexId};
 
@@ -43,19 +44,6 @@ impl RpEntryKind {
     }
 }
 
-/// A decoded row-pointer entry: everything one Row-Access read returns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RpEntry {
-    /// Column-Access channel holding the neighbor list.
-    pub cl_channel: u8,
-    /// Element offset of the neighbor list inside that channel.
-    pub cl_addr: u64,
-    /// Out-degree of the vertex.
-    pub degree: u32,
-    /// Total outgoing weight (meaningful for `Weighted128`/`Alias256`).
-    pub total_weight: f32,
-}
-
 /// The channel assignment of a whole graph.
 ///
 /// # Example
@@ -65,18 +53,15 @@ pub struct RpEntry {
 ///
 /// let g = CsrGraph::from_edges(8, &[(0, 1), (1, 2), (2, 3)], true);
 /// let layout = ChannelLayout::new(&g, 4, 4);
-/// let e = layout.rp_entry(&g, 1);
-/// assert_eq!(e.degree, 1);
-/// assert!(e.cl_channel < 4);
+/// assert!(layout.rp_channel(1) < 4 && layout.cl_channel(1) < 4);
+/// // Every vertex has one RP entry; every edge one column-list element.
+/// assert_eq!(layout.ra_entry_counts().iter().sum::<u64>(), 8);
+/// assert_eq!(layout.ca_entry_counts().iter().sum::<u64>(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChannelLayout {
-    n_ra: u32,
-    n_ca: u32,
     rp_channel: Vec<u8>,
-    rp_addr: Vec<u64>,
     cl_channel: Vec<u8>,
-    cl_addr: Vec<u64>,
     ra_entries: Vec<u64>,
     ca_entries: Vec<u64>,
 }
@@ -93,16 +78,13 @@ impl ChannelLayout {
         assert!(n_ra <= 256 && n_ca <= 256, "channel ids are 8-bit");
         let n = graph.vertex_count();
         let mut rp_channel = vec![0u8; n];
-        let mut rp_addr = vec![0u64; n];
         let mut cl_channel = vec![0u8; n];
-        let mut cl_addr = vec![0u64; n];
         let mut ra_entries = vec![0u64; n_ra as usize];
         let mut ca_entries = vec![0u64; n_ca as usize];
         for v in 0..n {
             // Random partition of the row pointers (multiplicative hash).
             let ra = (Self::hash(v as u64) % u64::from(n_ra)) as u8;
             rp_channel[v] = ra;
-            rp_addr[v] = ra_entries[ra as usize];
             ra_entries[ra as usize] += 1;
             // Shuffled distribution of the neighbor lists. The paper calls
             // this "round-robin"; on its datasets vertex ids are already
@@ -113,16 +95,11 @@ impl ChannelLayout {
             // graph structure.
             let ca = (Self::hash((v as u64) ^ 0xA5A5_5A5A) % u64::from(n_ca)) as u8;
             cl_channel[v] = ca;
-            cl_addr[v] = ca_entries[ca as usize];
             ca_entries[ca as usize] += u64::from(graph.degree(v as VertexId));
         }
         Self {
-            n_ra,
-            n_ca,
             rp_channel,
-            rp_addr,
             cl_channel,
-            cl_addr,
             ra_entries,
             ca_entries,
         }
@@ -133,45 +110,14 @@ impl ChannelLayout {
         v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
     }
 
-    /// Number of Row-Access channels.
-    pub fn ra_channels(&self) -> u32 {
-        self.n_ra
-    }
-
-    /// Number of Column-Access channels.
-    pub fn ca_channels(&self) -> u32 {
-        self.n_ca
-    }
-
     /// Row-Access channel owning `v`'s RP entry.
     pub fn rp_channel(&self, v: VertexId) -> u8 {
         self.rp_channel[v as usize]
     }
 
-    /// Address of `v`'s RP entry within its Row-Access channel.
-    pub fn rp_addr(&self, v: VertexId) -> u64 {
-        self.rp_addr[v as usize]
-    }
-
     /// Column-Access channel holding `v`'s neighbor list.
     pub fn cl_channel(&self, v: VertexId) -> u8 {
         self.cl_channel[v as usize]
-    }
-
-    /// Element offset of `v`'s neighbor list inside its CA channel.
-    pub fn cl_addr(&self, v: VertexId) -> u64 {
-        self.cl_addr[v as usize]
-    }
-
-    /// Decodes the full RP entry for `v` — the value a Row-Access read
-    /// returns to the pipeline.
-    pub fn rp_entry(&self, graph: &CsrGraph, v: VertexId) -> RpEntry {
-        RpEntry {
-            cl_channel: self.cl_channel(v),
-            cl_addr: self.cl_addr(v),
-            degree: graph.degree(v),
-            total_weight: graph.total_weight(v),
-        }
     }
 
     /// RP entries stored per Row-Access channel (for balance diagnostics).
@@ -226,41 +172,6 @@ mod tests {
             assert!(layout.rp_channel(v) < 16);
             assert!(layout.cl_channel(v) < 16);
         }
-    }
-
-    #[test]
-    fn rp_addresses_are_unique_per_channel() {
-        let g = CsrGraph::from_edges(64, &[], true);
-        let layout = ChannelLayout::new(&g, 4, 4);
-        let mut seen = std::collections::HashSet::new();
-        for v in 0..64u32 {
-            assert!(
-                seen.insert((layout.rp_channel(v), layout.rp_addr(v))),
-                "duplicate RP slot for vertex {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn cl_addresses_do_not_overlap() {
-        let g = CsrGraph::from_edges(8, &[(0, 1), (0, 2), (4, 5), (4, 6), (4, 7)], true);
-        let layout = ChannelLayout::new(&g, 2, 2);
-        // Vertices 0 and 4 share channel 0 (round-robin with n_ca=2).
-        assert_eq!(layout.cl_channel(0), layout.cl_channel(4));
-        let (a0, d0) = (layout.cl_addr(0), g.degree(0) as u64);
-        let a4 = layout.cl_addr(4);
-        assert!(a4 >= a0 + d0 || a0 >= a4 + g.degree(4) as u64);
-    }
-
-    #[test]
-    fn rp_entry_reports_degree_and_channel() {
-        let g = CsrGraph::from_edges(4, &[(1, 2), (1, 3)], true);
-        let layout = ChannelLayout::new(&g, 2, 2);
-        let e = layout.rp_entry(&g, 1);
-        assert_eq!(e.degree, 2);
-        assert_eq!(e.cl_channel, layout.cl_channel(1));
-        assert_eq!(e.cl_addr, layout.cl_addr(1));
-        assert_eq!(e.total_weight, 2.0);
     }
 
     #[test]

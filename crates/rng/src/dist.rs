@@ -1,9 +1,8 @@
 //! Distribution samplers layered over any [`RandomSource`].
 //!
-//! These cover every distribution the reproduction needs: exponential
-//! service times and Poisson arrivals for the queuing model (§VI of the
-//! paper), geometric lengths for PPR termination, and Zipf for skewed
-//! synthetic workloads.
+//! These cover what the queueing model (§VI of the paper) draws:
+//! exponential service times and Poisson arrivals. [`normal`] backs the
+//! Poisson sampler's large-`lambda` approximation.
 
 use crate::RandomSource;
 
@@ -17,24 +16,6 @@ pub fn exponential<G: RandomSource>(gen: &mut G, rate: f64) -> f64 {
     // Inverse CDF; guard the log(0) corner by nudging u away from 0.
     let u = gen.next_f64().max(f64::MIN_POSITIVE);
     -u.ln() / rate
-}
-
-/// Samples a geometric number of trials until first success (support 1..).
-///
-/// Matches PPR termination: a walk survives each hop with probability
-/// `1 - p`, so its length is `Geometric(p)`.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `(0, 1]`.
-pub fn geometric<G: RandomSource>(gen: &mut G, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
-    if p >= 1.0 {
-        return 1;
-    }
-    let u = gen.next_f64().max(f64::MIN_POSITIVE);
-    // Inverse CDF of the geometric distribution.
-    (u.ln() / (1.0 - p).ln()).floor() as u64 + 1
 }
 
 /// Samples `Poisson(lambda)` via Knuth's product method for small `lambda`
@@ -76,72 +57,6 @@ pub fn normal<G: RandomSource>(gen: &mut G) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// A Zipf-distributed sampler over `{0, 1, .., n-1}` with exponent `s`.
-///
-/// Rank `k` (0-based) is drawn with probability proportional to
-/// `1 / (k+1)^s`. Uses a precomputed cumulative table with binary search —
-/// O(n) memory, O(log n) per draw — which is exactly what the synthetic
-/// workload generators need (n = vertex count of a scaled graph).
-///
-/// # Example
-///
-/// ```
-/// use grw_rng::{dist::Zipf, RandomSource, SplitMix64};
-///
-/// let zipf = Zipf::new(100, 1.2);
-/// let mut g = SplitMix64::new(1);
-/// assert!(zipf.sample(&mut g) < 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds the sampler for `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s >= 0.0, "exponent must be non-negative");
-        let mut cumulative = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            cumulative.push(acc);
-        }
-        let total = acc;
-        for c in &mut cumulative {
-            *c /= total;
-        }
-        Self { cumulative }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Returns `true` if the sampler has exactly one rank.
-    pub fn is_empty(&self) -> bool {
-        false // construction guarantees n > 0
-    }
-
-    /// Draws one rank in `[0, n)`.
-    pub fn sample<G: RandomSource>(&self, gen: &mut G) -> usize {
-        let u = gen.next_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in table"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,22 +75,6 @@ mod tests {
     fn exponential_rejects_zero_rate() {
         let mut g = SplitMix64::new(1);
         let _ = exponential(&mut g, 0.0);
-    }
-
-    #[test]
-    fn geometric_mean_is_one_over_p() {
-        let mut g = SplitMix64::new(4);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| geometric(&mut g, 0.15) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 1.0 / 0.15).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_with_p_one_is_always_one() {
-        let mut g = SplitMix64::new(4);
-        for _ in 0..100 {
-            assert_eq!(geometric(&mut g, 1.0), 1);
-        }
     }
 
     #[test]
@@ -209,44 +108,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
-    }
-
-    #[test]
-    fn zipf_rank_zero_dominates() {
-        let zipf = Zipf::new(50, 1.5);
-        let mut g = SplitMix64::new(3);
-        let mut counts = vec![0usize; 50];
-        for _ in 0..20_000 {
-            counts[zipf.sample(&mut g)] += 1;
-        }
-        assert!(counts[0] > counts[1], "rank 0 should dominate rank 1");
-        assert!(counts[1] > counts[10], "rank 1 should dominate rank 10");
-    }
-
-    #[test]
-    fn zipf_exponent_zero_is_uniform() {
-        let zipf = Zipf::new(10, 0.0);
-        let mut g = SplitMix64::new(6);
-        let mut counts = [0usize; 10];
-        let n = 100_000;
-        for _ in 0..n {
-            counts[zipf.sample(&mut g)] += 1;
-        }
-        let expected = n as f64 / 10.0;
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expected).abs() < expected * 0.1,
-                "rank {i} count {c} deviates from uniform"
-            );
-        }
-    }
-
-    #[test]
-    fn zipf_samples_in_range() {
-        let zipf = Zipf::new(7, 2.0);
-        let mut g = SplitMix64::new(9);
-        for _ in 0..1000 {
-            assert!(zipf.sample(&mut g) < 7);
-        }
     }
 }

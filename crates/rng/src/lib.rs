@@ -12,8 +12,8 @@
 //! * [`SplitMix64`] — the stream a hop draws from, and seeding, key mixing
 //!   and general-purpose scalar generation (graph generators, arrival
 //!   processes, test fixtures).
-//! * [`dist`] — uniform/exponential/geometric/Poisson/Zipf samplers built on
-//!   top of any [`RandomSource`].
+//! * [`dist`] — exponential, Poisson and normal samplers over any
+//!   [`RandomSource`], for the queueing model.
 //!
 //! # Example
 //!

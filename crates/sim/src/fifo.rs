@@ -64,28 +64,10 @@ impl<T> Fifo<T> {
         self.queue.is_empty()
     }
 
-    /// Whether a consumer sees data this cycle (committed elements only).
-    #[inline]
-    pub fn can_pop(&self) -> bool {
-        self.committed > 0
-    }
-
     /// Whether a producer can push this cycle.
     #[inline]
     pub fn can_push(&self) -> bool {
         self.queue.len() < self.capacity
-    }
-
-    /// The `full` backpressure wire (inverse of [`Fifo::can_push`]).
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        !self.can_push()
-    }
-
-    /// Number of committed elements a consumer could pop this cycle.
-    #[inline]
-    pub fn poppable(&self) -> usize {
-        self.committed
     }
 
     /// Capacity the FIFO was built with.
@@ -138,10 +120,10 @@ mod tests {
     fn push_is_invisible_until_commit() {
         let mut f = Fifo::new(4);
         assert!(f.push(7));
-        assert!(!f.can_pop());
+        assert_eq!(f.front(), None);
         assert_eq!(f.pop(), None);
         f.commit();
-        assert!(f.can_pop());
+        assert_eq!(f.front(), Some(&7));
         assert_eq!(f.pop(), Some(7));
     }
 
@@ -151,7 +133,7 @@ mod tests {
         assert!(f.push(1));
         assert!(f.push(2));
         assert!(!f.push(3), "staged elements must count toward capacity");
-        assert!(f.is_full());
+        assert!(!f.can_push());
     }
 
     #[test]
@@ -173,7 +155,7 @@ mod tests {
         let mut f = Fifo::new(1);
         f.push(1);
         f.commit();
-        assert!(f.is_full());
+        assert!(!f.can_push());
         assert_eq!(f.pop(), Some(1));
         // A pop in the same cycle frees the slot (standard FIFO behaviour:
         // simultaneous read+write at full is legal).
@@ -231,10 +213,8 @@ mod tests {
                     }
                 }
                 assert_eq!(f.front(), r.stored.front());
-                assert_eq!(f.poppable(), r.stored.len());
-                assert_eq!(f.can_pop(), !r.stored.is_empty());
                 assert_eq!(f.len(), r.stored.len() + r.staged.len());
-                assert_eq!(f.is_full(), f.len() >= capacity);
+                assert_eq!(f.can_push(), f.len() < capacity);
             }
         }
     }
@@ -251,7 +231,7 @@ mod tests {
         f.push(9);
         f.commit();
         assert_eq!(f.front(), Some(&9));
-        assert_eq!(f.poppable(), 1);
+        assert_eq!(f.len(), 1);
         assert_eq!(f.pop(), Some(9));
     }
 }

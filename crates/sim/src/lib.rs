@@ -16,7 +16,8 @@
 //!   return jitter. Its per-cycle rate is computed once, at construction.
 //! * [`FpgaPlatform`] — presets for the five boards of the evaluation
 //!   (U50, U250, U280, U55C, VCK5000), calibrated per `DESIGN.md`.
-//! * [`stats`] — utilization/bubble/throughput meters used by every engine.
+//! * [`stats`] — the utilization/bubble meter and sampler counters that
+//!   engines report.
 
 mod fifo;
 mod memory;

@@ -1,12 +1,11 @@
-//! Utilization, bubble and throughput meters.
+//! Pipeline utilization and sampler counters.
 //!
 //! The paper's two headline diagnostics are *bandwidth utilization*
 //! (`B_measured / B_peak`, Sec. III) and the *bubble ratio* (cycles a
-//! pipeline starves while work exists, Sec. III Obs. #2). These meters are
-//! embedded by every engine in the suite so all results report the same
-//! quantities.
-
-use crate::Cycle;
+//! pipeline starves while work exists, Sec. III Obs. #2). The bubble ratio
+//! is [`UtilizationMeter`]'s; throughput and bandwidth follow from a run's
+//! steps and cycles, which each engine's report derives (for the machine,
+//! `ridgewalker::RunReport`).
 
 /// Per-pipeline utilization accounting.
 ///
@@ -112,56 +111,6 @@ impl UtilizationMeter {
         self.busy += other.busy;
         self.bubble += other.bubble;
         self.drained += other.drained;
-    }
-}
-
-/// Steps-versus-cycles throughput accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThroughputMeter {
-    steps: u64,
-    cycles: Cycle,
-}
-
-impl ThroughputMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` completed GRW steps (traversed vertices).
-    pub fn add_steps(&mut self, n: u64) {
-        self.steps += n;
-    }
-
-    /// Sets the total elapsed cycles of the run.
-    pub fn set_cycles(&mut self, cycles: Cycle) {
-        self.cycles = cycles;
-    }
-
-    /// Completed steps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Elapsed cycles.
-    pub fn cycles(&self) -> Cycle {
-        self.cycles
-    }
-
-    /// Throughput in MStep/s for a core clock in MHz — the paper's primary
-    /// performance metric (Sec. VIII-A).
-    pub fn msteps_per_sec(&self, clock_mhz: f64) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.steps as f64 / self.cycles as f64 * clock_mhz
-        }
-    }
-
-    /// Effective random-access bandwidth in GB/s given the bytes touched
-    /// per step ("total memory footprint of traversed edges", Sec. III-B).
-    pub fn effective_bandwidth_gbs(&self, clock_mhz: f64, bytes_per_step: f64) -> f64 {
-        self.msteps_per_sec(clock_mhz) * bytes_per_step / 1000.0
     }
 }
 
@@ -283,8 +232,6 @@ mod tests {
         let m = UtilizationMeter::new();
         assert_eq!(m.bubble_ratio(), 0.0);
         assert_eq!(m.utilization(), 0.0);
-        let t = ThroughputMeter::new();
-        assert_eq!(t.msteps_per_sec(320.0), 0.0);
     }
 
     #[test]
@@ -307,16 +254,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.busy(), 1);
         assert_eq!(a.bubbles(), 1);
-    }
-
-    #[test]
-    fn msteps_math_checks_out() {
-        let mut t = ThroughputMeter::new();
-        t.add_steps(1_000_000);
-        t.set_cycles(1_000_000);
-        // 1 step/cycle at 320 MHz = 320 MStep/s.
-        assert!((t.msteps_per_sec(320.0) - 320.0).abs() < 1e-9);
-        // 16 B/step → 320 M * 16 B = 5.12 GB/s.
-        assert!((t.effective_bandwidth_gbs(320.0, 16.0) - 5.12).abs() < 1e-9);
     }
 }

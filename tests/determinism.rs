@@ -118,16 +118,6 @@ fn different_seeds_change_walks_but_not_validity() {
 }
 
 #[test]
-fn binary_io_round_trips_generated_graphs() {
-    for d in [Dataset::WebGoogle, Dataset::LiveJournal] {
-        let g = d.generate_typed(ScaleFactor::Tiny, 3);
-        let bytes = io::write_binary(&g);
-        let back = io::read_binary(&bytes).expect("roundtrip");
-        assert_eq!(g, back, "{d}");
-    }
-}
-
-#[test]
 fn edge_list_io_round_trips() {
     let g = Dataset::WebGoogle.generate(ScaleFactor::Tiny);
     let text = io::format_edge_list(&g);

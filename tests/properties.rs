@@ -7,7 +7,7 @@
 //! deterministic across runs (every case derives from a fixed master seed).
 
 use ridgewalker_suite::algo::{run_streamed, PreparedGraph, QuerySet, ReferenceBackend, WalkSpec};
-use ridgewalker_suite::graph::{io, AliasTables, CsrGraph, GraphBuilder};
+use ridgewalker_suite::graph::{AliasTables, CsrGraph, GraphBuilder};
 use ridgewalker_suite::rng::{RandomSource, SplitMix64};
 use ridgewalker_suite::sim::Fifo;
 use std::collections::VecDeque;
@@ -60,18 +60,6 @@ fn csr_invariants_hold_for_any_edge_list() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn binary_io_roundtrips_any_graph() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(0xB10 ^ case);
-        let (n, edges) = random_edges(&mut rng);
-        let directed = rng.next_bool(0.5);
-        let g = CsrGraph::from_edges(n, &edges, directed);
-        let bytes = io::write_binary(&g);
-        assert_eq!(io::read_binary(&bytes).unwrap(), g);
     }
 }
 
